@@ -16,12 +16,8 @@ from .exact import (
     format_word,
     is_finite_order,
     make_moebius_generators,
-    mat_inv,
-    mat_mul,
-    mat_pow,
     parse_matrix,
     parse_word,
-    trace,
     word,
 )
 from .congruence import (

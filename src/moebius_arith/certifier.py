@@ -55,6 +55,15 @@ from .exact import (
 )
 from .presentation import Presentation, build_presentation
 
+# the four cross-checks above, by the names certificates record them under;
+# an Arithmetic certificate lacking any of them does not verify
+ARITHMETIC_CHECKS = (
+    "index_formula",
+    "closure_mod_level_is_CaxCa",
+    "level_subgroup_words_stabilize",
+    "surjects_outside_level_primes",
+)
+
 
 class WordSearchError(RuntimeError):
     """No word for the target matrix was found within the length bound."""
@@ -529,6 +538,10 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
         problems.append(f"index {cert.index} != {expected}")
     if not all(ok for _, ok in cert.checks):
         problems.append("certificate records a failed cross-check")
+    recorded = {name for name, _ in cert.checks}
+    missing = [name for name in ARITHMETIC_CHECKS if name not in recorded]
+    if missing:
+        problems.append(f"certificate lacks the cross-checks {', '.join(missing)}")
     try:
         pres = build_presentation(b)
         mat_a, mat_b = cert.spec.matrices()

@@ -467,28 +467,23 @@ class _Engine:
             self._compact(0)
 
     def _drain_deductions(self, buckets) -> None:
+        # buckets hold the rotations of every relator and of its inverse,
+        # so the scans from a cover every relator cycle through the edge
+        # (a, x); the scan is bidirectional, so scanning the same cycles
+        # again from a^x, reversed, would deduce nothing new
         stack = self.deductions
-        tab = self.tab
         p = self.p
-        w = self.w
         while stack:
             if len(stack) > max(4096, 2 * self.live):
                 # stack blow-up: a full lookahead subsumes the queued work
                 del stack[:]
                 self._lookahead()
-                tab = self.tab
                 continue
             a, x = stack.pop()
             if p[a] == a:
                 for wrd in buckets[x]:
                     self._scan(a, wrd, False)
                     if p[a] != a:
-                        break
-            b = tab[a * w + x]
-            if b != UNDEF and p[b] == b:
-                for wrd in buckets[x ^ 1]:
-                    self._scan(b, wrd, False)
-                    if p[b] != b:
                         break
 
 
@@ -572,6 +567,21 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
             if e < 0 or e >= n or seen[e]:
                 raise RuntimeError("generator column is not a permutation")
             seen[e] = 1
+    for col in range(w):
+        for i in range(n):
+            if tab[tab[i * w + col] * w + (col ^ 1)] != i:
+                raise RuntimeError(
+                    "inverse column does not invert its generator column")
+    reached = bytearray(n)
+    reached[0] = 1
+    frontier = [0]
+    for i in frontier:
+        for e in tab[i * w:(i + 1) * w]:
+            if not reached[e]:
+                reached[e] = 1
+                frontier.append(e)
+    if len(frontier) != n:
+        raise RuntimeError("some coset is not reachable from coset 0")
     for rel in relators:
         for i in range(n):
             cur = i

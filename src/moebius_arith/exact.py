@@ -1,10 +1,14 @@
 """Exact arithmetic core: scalars in a localization Z[1/b], 2x2 unimodular
 matrices over Q, and freely reduced group words with matrix evaluation.
 
-Everything here is exact; no floating point is used anywhere.  Scalars are
-`fractions.Fraction` values kept fully reduced, so equality is structural.
-Membership in a localization Z[1/b] is a constructor-time validation against
-a supplied base, not a separate numeric type.
+Everything here is exact; no floating point is accepted anywhere.  Scalars
+are `fractions.Fraction` values.  A matrix stores its four entries over one
+common denominator, as five integers `(n11, n12, n21, n22, den)` in
+canonical form (`den > 0`, no common factor), so equality and hashing are
+structural and a product is eight integer multiplications and one gcd.
+Every construction checks the determinant identity
+`n11*n22 - n12*n21 == den*den`.  Membership in a localization Z[1/b] is a
+validation against a supplied base, not a separate numeric type.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 Scalar = Fraction
@@ -50,32 +54,90 @@ def in_localization(q: Fraction, base: int) -> bool:
     return True
 
 
-def check_localized(q: Fraction, base: int) -> Fraction:
-    """Validate q in Z[1/base]; returns q unchanged or raises ValueError."""
-    if not in_localization(q, base):
-        raise ValueError(f"{q} is not an element of Z[1/{base}]")
-    return q
+_new = object.__new__
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+def _make(n11: int, n12: int, n21: int, n22: int, den: int) -> "UniModularMatrix":
+    """The matrix [[n11, n12], [n21, n22]] / den, brought to canonical form
+    and checked to have determinant exactly 1.  Every construction ends
+    here."""
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
+    g = gcd(n11, n12, n21, n22, den)
+    if g != 1:
+        n11 //= g
+        n12 //= g
+        n21 //= g
+        n22 //= g
+        den //= g
+    if n11 * n22 - n12 * n21 != den * den:
+        raise ValueError(
+            f"determinant is not 1: [[{Fraction(n11, den)},{Fraction(n12, den)}],"
+            f"[{Fraction(n21, den)},{Fraction(n22, den)}]]")
+    m = _new(UniModularMatrix)
+    _set(m, "_key", (n11, n12, n21, n22, den))
+    return m
+
+
 class UniModularMatrix:
     """2x2 matrix over Q with determinant exactly 1.
 
-    Immutable and hashable; arithmetic returns new instances.
+    Built from four int or Fraction entries (floats raise TypeError).
+    Immutable and hashable; arithmetic returns new instances.  The entries
+    `e11..e22` read back as Fractions.
     """
 
-    e11: Fraction
-    e12: Fraction
-    e21: Fraction
-    e22: Fraction
+    __slots__ = ("_key",)  # (n11, n12, n21, n22, den), canonical
 
-    def __post_init__(self):
-        for name in ("e11", "e12", "e21", "e22"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
-        if self.e11 * self.e22 - self.e12 * self.e21 != 1:
-            raise ValueError(f"determinant is not 1: {self.rows()}")
+    def __new__(cls, e11, e12, e21, e22) -> "UniModularMatrix":
+        entries = (e11, e12, e21, e22)
+        for e in entries:
+            if not isinstance(e, (int, Fraction)):
+                raise TypeError(f"matrix entries must be int or Fraction, "
+                                f"got {type(e).__name__} {e!r}")
+        den = lcm(*(e.denominator for e in entries))
+        return _make(*(e.numerator * (den // e.denominator) for e in entries),
+                     den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _make, self._key
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniModularMatrix):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return (f"UniModularMatrix({self.e11!r}, {self.e12!r}, "
+                f"{self.e21!r}, {self.e22!r})")
+
+    # -- entries -----------------------------------------------------------
+
+    @property
+    def e11(self) -> Fraction:
+        return Fraction(self._key[0], self._key[4])
+
+    @property
+    def e12(self) -> Fraction:
+        return Fraction(self._key[1], self._key[4])
+
+    @property
+    def e21(self) -> Fraction:
+        return Fraction(self._key[2], self._key[4])
+
+    @property
+    def e22(self) -> Fraction:
+        return Fraction(self._key[3], self._key[4])
 
     # -- construction ------------------------------------------------------
 
@@ -86,7 +148,7 @@ class UniModularMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "UniModularMatrix":
         (a, b), (c, d) = rows
-        return UniModularMatrix(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        return UniModularMatrix(a, b, c, d)
 
     def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         return ((self.e11, self.e12), (self.e21, self.e22))
@@ -94,19 +156,21 @@ class UniModularMatrix:
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "UniModularMatrix") -> "UniModularMatrix":
-        return UniModularMatrix(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
+        if not isinstance(other, UniModularMatrix):
+            return NotImplemented
+        a11, a12, a21, a22, ad = self._key
+        b11, b12, b21, b22, bd = other._key
+        return _make(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                     a21 * b11 + a22 * b21, a21 * b12 + a22 * b22, ad * bd)
 
     def inv(self) -> "UniModularMatrix":
         # det = 1, so the adjugate is the inverse
-        return UniModularMatrix(self.e22, -self.e12, -self.e21, self.e11)
+        n11, n12, n21, n22, den = self._key
+        return _make(n22, -n12, -n21, n11, den)
 
     def __neg__(self) -> "UniModularMatrix":
-        return UniModularMatrix(-self.e11, -self.e12, -self.e21, -self.e22)
+        n11, n12, n21, n22, den = self._key
+        return _make(-n11, -n12, -n21, -n22, den)
 
     def pow(self, k: int) -> "UniModularMatrix":
         """Binary exponentiation; unipotent matrices short-circuit since
@@ -115,15 +179,13 @@ class UniModularMatrix:
             return _IDENTITY
         if k < 0:
             return self.inv().pow(-k)
-        one = Fraction(1)
-        if self.e11 == one and self.e22 == one:
-            if self.e21 == 0:
-                return UniModularMatrix(one, k * self.e12, Fraction(0), one)
-            if self.e12 == 0:
-                return UniModularMatrix(one, Fraction(0), k * self.e21, one)
-        if self == _IDENTITY:
-            return _IDENTITY
-        if self == _NEG_IDENTITY:
+        n11, n12, n21, n22, den = self._key
+        if n11 == den and n22 == den:
+            if n21 == 0:
+                return _make(den, k * n12, 0, den, den)
+            if n12 == 0:
+                return _make(den, 0, k * n21, den, den)
+        if self._key == _NEG_IDENTITY._key:
             return _IDENTITY if k % 2 == 0 else _NEG_IDENTITY
         base = self
         acc = _IDENTITY
@@ -138,47 +200,27 @@ class UniModularMatrix:
     __pow__ = pow
 
     def trace(self) -> Fraction:
-        return self.e11 + self.e22
+        n11, _, _, n22, den = self._key
+        return Fraction(n11 + n22, den)
 
     # -- predicates --------------------------------------------------------
 
     def is_identity(self) -> bool:
-        return self == _IDENTITY
+        return self._key == _IDENTITY._key
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in
-                   (self.e11, self.e12, self.e21, self.e22))
+        return self._key[4] == 1
 
     def denominator_primes(self) -> set[int]:
-        out: set[int] = set()
-        for e in (self.e11, self.e12, self.e21, self.e22):
-            out.update(prime_factors(e.denominator))
-        return out
+        # den is the lcm of the reduced entry denominators
+        return set(prime_factors(self._key[4]))
 
     def __str__(self) -> str:
         return format_matrix(self)
 
 
-_IDENTITY = UniModularMatrix(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-_NEG_IDENTITY = UniModularMatrix(Fraction(-1), Fraction(0), Fraction(0), Fraction(-1))
-
-
-# -- spec-level operation names ---------------------------------------------
-
-def mat_mul(m: UniModularMatrix, n: UniModularMatrix) -> UniModularMatrix:
-    return m * n
-
-
-def mat_inv(m: UniModularMatrix) -> UniModularMatrix:
-    return m.inv()
-
-
-def mat_pow(m: UniModularMatrix, k: int) -> UniModularMatrix:
-    return m.pow(k)
-
-
-def trace(m: UniModularMatrix) -> Fraction:
-    return m.trace()
+_IDENTITY = _make(1, 0, 0, 1, 1)
+_NEG_IDENTITY = _make(-1, 0, 0, -1, 1)
 
 
 def make_moebius_generators(a: int, b: int) -> tuple[UniModularMatrix, UniModularMatrix]:
@@ -192,10 +234,7 @@ def make_moebius_generators(a: int, b: int) -> tuple[UniModularMatrix, UniModula
         raise ValueError(f"denominator must exceed 1, got {b}")
     if gcd(a, b) != 1:
         raise ValueError(f"gcd({a}, {b}) != 1")
-    m = Fraction(a, b)
-    one, zero = Fraction(1), Fraction(0)
-    return (UniModularMatrix(one, m, zero, one),
-            UniModularMatrix(one, zero, m, one))
+    return (_make(b, a, 0, b, b), _make(b, 0, a, b, b))
 
 
 def is_finite_order(m: UniModularMatrix) -> Optional[int]:
@@ -250,15 +289,26 @@ class GroupWord:
     syllables: tuple[Syllable, ...] = ()
 
     def __post_init__(self):
-        for i, (sym, exp) in enumerate(self.syllables):
+        prev = None
+        for sym, exp in self.syllables:
             if exp == 0:
                 raise ValueError("zero exponent in word")
-            if i and self.syllables[i - 1][0] == sym:
+            if sym == prev:
                 raise ValueError("word is not freely reduced")
+            prev = sym
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        # only the seam needs re-reduction
-        return GroupWord(_reduce_syllables(self.syllables + other.syllables))
+        # both factors are reduced, so only the seam needs re-reduction
+        left, right = self.syllables, other.syllables
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            exp = left[i - 1][1] + right[j][1]
+            if exp:
+                return GroupWord(left[:i - 1] + ((right[j][0], exp),)
+                                 + right[j + 1:])
+            i -= 1
+            j += 1
+        return GroupWord(left[:i] + right[j:])
 
     def inv(self) -> "GroupWord":
         return GroupWord(tuple((s, -e) for s, e in reversed(self.syllables)))

@@ -277,6 +277,29 @@ class TestOfflineVerification:
         ok, problems = verify_certificate(payload)
         assert not ok
 
+    def test_rejects_arithmetic_claim_without_checks(self):
+        # 5/2 is beyond the default budget; a hand-written Arithmetic
+        # certificate with the right index and words but no cross-checks
+        # must not verify
+        spec = MoebiusSpec(5, 2)
+        wa, wb = express_generators(spec, build_presentation(2))
+        payload = {
+            "spec": {"a": 5, "b": 2}, "status": "Arithmetic",
+            "index": 5 * sl2_order(5), "level": 25,
+            "expected_index": 5 * sl2_order(5),
+            "words": {"A": str(wa), "B": str(wb)}, "witness": None,
+            "checks": [], "resources": {}, "reason": None,
+        }
+        ok, problems = verify_certificate(payload)
+        assert not ok
+        assert problems == [
+            "certificate lacks the cross-checks index_formula, "
+            "closure_mod_level_is_CaxCa, level_subgroup_words_stabilize, "
+            "surjects_outside_level_primes"]
+        payload["checks"] = [{"name": "index_formula", "passed": True}]
+        ok, problems = verify_certificate(payload)
+        assert not ok and "index_formula" not in problems[0]
+
     def test_rejects_malformed(self):
         ok, problems = verify_certificate({"status": "Arithmetic"})
         assert not ok

@@ -1,14 +1,19 @@
 """Todd-Coxeter enumeration: small-group oracle corpus, table invariants,
 overflow contract, relator recovery."""
 
+from array import array
+
 import pytest
 
 from moebius_arith.congruence import ResidueMatrix, subgroup_closure
 from moebius_arith.coset_enum import (
+    CosetTable,
     EnumerationLimits,
+    _verify_table,
     find_relator,
     todd_coxeter,
     word_stabilizes_one,
+    word_to_letters,
 )
 from moebius_arith.exact import (
     GroupWord,
@@ -195,6 +200,33 @@ class TestTableInvariants:
         for rel in pres.relators:
             for i in range(table.n):
                 assert table.trace(i, rel) == i
+
+    def _letters(self, pres, words):
+        col_of = {g: 2 * i for i, g in enumerate(pres.generators)}
+        return [tuple(word_to_letters(w, col_of)) for w in words]
+
+    def test_verify_rejects_wrong_inverse_entry(self):
+        pres, table = self._table()
+        relators = self._letters(pres, pres.relators)
+        subgroup = self._letters(pres, [parse_word("f")])
+        _verify_table(table, relators, subgroup)
+        # swap two entries of the r^-1 column: both columns stay
+        # permutations, but r^-1 no longer inverts r at those cosets
+        tab, w = table._tab, table.width
+        tab[0 * w + 1], tab[1 * w + 1] = tab[1 * w + 1], tab[0 * w + 1]
+        for col in range(w):
+            column = [tab[i * w + col] for i in range(table.n)]
+            assert sorted(column) == list(range(table.n))
+        with pytest.raises(RuntimeError, match="inverse column"):
+            _verify_table(table, relators, subgroup)
+
+    def test_verify_rejects_unreachable_coset(self):
+        # two fixed points of every generator: permutations, inverses and
+        # relators all hold, but coset 1 lies outside the orbit of coset 0
+        pres = fake_presentation(["a"], ["a"])
+        table = CosetTable(pres.generators, array("i", [0, 0, 1, 1]), 2)
+        with pytest.raises(RuntimeError, match="not reachable"):
+            _verify_table(table, self._letters(pres, pres.relators), [])
 
     def test_word_stabilizes_one(self):
         _, table = self._table()

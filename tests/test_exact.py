@@ -1,5 +1,6 @@
 """Exact arithmetic core: scalars, matrices, words."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,12 +16,8 @@ from moebius_arith.exact import (
     in_localization,
     is_finite_order,
     make_moebius_generators,
-    mat_inv,
-    mat_mul,
-    mat_pow,
     parse_matrix,
     parse_word,
-    trace,
     word,
 )
 
@@ -37,6 +34,25 @@ def random_unimodular(rng, size=10):
         else:
             m = m * UniModularMatrix(Fraction(1), Fraction(0), x, Fraction(1))
     return m
+
+
+def random_localized(rng, b, size=8):
+    """Random element of SL(2, Z[1/b]) as a product of transvections."""
+    m = IDENT
+    for _ in range(rng.randint(1, size)):
+        x = Fraction(rng.randint(-40, 40), b ** rng.randint(0, 3))
+        if rng.random() < 0.5:
+            m = m * UniModularMatrix(1, x, 0, 1)
+        else:
+            m = m * UniModularMatrix(1, 0, x, 1)
+    return m
+
+
+def reference_product(x, y):
+    """The 2x2 product computed entry by entry in Fractions."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 class TestLocalizedScalars:
@@ -87,24 +103,78 @@ class TestMatrices:
 
     def test_mul_inv_identity(self):
         a, _ = make_moebius_generators(1, 2)
-        assert mat_mul(a, mat_inv(a)) == IDENT
+        assert a * a.inv() == IDENT
 
     def test_unipotent_power_shortcut(self):
         a, _ = make_moebius_generators(1, 2)
-        assert mat_pow(a, 2) == parse_matrix("[[1,1],[0,1]]")
-        assert mat_pow(a, -3) == parse_matrix("[[1,-3/2],[0,1]]")
+        assert a.pow(2) == parse_matrix("[[1,1],[0,1]]")
+        assert a.pow(-3) == parse_matrix("[[1,-3/2],[0,1]]")
 
     def test_trace(self):
-        assert trace(parse_matrix("[[0,1],[-1,0]]")) == 0
+        assert parse_matrix("[[0,1],[-1,0]]").trace() == 0
 
     def test_random_products_keep_determinant(self):
         rng = random.Random(99)
         for _ in range(200):
             m = random_unimodular(rng)
             n = random_unimodular(rng)
-            p = mat_mul(m, n)
+            p = m * n
             assert p.e11 * p.e22 - p.e12 * p.e21 == 1
-            assert mat_mul(m, mat_inv(m)) == IDENT
+            assert m * m.inv() == IDENT
+
+    @pytest.mark.parametrize("b", [2, 6, 35])
+    def test_product_matches_fraction_reference(self, b):
+        rng = random.Random(b)
+        for _ in range(200):
+            m = random_localized(rng, b)
+            n = random_localized(rng, b)
+            assert (m * n).rows() == reference_product(m.rows(), n.rows())
+            assert m.inv().rows() == ((m.e22, -m.e12), (-m.e21, m.e11))
+
+    def test_equal_and_hash_across_entry_forms(self):
+        forms = [
+            UniModularMatrix(3, 1, 2, 1),
+            UniModularMatrix(Fraction(3), Fraction(1), Fraction(2), Fraction(1)),
+            UniModularMatrix(Fraction(6, 2), Fraction(2, 2), Fraction(4, 2),
+                             Fraction(3, 3)),
+        ]
+        half = [
+            UniModularMatrix(1, Fraction(1, 2), 0, 1),
+            UniModularMatrix(Fraction(1), Fraction(2, 4), Fraction(0), Fraction(1)),
+            UniModularMatrix(Fraction(3, 3), Fraction(-3, -6), 0, Fraction(8, 8)),
+        ]
+        for group in (forms, half):
+            for m in group:
+                assert m == group[0] and hash(m) == hash(group[0])
+        assert forms[0] != half[0]
+
+    def test_determinant_enforced_with_denominators(self):
+        with pytest.raises(ValueError):
+            UniModularMatrix(Fraction(1, 2), 0, 0, 1)
+        with pytest.raises(ValueError):
+            UniModularMatrix(Fraction(1, 2), 1, Fraction(1, 3), 2)
+
+    def test_rejects_float_entries(self):
+        with pytest.raises(TypeError):
+            UniModularMatrix(1, 0.5, 0, 1)
+        with pytest.raises(TypeError):
+            UniModularMatrix.from_rows([[1.0, 0], [0, 1]])
+
+    def test_immutable_and_picklable(self):
+        m = UniModularMatrix(1, Fraction(3, 2), 0, 1) * \
+            UniModularMatrix(1, 0, Fraction(-5, 6), 1)
+        with pytest.raises(AttributeError):
+            m.e11 = Fraction(2)
+        with pytest.raises(AttributeError):
+            m.n11 = 2
+        with pytest.raises(AttributeError):
+            del m._key
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and hash(copy) == hash(m)
+        # unpickling re-runs the determinant check on the stored integers
+        make, key = m.__reduce__()
+        with pytest.raises(ValueError):
+            make(*key[:4], key[4] + 1)
 
     def test_pow_matches_repeated_multiplication(self):
         rng = random.Random(7)
@@ -168,6 +238,16 @@ class TestWords:
         v = word([("b", -2), ("a", 5)])
         assert (u * v).syllables == (("a", 6),)
 
+    def test_product_matches_full_reduction(self):
+        # the product reduces only at the seam; word() reduces everything
+        rng = random.Random(23)
+        for _ in range(500):
+            u = word([(rng.choice("ab"), rng.randint(-2, 2)) for _ in range(6)])
+            v = word([(rng.choice("ab"), rng.randint(-2, 2)) for _ in range(6)])
+            if rng.random() < 0.5:
+                v = u.inv() * v       # long cancellations across the seam
+            assert u * v == word(u.syllables + v.syllables)
+
     def test_inverse_and_power(self):
         w = word([("a", 2), ("b", -1)])
         assert (w * w.inv()).is_empty()
@@ -206,7 +286,7 @@ class TestWords:
             u = word([(rng.choice("AB"), rng.randint(-3, 3)) for _ in range(5)])
             v = word([(rng.choice("AB"), rng.randint(-3, 3)) for _ in range(5)])
             assert evaluate_word(u * v, asg) == \
-                mat_mul(evaluate_word(u, asg), evaluate_word(v, asg))
+                evaluate_word(u, asg) * evaluate_word(v, asg)
 
     def test_long_relator_of_4_11_evaluates_to_identity(self):
         a, b = make_moebius_generators(4, 11)
