@@ -1,363 +1,161 @@
-"""Optional compiled HLT engine.
+"""Compiled HLT engine: loader and wrapper for the C kernel in `_tc.c`.
 
-The pure-Python enumerator in coset_enum is the reference implementation;
-this module mirrors its HLT-with-lookahead strategy step for step on int32
-numpy arrays under numba, so a completed run produces the identical table,
-index and definition count, only faster.  Everything degrades gracefully:
-when numba is unavailable HAS_NUMBA is False and callers stay on the pure
-engine.
+`_tc.c` ports the HLT path of `coset_enum._Engine` step for step, so a run
+yields a byte-identical table and the same definition count, peak and
+overflow reason.  The pure engine stays the specification, the fallback
+and the Felsch engine; `todd_coxeter` verifies every kernel table exactly
+as it verifies its own.
 
-The kernel runs in definition-budget slices so the wrapper can honor wall
-clock limits, report progress, grow the table geometrically and drive the
-lookahead/compaction recovery exactly like the reference engine.
+The kernel is compiled on the first HLT enumeration, not at import, with
+the system C compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The
+library lands in `$XDG_CACHE_HOME/moebius_arith/` (else
+`~/.cache/moebius_arith/`) under a name keyed by the SHA-256 of the source
+and the compile command.  It is written under a temporary name and renamed
+into place, so parallel processes never load a partial file.  If compiling
+or loading fails, `run_hlt` returns None and the caller runs the pure
+engine.  The kernel does not poll for signals, so an interrupt takes
+effect at the next progress report or when the run ends.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from array import array
-from typing import Callable, Optional
 
-try:
-    import numba
-    import numpy as np
+# read by the certifier benchmark to label its environment; there is no
+# numba engine
+HAS_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:                              # pragma: no cover
-    HAS_NUMBA = False
+# coset ids are int32 in the kernel
+MAX_COSETS = 2 ** 31 - 1
 
-# state vector indices
-_NCOSETS, _LIVE, _ALPHA, _DEFINED, _PEAK_LIVE, _PHASE, _CAP = range(7)
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_tc.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
 
-if HAS_NUMBA:
-    _njit = numba.njit(cache=True, nogil=True)
+# tc_hlt's return codes
+_OK, _MAX_COSETS, _TIME_LIMIT, _ABORTED, _NO_MEMORY = range(5)
+_REASONS = {_MAX_COSETS: "max_cosets", _TIME_LIMIT: "time_limit"}
 
-    @_njit
-    def _rep(p, k):
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            nxt = p[k]
-            p[k] = r
-            k = nxt
-        return r
-
-    @_njit
-    def _coincide(tab, p, w, a, b, queue, state):
-        qn = 0
-        ra = _rep(p, a)
-        rb = _rep(p, b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            p[rb] = ra
-            state[_LIVE] -= 1
-            queue[qn] = rb
-            qn += 1
-        qi = 0
-        while qi < qn:
-            gamma = queue[qi]
-            qi += 1
-            row = gamma * w
-            for x in range(w):
-                delta = tab[row + x]
-                if delta < 0:
-                    continue
-                tab[delta * w + (x ^ 1)] = -1
-                mu = _rep(p, gamma)
-                nu = _rep(p, delta)
-                tmu = tab[mu * w + x]
-                if tmu >= 0:
-                    r1 = _rep(p, nu)
-                    r2 = _rep(p, tmu)
-                    if r1 != r2:
-                        if r2 < r1:
-                            r1, r2 = r2, r1
-                        p[r2] = r1
-                        state[_LIVE] -= 1
-                        queue[qn] = r2
-                        qn += 1
-                else:
-                    tnu = tab[nu * w + (x ^ 1)]
-                    if tnu >= 0:
-                        r1 = _rep(p, mu)
-                        r2 = _rep(p, tnu)
-                        if r1 != r2:
-                            if r2 < r1:
-                                r1, r2 = r2, r1
-                            p[r2] = r1
-                            state[_LIVE] -= 1
-                            queue[qn] = r2
-                            qn += 1
-                    else:
-                        tab[mu * w + x] = nu
-                        tab[nu * w + (x ^ 1)] = mu
-
-    @_njit
-    def _define(tab, p, w, alpha, x, state):
-        ncosets = state[_NCOSETS]
-        if ncosets >= state[_CAP]:
-            return -1
-        beta = ncosets
-        base = beta * w
-        for k in range(w):
-            tab[base + k] = -1
-        p[beta] = beta
-        tab[alpha * w + x] = beta
-        tab[base + (x ^ 1)] = alpha
-        state[_NCOSETS] = ncosets + 1
-        state[_LIVE] += 1
-        state[_DEFINED] += 1
-        if state[_LIVE] > state[_PEAK_LIVE]:
-            state[_PEAK_LIVE] = state[_LIVE]
-        return beta
-
-    @_njit
-    def _scan(tab, p, w, alpha, letters, lo, hi, fill, queue, state):
-        """One scan-and-fill; returns 0 on completion, -1 on table full."""
-        f = alpha
-        b = alpha
-        i = lo
-        j = hi - 1
-        while True:
-            while i <= j:
-                nxt = tab[f * w + letters[i]]
-                if nxt < 0:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    _coincide(tab, p, w, f, b, queue, state)
-                return 0
-            while j >= i:
-                nxt = tab[b * w + (letters[j] ^ 1)]
-                if nxt < 0:
-                    break
-                b = nxt
-                j -= 1
-            if j < i:
-                _coincide(tab, p, w, f, b, queue, state)
-                return 0
-            if j == i:
-                tab[f * w + letters[i]] = b
-                tab[b * w + (letters[i] ^ 1)] = f
-                return 0
-            if not fill:
-                return 0
-            beta = _define(tab, p, w, f, letters[i], state)
-            if beta < 0:
-                return -1
-
-    @_njit
-    def _hlt_slice(tab, p, w, rel_flat, rel_off, sub_flat, sub_off,
-                   queue, state, budget):
-        """Resumes the HLT main loop; 0 done, 1 table full, 2 budget used."""
-        defined_start = state[_DEFINED]
-        if state[_PHASE] == 0:
-            for s in range(len(sub_off) - 1):
-                r = _scan(tab, p, w, 0, sub_flat, sub_off[s], sub_off[s + 1],
-                          True, queue, state)
-                if r < 0:
-                    return 1
-            state[_PHASE] = 1
-        alpha = state[_ALPHA]
-        nrel = len(rel_off) - 1
-        while alpha < state[_NCOSETS]:
-            if p[alpha] == alpha:
-                dead = False
-                for ri in range(nrel):
-                    r = _scan(tab, p, w, alpha, rel_flat, rel_off[ri],
-                              rel_off[ri + 1], True, queue, state)
-                    if r < 0:
-                        state[_ALPHA] = alpha
-                        return 1
-                    if p[alpha] != alpha:
-                        dead = True
-                        break
-                if not dead:
-                    base = alpha * w
-                    for x in range(w):
-                        if tab[base + x] < 0:
-                            beta = _define(tab, p, w, alpha, x, state)
-                            if beta < 0:
-                                state[_ALPHA] = alpha
-                                return 1
-            alpha += 1
-            if state[_DEFINED] - defined_start >= budget:
-                state[_ALPHA] = alpha
-                return 2
-        state[_ALPHA] = alpha
-        return 0
-
-    @_njit
-    def _lookahead(tab, p, w, rel_flat, rel_off, queue, state):
-        nrel = len(rel_off) - 1
-        for gamma in range(state[_NCOSETS]):
-            if p[gamma] != gamma:
-                continue
-            for ri in range(nrel):
-                _scan(tab, p, w, gamma, rel_flat, rel_off[ri],
-                      rel_off[ri + 1], False, queue, state)
-                if p[gamma] != gamma:
-                    break
-
-    @_njit
-    def _closing_pass(tab, p, w, rel_flat, rel_off, sub_flat, sub_off,
-                      queue, state):
-        """Returns 1 when the table is complete and closed, else 0."""
-        live_before = state[_LIVE]
-        for s in range(len(sub_off) - 1):
-            _scan(tab, p, w, 0, sub_flat, sub_off[s], sub_off[s + 1],
-                  False, queue, state)
-        _lookahead(tab, p, w, rel_flat, rel_off, queue, state)
-        if state[_LIVE] != live_before:
-            return 0
-        for gamma in range(state[_NCOSETS]):
-            if p[gamma] != gamma:
-                continue
-            base = gamma * w
-            for x in range(w):
-                if tab[base + x] < 0:
-                    return 0
-        return 1
-
-    @_njit
-    def _compact(tab, p, w, mark, state):
-        """Dense renumbering; returns (new_tab, new_p, new_mark)."""
-        ncosets = state[_NCOSETS]
-        cap = state[_CAP]
-        newid = np.full(ncosets, -1, np.int32)
-        nid = 0
-        new_mark = 0
-        for old in range(ncosets):
-            if p[old] == old:
-                newid[old] = nid
-                if old < mark:
-                    new_mark += 1
-                nid += 1
-        new_tab = np.empty(cap * w, np.int32)
-        pos = 0
-        for old in range(ncosets):
-            if p[old] != old:
-                continue
-            base = old * w
-            for x in range(w):
-                e = tab[base + x]
-                new_tab[pos] = -1 if e < 0 else newid[e]
-                pos += 1
-        new_p = np.empty(cap, np.int32)
-        for i in range(nid):
-            new_p[i] = i
-        state[_NCOSETS] = nid
-        state[_LIVE] = nid
-        return new_tab, new_p, new_mark
+_UNSET = object()
+_kernel = _UNSET
 
 
-class _FastOverflow(Exception):
-    def __init__(self, reason, peak, defined):
-        self.reason = reason
-        self.peak = peak
-        self.defined = defined
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "moebius_arith")
 
 
-def run_hlt(width: int, relators, subgroup, max_cosets: int,
-            time_limit_s: Optional[float],
-            progress: Optional[Callable[[int, int], None]] = None,
-            progress_every: int = 100_000):
-    """Drive the compiled kernel; mirrors _Engine.run_hlt exactly.
+def _build() -> str:
+    """Path of the compiled kernel, compiling it if it is not cached."""
+    # imports here and below run on first use, so importing the package
+    # stays as cheap as it was without the kernel
+    import hashlib
+    import shlex
+    import subprocess
+    import tempfile
 
-    Returns (flat_table_as_array_i, live, peak, defined) on completion and
-    raises _FastOverflow on resource exhaustion.
-    """
-    if not HAS_NUMBA:                            # pragma: no cover
-        raise RuntimeError("numba is not available")
-    w = width
-    rel_flat, rel_off = _flatten([r for r in relators if r])
-    sub_flat, sub_off = _flatten(subgroup)
-    cap = min(max(4096, 2 * width), max_cosets)
-    tab = np.full(cap * w, -1, np.int32)
-    p = np.empty(cap, np.int32)
-    p[0] = 0
-    queue = np.empty(cap, np.int32)
-    state = np.zeros(8, np.int64)
-    state[_NCOSETS] = 1
-    state[_LIVE] = 1
-    state[_DEFINED] = 1
-    state[_PEAK_LIVE] = 1
-    state[_CAP] = cap
-    deadline = time.monotonic() + time_limit_s if time_limit_s else None
-    peak_alloc = 1
-    last_progress = 0
-    recovering = False
-
-    def grow(new_cap: int):
-        nonlocal tab, p, queue, cap
-        new_tab = np.empty(new_cap * w, np.int32)
-        new_tab[:cap * w] = tab
-        new_p = np.empty(new_cap, np.int32)
-        new_p[:cap] = p
-        tab, p = new_tab, new_p
-        queue = np.empty(new_cap, np.int32)
-        cap = new_cap
-        state[_CAP] = new_cap
-
-    while True:
-        code = _hlt_slice(tab, p, w, rel_flat, rel_off, sub_flat, sub_off,
-                          queue, state, 250_000)
-        peak_alloc = max(peak_alloc, int(state[_NCOSETS]))
-        if deadline is not None and time.monotonic() > deadline:
-            raise _FastOverflow("time_limit", peak_alloc, int(state[_DEFINED]))
-        if progress and int(state[_DEFINED]) - last_progress >= progress_every:
-            last_progress = int(state[_DEFINED])
-            progress(last_progress, int(state[_LIVE]))
-        if code == 2:
-            # periodic dead-row compaction, same policy as the pure engine
-            nc = int(state[_NCOSETS])
-            lv = int(state[_LIVE])
-            if nc > 4096 and (nc - lv) > nc * 0.25:
-                mark = int(state[_ALPHA]) if state[_PHASE] == 1 else 0
-                tab, p, new_mark = _compact(tab, p, w, mark, state)
-                if state[_PHASE] == 1:
-                    state[_ALPHA] = new_mark
-            continue
-        if code == 1:
-            if cap < max_cosets:
-                grow(min(2 * cap, max_cosets))
-                continue
-            # at the budget: one lookahead pass, compact, then either
-            # continue or report overflow (same policy as the pure engine)
-            _lookahead(tab, p, w, rel_flat, rel_off, queue, state)
-            mark = int(state[_ALPHA]) if state[_PHASE] == 1 else 0
-            tab, p, new_mark = _compact(tab, p, w, mark, state)
-            queue = np.empty(cap, np.int32)
-            if state[_PHASE] == 1:
-                state[_ALPHA] = new_mark
-            if int(state[_NCOSETS]) >= max_cosets * 0.98:
-                raise _FastOverflow("max_cosets", peak_alloc,
-                                    int(state[_DEFINED]))
-            continue
-        # main loop finished: verify closure, else compact and rerun
-        if _closing_pass(tab, p, w, rel_flat, rel_off, sub_flat, sub_off,
-                         queue, state):
-            break
-        tab, p, _ = _compact(tab, p, w, 0, state)
-        state[_ALPHA] = 0
-        state[_PHASE] = 0
-
-    tab, p, _ = _compact(tab, p, w, 0, state)
-    live = int(state[_LIVE])
-    out = array("i")
-    out.frombytes(tab[:live * w].astype(np.int32).tobytes())
-    return out, live, max(peak_alloc, live), int(state[_DEFINED])
+    command = [*shlex.split(os.environ.get("CC", "cc")), *FLAGS]
+    with open(SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read())
+    key.update("\0".join(command).encode())
+    target = os.path.join(_cache_dir(), f"_tc-{key.hexdigest()[:24]}.so")
+    if os.path.isfile(target):
+        return target
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
+    os.close(fd)
+    try:
+        subprocess.run([*command, "-o", tmp, SOURCE], check=True,
+                       capture_output=True, timeout=300)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
 
 
-def _flatten(words):
-    flat: list[int] = []
-    off = [0]
+def kernel():
+    """The loaded kernel library, or None when it cannot be built or
+    loaded.  Tried once per process."""
+    global _kernel
+    if _kernel is _UNSET:
+        import ctypes
+        import subprocess
+
+        try:
+            lib = ctypes.CDLL(_build())
+        except (OSError, subprocess.SubprocessError):
+            _kernel = None
+            return None
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        lib.progress_type = ctypes.CFUNCTYPE(ctypes.c_int, i64, i64)
+        lib.tc_hlt.argtypes = [
+            i64, ptr, ptr, i64, ptr, ptr, i64, i64, ctypes.c_int,
+            ctypes.c_double, lib.progress_type, i64,
+            ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)), ptr]
+        lib.tc_hlt.restype = ctypes.c_int
+        lib.tc_free.argtypes = [ctypes.POINTER(ctypes.c_int32)]
+        lib.tc_free.restype = None
+        _kernel = lib
+    return _kernel
+
+
+def _flatten(words) -> tuple[array, array]:
+    flat, off = array("i"), array("q", [0])
     for wrd in words:
         flat.extend(wrd)
         off.append(len(flat))
-    return (np.asarray(flat, dtype=np.int32),
-            np.asarray(off, dtype=np.int64))
+    return flat, off
+
+
+def run_hlt(width: int, relators, subgroup, max_cosets: int,
+            time_limit_s, progress, progress_every: int):
+    """HLT enumeration in the kernel; relators and subgroup words are
+    letter tuples as `coset_enum.todd_coxeter` prepares them.
+
+    Returns None when the kernel is unavailable, else (table, rows, peak,
+    defined, reason): the compacted flat table and reason None on
+    completion, no table and "max_cosets" or "time_limit" on overflow.
+    An exception raised by `progress` aborts the run and propagates.
+    """
+    lib = kernel()
+    if lib is None:
+        return None
+    import ctypes
+
+    rel_flat, rel_off = _flatten(r for r in relators if r)
+    sub_flat, sub_off = _flatten(subgroup)
+    raised: list[BaseException] = []
+
+    def report(defined, live):
+        try:
+            progress(defined, live)
+        except BaseException as exc:   # ctypes would print and drop it
+            raised.append(exc)
+            return 1
+        return 0
+
+    callback = lib.progress_type(report) if progress else lib.progress_type()
+    table = ctypes.POINTER(ctypes.c_int32)()
+    counts = (ctypes.c_int64 * 3)()
+    deadline = time.monotonic() + time_limit_s if time_limit_s else 0.0
+    code = lib.tc_hlt(
+        width, rel_flat.buffer_info()[0], rel_off.buffer_info()[0],
+        len(rel_off) - 1, sub_flat.buffer_info()[0], sub_off.buffer_info()[0],
+        len(sub_off) - 1, max_cosets, bool(time_limit_s), deadline,
+        callback, progress_every, ctypes.byref(table), counts)
+    rows, peak, defined = counts
+    if code == _ABORTED:
+        raise raised[0]
+    if code == _NO_MEMORY:
+        raise MemoryError("coset table allocation failed")
+    if code != _OK:
+        return None, rows, peak, defined, _REASONS[code]
+    flat = array("i")
+    try:
+        flat.frombytes(ctypes.string_at(table, rows * width * flat.itemsize))
+    finally:
+        lib.tc_free(table)
+    return flat, rows, peak, defined, None

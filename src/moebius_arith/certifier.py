@@ -172,14 +172,6 @@ def _unit_word(p: int, e: int) -> GroupWord:
     return word([(xs, 1), ("s", 1)]) * inner * word([("s", -1), (xs, -1)])
 
 
-def _scaled_unit_word(p: int, e: int, k: int) -> GroupWord:
-    """Word for A(k/p^e): the innermost syllable of the unit word carries
-    the scaling, so the length does not grow with k."""
-    if k == 0:
-        return GroupWord()
-    return _unit_word(p, e) ** k
-
-
 def a_generator_word(a: int, b: int) -> GroupWord:
     """Word over the presentation generators evaluating to A(a/b).
 
@@ -201,7 +193,7 @@ def a_generator_word(a: int, b: int) -> GroupWord:
     for p, e in factors.items():
         m = p ** e
         c = pow(b // m, -1, m)
-        out = out * _scaled_unit_word(p, e, a * c)
+        out = out * _unit_word(p, e) ** (a * c)
         total += c * (b // m)
     # sum_p c_p/p^e = (1 + k b)/b, so subtract the integer excess k
     k = (total - 1) // b
@@ -358,24 +350,14 @@ def certify_with_table(spec: MoebiusSpec,
     try:
         wa, wb = express_generators(spec, pres)
     except WordSearchError as exc:
-        return (_inconclusive(spec, ld, "", "", t0, limits,
+        return (_inconclusive(spec, ld, "", "", _resources(t0, limits),
                               reason=f"word search failed: {exc}"), None)
-    outcome = todd_coxeter(pres, [wa, wb], limits, progress=progress,
-                           prefer_fast=True)
-    resources = {
-        "peak_cosets": outcome.peak_cosets,
-        "defined_cosets": outcome.defined_total,
-        "wall_time_s": round(time.monotonic() - t0, 3),
-        "strategy": limits.strategy,
-        "max_cosets": limits.max_cosets,
-    }
+    outcome = todd_coxeter(pres, [wa, wb], limits, progress=progress)
+    resources = _resources(t0, limits, outcome)
     wa_s, wb_s = format_word(wa), format_word(wb)
     if not outcome.completed:
-        return (Certificate(
-            spec=spec, status="Inconclusive", level=ld.level,
-            expected_index=ld.expected_index, index=None,
-            word_a=wa_s, word_b=wb_s, checks=(), resources=resources,
-            reason=outcome.reason), None)
+        return (_inconclusive(spec, ld, wa_s, wb_s, resources,
+                              reason=outcome.reason), None)
 
     table = outcome.table
     if outcome.index != ld.expected_index:
@@ -424,16 +406,26 @@ def certify_with_table(spec: MoebiusSpec,
     return cert, table
 
 
-def _inconclusive(spec, ld, wa_s, wb_s, t0, limits, reason) -> Certificate:
+def _resources(t0, limits, outcome=None) -> dict:
+    """Certificate resources; without an outcome, no enumeration ran."""
+    out = {
+        "peak_cosets": outcome.peak_cosets if outcome else 0,
+        "defined_cosets": outcome.defined_total if outcome else 0,
+        "wall_time_s": round(time.monotonic() - t0, 3),
+        "strategy": limits.strategy,
+        "max_cosets": limits.max_cosets,
+    }
+    if outcome is not None:
+        out["engine"] = outcome.engine
+    return out
+
+
+def _inconclusive(spec, ld, wa_s, wb_s, resources, reason) -> Certificate:
     return Certificate(
         spec=spec, status="Inconclusive", level=ld.level,
         expected_index=ld.expected_index, index=None,
         word_a=wa_s, word_b=wb_s, checks=(), witness=None,
-        resources={"peak_cosets": 0, "defined_cosets": 0,
-                   "wall_time_s": round(time.monotonic() - t0, 3),
-                   "strategy": limits.strategy,
-                   "max_cosets": limits.max_cosets},
-        reason=reason)
+        resources=resources, reason=reason)
 
 
 # -- membership ---------------------------------------------------------------
@@ -481,17 +473,21 @@ def _sweep_entry(args) -> Certificate:
     try:
         return certify(spec, limits, find_witness=find_witness)
     except Exception as exc:                      # recorded, never raised
+        # "error:" keeps faults such as IndexMismatchError apart from the
+        # budget reasons "max_cosets" and "time_limit"
         ld = level_data(a, b)
-        return _inconclusive(spec, ld, "", "", time.monotonic(), limits,
-                             reason=f"{type(exc).__name__}: {exc}")
+        return _inconclusive(spec, ld, "", "",
+                             _resources(time.monotonic(), limits),
+                             reason=f"error: {type(exc).__name__}: {exc}")
 
 
 def table_sweep(b: int, a_values: Iterable[int],
                 limits: Optional[EnumerationLimits] = None,
                 workers: int = 1,
                 find_witness: bool = False) -> list[Certificate]:
-    """One certificate per numerator, in input order; entry failures are
-    recorded as Inconclusive certificates, never raised."""
+    """One certificate per numerator, in input order; an entry that raises
+    is recorded as an Inconclusive certificate whose reason starts with
+    "error:", never raised."""
     if limits is None:
         limits = EnumerationLimits(time_limit_s=1800.0)
     todo = [(a, b, limits, find_witness) for a in a_values]

@@ -2,8 +2,9 @@
 
 Subcommands: present, certify, member, relator, sweep, verify.
 Exit codes: 0 success / Arithmetic, 2 Inconclusive or not found,
-1 computation error, 64 usage error.  MOEBIUS_MAX_COSETS overrides the
-default coset budget.  All numeric input is exact; floats are rejected.
+1 computation error (for `sweep`: any entry raised), 64 usage error.
+MOEBIUS_MAX_COSETS overrides the default coset budget.  All numeric input
+is exact; floats are rejected.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from math import gcd
 
 from .certifier import (
@@ -109,6 +111,20 @@ def _print_certificate(cert: Certificate, as_json: bool) -> None:
         print("  verdict: G is S-arithmetic, hence NOT FREE")
     else:
         print("  verdict: inconclusive (no claim about thinness or freeness)")
+
+
+def _sweep_summary(b: int, certs) -> str:
+    """One line of counts by status and reason, e.g. `sweep b=3:
+    2 Arithmetic, 1 Inconclusive (max_cosets), 1 Inconclusive (error:
+    IndexMismatchError)`; a reason is cut before its message."""
+    def key(cert):
+        if cert.reason is None:
+            return cert.status
+        parts = cert.reason.split(": ")
+        head = parts[:2] if parts[0] == "error" else parts[:1]
+        return f"{cert.status} ({': '.join(head)})"
+    counts = Counter(key(c) for c in certs)
+    return f"sweep b={b}: " + ", ".join(f"{n} {k}" for k, n in counts.items())
 
 
 def run(argv) -> int:
@@ -240,7 +256,9 @@ def _dispatch(args) -> int:
                 idx = cert.index if cert.index is not None else "-"
                 print(f"a={cert.spec.a:>4}  {cert.status:<13} "
                       f"index={idx} expected={cert.expected_index}")
-        return EXIT_OK
+        print(_sweep_summary(args.b, certs), file=sys.stderr)
+        errored = any((c.reason or "").startswith("error:") for c in certs)
+        return EXIT_ERROR if errored else EXIT_OK
 
     if args.command == "verify":
         with open(args.certificate) as fh:

@@ -226,8 +226,6 @@ class LevelData:
     a: int
     level: int
     expected_index: int
-    prime_set: frozenset[int]  # primes where the generators fail to surject
-    s_primes: frozenset[int]   # primes dividing the base b
 
     def __post_init__(self):
         assert self.level == self.a * self.a
@@ -241,8 +239,6 @@ def level_data(a: int, b: int) -> LevelData:
         a=a,
         level=a * a,
         expected_index=a * sl2_order(a),
-        prime_set=frozenset(prime_factors(a)),
-        s_primes=frozenset(prime_factors(b)),
     )
 
 

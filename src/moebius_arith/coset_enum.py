@@ -16,6 +16,12 @@ coset, every subgroup generator closing at coset 0.  Failure to finish
 within the coset budget is reported as an Overflow outcome, which is an
 explicitly inconclusive result, never evidence of infinite index.
 
+`_Engine` below is the executable specification.  HLT runs in its C port
+(`_fast`, source `_tc.c`) whenever that compiles and loads, which gives
+the same table bytes and counters; otherwise, and for Felsch, `_Engine`
+runs.  Either way the table goes through the same verification pass, and
+the outcome names the engine that ran.
+
 `find_relator` recovers a nonempty relator in the subgroup generators by
 short-word search with exact matrix evaluation, falling back to an
 augmented (word-labelled) re-enumeration that rewrites relator traces into
@@ -29,6 +35,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from . import _fast
 from .exact import GroupWord, UniModularMatrix, evaluate_word
 from .presentation import Presentation
 
@@ -39,6 +46,9 @@ DEFAULT_MAX_COSETS = 10_000_000
 # dead-row fraction that triggers compaction
 _COMPACT_FRACTION = 0.25
 _COMPACT_MIN_ROWS = 4096
+
+# syllables per word in the relator search's collision ball
+_SYLLABLE_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,7 @@ class EnumerationOutcome:
     peak_cosets: int = 0
     defined_total: int = 0
     reason: Optional[str] = None     # set on overflow: "max_cosets" | "time_limit"
+    engine: str = "pure"             # "c" (the _fast kernel) | "pure"
 
 
 def word_to_letters(w: GroupWord, col_of: dict) -> list[int]:
@@ -490,8 +501,7 @@ class _Engine:
 def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
                  limits: Optional[EnumerationLimits] = None,
                  progress: Optional[Callable[[int, int], None]] = None,
-                 progress_every: int = 100_000,
-                 prefer_fast: bool = False) -> EnumerationOutcome:
+                 progress_every: int = 100_000) -> EnumerationOutcome:
     """Enumerate cosets of the subgroup generated by `subgroup_gens` words
     in the finitely presented group.
 
@@ -499,13 +509,18 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     or an Overflow outcome when the coset or time budget is exhausted.
     Overflow is inconclusive: it never demonstrates infinite index.
 
-    `prefer_fast` opts in to the compiled HLT engine when numba is
-    importable; the pure engine stays the default so that small runs never
-    pay a JIT warm-up.  Both engines implement the same algorithm and
-    finish with the same exhaustive table verification.
+    HLT runs in the C kernel (`_fast`) whenever it can be built and
+    loaded, else in the pure engine; both produce the same table and
+    counters, and `engine` on the outcome says which one ran.  Felsch
+    always runs in the pure engine.  Every completed table goes through
+    the same exhaustive verification.  `progress(defined, live)` is
+    called every `progress_every` definitions; an exception it raises
+    aborts the run and propagates.
     """
     if limits is None:
         limits = EnumerationLimits()
+    if progress is not None and progress_every < 1:
+        raise ValueError("progress_every must be >= 1")
     col_of = {g: 2 * i for i, g in enumerate(pres.generators)}
     relators = [_cyclic_reduce_letters(word_to_letters(r, col_of))
                 for r in pres.relators]
@@ -513,23 +528,31 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
                 for g in subgroup_gens]
     width = 2 * len(pres.generators)
 
-    if prefer_fast and limits.strategy == "hlt":
-        from . import _fast
-        if _fast.HAS_NUMBA:
-            try:
-                flat, live, peak, defined = _fast.run_hlt(
-                    width, relators, subgroup, limits.max_cosets,
-                    limits.time_limit_s, progress, progress_every)
-            except _fast._FastOverflow as exc:
-                return EnumerationOutcome(
-                    completed=False, peak_cosets=exc.peak,
-                    defined_total=exc.defined, reason=exc.reason)
-            table = CosetTable(pres.generators, flat, live)
-            _verify_table(table, relators, subgroup)
-            return EnumerationOutcome(
-                completed=True, index=live, table=table,
-                peak_cosets=peak, defined_total=defined)
+    run = None
+    if limits.strategy == "hlt" and limits.max_cosets <= _fast.MAX_COSETS:
+        run = _fast.run_hlt(width, relators, subgroup, limits.max_cosets,
+                            limits.time_limit_s, progress, progress_every)
+    engine = "c"
+    if run is None:
+        engine = "pure"
+        run = _run_pure(width, relators, subgroup, limits, progress,
+                        progress_every)
+    flat, n, peak, defined, reason = run
+    if reason is not None:
+        return EnumerationOutcome(completed=False, peak_cosets=peak,
+                                  defined_total=defined, reason=reason,
+                                  engine=engine)
+    table = CosetTable(pres.generators, flat, n)
+    _verify_table(table, relators, subgroup)
+    return EnumerationOutcome(completed=True, index=n, table=table,
+                              peak_cosets=peak, defined_total=defined,
+                              engine=engine)
 
+
+def _run_pure(width: int, relators, subgroup, limits: EnumerationLimits,
+              progress, progress_every: int):
+    """`_Engine` run, as (table, rows, peak, defined, reason) like
+    `_fast.run_hlt`."""
     engine = _Engine(width, relators, subgroup, limits,
                      progress=progress, progress_every=progress_every)
     try:
@@ -537,21 +560,13 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
             engine.run_felsch()
         else:
             engine.run_hlt()
-    except _TableFull:
-        return EnumerationOutcome(
-            completed=False, peak_cosets=max(engine.peak, len(engine.p)),
-            defined_total=engine.defined_total, reason="max_cosets")
-    except _TimeLimit:
-        return EnumerationOutcome(
-            completed=False, peak_cosets=max(engine.peak, len(engine.p)),
-            defined_total=engine.defined_total, reason="time_limit")
+    except (_TableFull, _TimeLimit) as exc:
+        reason = "max_cosets" if isinstance(exc, _TableFull) else "time_limit"
+        return (None, len(engine.p), max(engine.peak, len(engine.p)),
+                engine.defined_total, reason)
     engine._compact(0)
-    table = CosetTable(pres.generators, engine.tab, engine.live)
-    _verify_table(table, relators, subgroup)
-    return EnumerationOutcome(
-        completed=True, index=engine.live, table=table,
-        peak_cosets=max(engine.peak, engine.live),
-        defined_total=engine.defined_total)
+    return (engine.tab, engine.live, max(engine.peak, engine.live),
+            engine.defined_total, None)
 
 
 def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
@@ -609,8 +624,6 @@ def word_stabilizes_one(table: CosetTable, w: GroupWord) -> bool:
 
 def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
                  table: CosetTable, bound: int = 300,
-                 syllable_depth: int = 3,
-                 exponent_range: Optional[int] = None,
                  augmented_limit: int = 50_000) -> Optional[GroupWord]:
     """A nonempty relator of the subgroup generated by word_a, word_b, as a
     freely reduced word over the symbols A and B, or None within `bound`.
@@ -630,8 +643,7 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     mat_a = evaluate_word(word_a, pres.assignment)
     mat_b = evaluate_word(word_b, pres.assignment)
     m = mat_a.e12  # the translation length a/b
-    candidates = _collision_relator_search(mat_a, mat_b, m, bound,
-                                           syllable_depth, exponent_range)
+    candidates = _collision_relator_search(mat_a, mat_b, m, bound)
     if not candidates and table.n <= augmented_limit:
         # intermediate blowup scales with the presentation, not the index
         candidates = _augmented_relator_search(
@@ -650,52 +662,67 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     return best
 
 
-def _syllable_ball(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
-                   depth: int, erange: int,
-                   cap: int = 400_000) -> list[tuple[UniModularMatrix, GroupWord]]:
-    """All alternating words with at most `depth` syllables and exponents
-    in [-erange, erange], paired with their evaluations."""
-    pow_a = {e: mat_a.pow(e) for e in range(-erange, erange + 1) if e}
-    pow_b = {e: mat_b.pow(e) for e in range(-erange, erange + 1) if e}
-    out: list[tuple[UniModularMatrix, GroupWord]] = []
-    layer: list[tuple[UniModularMatrix, GroupWord, str]] = [
-        (UniModularMatrix.identity(), GroupWord(), "")]
-    for _ in range(depth):
-        nxt = []
-        for mat, wrd, last in layer:
-            for sym, powers in (("A", pow_a), ("B", pow_b)):
-                if sym == last:
-                    continue
-                for e, step in powers.items():
-                    nmat = mat * step
-                    nwrd = wrd * GroupWord(((sym, e),))
-                    nxt.append((nmat, nwrd, sym))
-            if len(out) + len(nxt) > cap:
-                out.extend((m_, w_) for m_, w_, _ in nxt)
-                return out
-        out.extend((m_, w_) for m_, w_, _ in nxt)
-        layer = nxt
-    return out
+class _SyllableBall:
+    """All alternating words in A, B with at most `depth` syllables and
+    exponents in [-erange, erange], in breadth-first order, stored as
+    parallel lists: evaluation, weight, and the parent element (-1 for
+    the empty word) with the last syllable.  Only the few elements a
+    collision reads get their word rebuilt (`word`)."""
+
+    def __init__(self, mat_a: UniModularMatrix, mat_b: UniModularMatrix,
+                 depth: int, erange: int, cap: int = 400_000):
+        powers = {sym: [(e, mat.pow(e)) for e in range(-erange, erange + 1)
+                        if e]
+                  for sym, mat in (("A", mat_a), ("B", mat_b))}
+        self.mats: list[UniModularMatrix] = []
+        self.weights: list[int] = []
+        self.parents: list[int] = []
+        self.syllables: list[tuple[str, int]] = []
+        identity = UniModularMatrix.identity()
+        layer = range(-1, 0)
+        for _ in range(depth):
+            start = len(self.mats)
+            for parent in layer:
+                if parent < 0:
+                    mat, weight, last = identity, 0, ""
+                else:
+                    mat = self.mats[parent]
+                    weight = self.weights[parent]
+                    last = self.syllables[parent][0]
+                for sym in ("A", "B"):
+                    if sym == last:
+                        continue
+                    for e, step in powers[sym]:
+                        self.mats.append(mat * step)
+                        self.weights.append(weight + abs(e))
+                        self.parents.append(parent)
+                        self.syllables.append((sym, e))
+                if len(self.mats) > cap:
+                    return
+            layer = range(start, len(self.mats))
+
+    def word(self, i: int) -> GroupWord:
+        out = []
+        while i >= 0:
+            out.append(self.syllables[i])
+            i = self.parents[i]
+        return GroupWord(tuple(reversed(out)))
 
 
 def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
-                              m, bound: int, depth: int,
-                              erange: Optional[int],
+                              m, bound: int,
                               pair_cap: int = 6_000_000) -> list[GroupWord]:
-    if erange is None:
-        erange = max(12, int(1 / m) + 2 if 0 < m < 1 else 12,
-                     m.denominator + 2)
-    ball = _syllable_ball(mat_a, mat_b, depth, erange)
+    erange = max(12, int(1 / m) + 2 if 0 < m < 1 else 12, m.denominator + 2)
+    ball = _SyllableBall(mat_a, mat_b, _SYLLABLE_DEPTH, erange)
+    mats, weights = ball.mats, ball.weights
     out: list[GroupWord] = []
 
     # equal-evaluation collisions
-    seen: dict[UniModularMatrix, GroupWord] = {}
-    for mat, wrd in ball:
-        old = seen.get(mat)
-        if old is None:
-            seen[mat] = wrd
-        else:
-            rel = wrd * old.inv()
+    seen: dict[UniModularMatrix, int] = {}
+    for i, mat in enumerate(mats):
+        first = seen.setdefault(mat, i)
+        if first != i:
+            rel = ball.word(i) * ball.word(first).inv()
             if not rel.is_empty():
                 out.append(rel)
     if out:
@@ -704,12 +731,12 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
     # conjugation collisions: bucket by the entry a translation power fixes
     # together with the trace, then solve for the conjugating exponent
     for sym, conj_mat, corner in (("A", mat_a, "e21"), ("B", mat_b, "e12")):
-        buckets: dict[tuple, list[tuple[UniModularMatrix, GroupWord]]] = {}
-        for mat, wrd in ball:
+        buckets: dict[tuple, list[int]] = {}
+        for i, mat in enumerate(mats):
             r = getattr(mat, corner)
             if r == 0:
                 continue
-            buckets.setdefault((r, mat.trace()), []).append((mat, wrd))
+            buckets.setdefault((r, mat.trace()), []).append(i)
         pairs = 0
         for (r, _), items in buckets.items():
             n = len(items)
@@ -718,12 +745,12 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
             pairs += n * (n - 1) // 2
             if pairs > pair_cap:
                 break
-            for i in range(n):
-                u_mat, u_wrd = items[i]
-                for j in range(n):
-                    if i == j:
+            for u in items:
+                u_mat = mats[u]
+                for v in items:
+                    if u == v:
                         continue
-                    v_mat, v_wrd = items[j]
+                    v_mat = mats[v]
                     # translation by c = k*m moves the fixed-corner row:
                     # conj by A(c): p -> p + c*r;  conj by B(c): s -> s + c*q
                     if sym == "A":
@@ -736,14 +763,13 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                     if k.denominator != 1:
                         continue
                     k = int(k)
-                    weight = 2 * abs(k) + u_wrd.weight + v_wrd.weight
-                    if weight > bound:
+                    if 2 * abs(k) + weights[u] + weights[v] > bound:
                         continue
                     gk = conj_mat.pow(k)
                     if gk * u_mat * gk.inv() != v_mat:
                         continue
-                    rel = (GroupWord(((sym, k),)) * u_wrd
-                           * GroupWord(((sym, -k),)) * v_wrd.inv())
+                    rel = (GroupWord(((sym, k),)) * ball.word(u)
+                           * GroupWord(((sym, -k),)) * ball.word(v).inv())
                     if not rel.is_empty():
                         out.append(rel)
             if out:

@@ -72,9 +72,6 @@ class Presentation:
     assignment: dict[str, UniModularMatrix]
     pieces: tuple[AmalgamPiece, ...] = ()
 
-    def symbol_matrix(self, sym: str) -> UniModularMatrix:
-        return self.assignment[sym]
-
 
 def _projective_points(p: int) -> list[tuple[int, int]]:
     return [(0, 1)] + [(1, k) for k in range(p)]

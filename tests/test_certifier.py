@@ -8,6 +8,7 @@ import pytest
 
 from moebius_arith.certifier import (
     Certificate,
+    IndexMismatchError,
     MoebiusSpec,
     WordSearchError,
     a_generator_word,
@@ -221,6 +222,23 @@ class TestSweep:
         assert len(certs) == 2
         assert certs[0].status == "Arithmetic"
         assert certs[1].status == "Inconclusive"
+
+    def test_errors_kept_apart_from_budget_reasons(self, monkeypatch):
+        import moebius_arith.certifier as certifier
+        real = certifier.certify
+
+        def certify(spec, *args, **kw):
+            if spec.a == 3:
+                raise IndexMismatchError("index 71, formula 72")
+            return real(spec, *args, **kw)
+
+        monkeypatch.setattr(certifier, "certify", certify)
+        certs = table_sweep(2, [1, 3, 5], EnumerationLimits(max_cosets=20_000))
+        assert [c.status for c in certs] == \
+            ["Arithmetic", "Inconclusive", "Inconclusive"]
+        assert certs[1].reason == \
+            "error: IndexMismatchError: index 71, formula 72"
+        assert certs[2].reason == "max_cosets"
 
     def test_worker_pool(self):
         certs = table_sweep(3, [1, 2], EnumerationLimits(), workers=2)

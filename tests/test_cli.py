@@ -114,6 +114,32 @@ class TestSweep:
         payload = json.loads(capsys.readouterr().out)
         assert [c["spec"]["a"] for c in payload] == [1, 2]
 
+    def test_summary_on_stderr(self, capsys):
+        assert run(["sweep", "3", "--amax", "2", "--json"] + FAST) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "sweep b=3: 2 Arithmetic"
+        assert "sweep" not in captured.out
+
+    def test_errored_entry_exits_with_error(self, capsys, monkeypatch):
+        import moebius_arith.certifier as certifier
+        from moebius_arith.certifier import IndexMismatchError
+        real = certifier.certify
+
+        def certify(spec, *args, **kw):
+            if spec.a == 3:
+                raise IndexMismatchError("index 71, formula 72")
+            return real(spec, *args, **kw)
+
+        monkeypatch.setattr(certifier, "certify", certify)
+        code = run(["sweep", "2", "--amax", "5", "--max-cosets", "20000",
+                    "--time-limit", "60"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "sweep b=2: 1 Arithmetic, 1 Inconclusive (error: "
+            "IndexMismatchError), 1 Inconclusive (max_cosets)")
+        assert "a=   3  Inconclusive" in captured.out
+
 
 class TestVerify:
     def _write_cert(self, tmp_path, args):

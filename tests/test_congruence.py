@@ -166,7 +166,6 @@ class TestLevelData:
         ld = level_data(3, 2)
         assert ld.level == 9
         assert ld.expected_index == 72
-        assert ld.prime_set == {3} and ld.s_primes == {2}
 
     def test_five_thirds(self):
         ld = level_data(5, 3)
