@@ -64,6 +64,11 @@ ARITHMETIC_CHECKS = (
     "surjects_outside_level_primes",
 )
 
+# states either half of `matrix_word_search` may visit before it gives up
+_WORD_SEARCH_STATES = 250_000
+# letters of the word membership looks for to corroborate a verdict
+_MEMBERSHIP_WORD_LEN = 10
+
 
 class WordSearchError(RuntimeError):
     """No word for the target matrix was found within the length bound."""
@@ -204,30 +209,21 @@ def a_generator_word(a: int, b: int) -> GroupWord:
     return out
 
 
-def express_generators(spec: MoebiusSpec, pres: Presentation,
-                       max_len: int = 14) -> tuple[GroupWord, GroupWord]:
-    """Words over pres generators evaluating exactly to A(a/b) and B(a/b).
-
-    The closed form above always succeeds for the presentations built here
-    (it is verified by evaluation before returning).  `max_len` bounds the
-    bidirectional word search kept as a fallback for foreign assignments.
-    """
-    mat_a, mat_b = spec.matrices()
+def express_generators(spec: MoebiusSpec, pres: Presentation) \
+        -> tuple[GroupWord, GroupWord]:
+    """Words over pres generators evaluating exactly to A(a/b) and B(a/b):
+    the closed form above and its conjugate by s, verified by evaluation."""
     wa = a_generator_word(spec.a, spec.b)
-    if evaluate_word(wa, pres.assignment) != mat_a:
-        wa = matrix_word_search(pres, mat_a, max_len)
     s_word = word([("s", 1)])
     wb = s_word * wa.inv() * s_word.inv()
-    assert evaluate_word(wa, pres.assignment) == mat_a
-    if evaluate_word(wb, pres.assignment) != mat_b:
-        wb = matrix_word_search(pres, mat_b, max_len)
-        assert evaluate_word(wb, pres.assignment) == mat_b
+    for wrd, expect in zip((wa, wb), spec.matrices()):
+        if evaluate_word(wrd, pres.assignment) != expect:
+            raise AssertionError("generator word mismatch")
     return wa, wb
 
 
 def matrix_word_search(pres: Presentation, target: UniModularMatrix,
-                       max_len: int = 12,
-                       state_cap: int = 250_000) -> GroupWord:
+                       max_len: int = 12) -> GroupWord:
     """Bidirectional breadth-first search for a word evaluating to target.
 
     Words are built letter by letter over all generators and inverses;
@@ -259,9 +255,9 @@ def matrix_word_search(pres: Presentation, target: UniModularMatrix,
                     return nwrd
                 forward[nmat] = nwrd
                 nxt.append((nmat, nwrd))
-                if len(forward) > state_cap:
+                if len(forward) > _WORD_SEARCH_STATES:
                     raise WordSearchError(
-                        f"word search exceeded {state_cap} states")
+                        f"word search exceeded {_WORD_SEARCH_STATES} states")
         frontier = nxt
     # backward half: suffix v with target * v^-1 in the forward ball
     back_frontier = [(UniModularMatrix.identity(), GroupWord())]
@@ -283,9 +279,9 @@ def matrix_word_search(pres: Presentation, target: UniModularMatrix,
                     if evaluate_word(result, pres.assignment) == target:
                         return result
                 nxt.append((nmat, nwrd))
-                if len(seen_back) > state_cap:
+                if len(seen_back) > _WORD_SEARCH_STATES:
                     raise WordSearchError(
-                        f"word search exceeded {state_cap} states")
+                        f"word search exceeded {_WORD_SEARCH_STATES} states")
         back_frontier = nxt
     raise WordSearchError(f"no word of length <= {max_len} for {target}")
 
@@ -347,11 +343,7 @@ def certify_with_table(spec: MoebiusSpec,
     a, b = spec.a, spec.b
     ld = level_data(a, b)
     pres = build_presentation(b)
-    try:
-        wa, wb = express_generators(spec, pres)
-    except WordSearchError as exc:
-        return (_inconclusive(spec, ld, "", "", _resources(t0, limits),
-                              reason=f"word search failed: {exc}"), None)
+    wa, wb = express_generators(spec, pres)
     outcome = todd_coxeter(pres, [wa, wb], limits, progress=progress)
     resources = _resources(t0, limits, outcome)
     wa_s, wb_s = format_word(wa), format_word(wb)
@@ -439,8 +431,7 @@ VERDICT_UNKNOWN = "Unknown"
 def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
                       cert: Certificate,
                       table: Optional[CosetTable] = None,
-                      pres: Optional[Presentation] = None,
-                      search_len: int = 10) -> str:
+                      pres: Optional[Presentation] = None) -> str:
     """Membership verdict for g relative to G(a/b) under a certificate.
 
     NotInClosure is always conclusive (g is not even in the arithmetic
@@ -458,7 +449,7 @@ def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
         return VERDICT_UNKNOWN
     if table is not None and pres is not None:
         try:
-            wrd = matrix_word_search(pres, g, max_len=search_len)
+            wrd = matrix_word_search(pres, g, max_len=_MEMBERSHIP_WORD_LEN)
         except WordSearchError:
             return VERDICT_IN
         return VERDICT_IN if word_stabilizes_one(table, wrd) else VERDICT_NOT_IN

@@ -7,14 +7,18 @@ a 10^7-coset budget stays near desk-scale memory.  Coincidences are merged
 eagerly through a union-find with path compression; dead rows are compacted
 away once they exceed a quarter of the table.
 
-Two strategies are provided: HLT with lookahead (default; scan-and-fill all
-relators at each coset, one recovery lookahead pass when the table fills)
-and Felsch (minimal definitions, deductions propagated against relator
-cyclic conjugates).  On success both finish with an exhaustive verification
-pass: every generator column a permutation, every relator closing at every
-coset, every subgroup generator closing at coset 0.  Failure to finish
-within the coset budget is reported as an Overflow outcome, which is an
-explicitly inconclusive result, never evidence of infinite index.
+One loop serves both strategies.  It seeds the subgroup words at coset 0,
+walks the live cosets in order, recovers a full table with one lookahead
+pass and resumes, compacts, and ends with a closing pass that restarts the
+walk if it re-opens the table.  A strategy is only the step taken at each
+coset: HLT (default) scans every relator there with fill, then defines the
+open entries; Felsch defines each open entry and propagates its deductions
+against the relators' cyclic conjugates before the next one.  A completed
+table then goes through an exhaustive verification pass: every generator
+column a permutation, every relator closing at every coset, every
+subgroup generator closing at coset 0.  Failure to finish within the coset
+budget is reported as an Overflow outcome, which is an explicitly
+inconclusive result, never evidence of infinite index.
 
 `_Engine` below is the executable specification.  HLT runs in its C port
 (`_fast`, source `_tc.c`) whenever that compiles and loads, which gives
@@ -47,8 +51,14 @@ DEFAULT_MAX_COSETS = 10_000_000
 _COMPACT_FRACTION = 0.25
 _COMPACT_MIN_ROWS = 4096
 
-# syllables per word in the relator search's collision ball
+# syllables per word in the relator search's collision ball, and the
+# number of words at which the ball stops growing
 _SYLLABLE_DEPTH = 3
+_BALL_CAP = 400_000
+# candidate pairs the conjugation-collision search examines per generator
+_PAIR_CAP = 6_000_000
+# largest index at which the augmented re-enumeration is tried
+_AUGMENTED_MAX_INDEX = 50_000
 
 
 @dataclass(frozen=True)
@@ -185,8 +195,13 @@ class _Engine:
         self.peak = 1
         self.progress = progress
         self.progress_every = progress_every
-        self.deductions: Optional[list] = None   # Felsch only
         self._blank_row = array("i", [UNDEF] * width)
+        # the strategy is only the per-coset step; Felsch also keeps a
+        # deduction stack, drained against relator rotations
+        felsch = limits.strategy == "felsch"
+        self._step = self._felsch_step if felsch else self._hlt_step
+        self.deductions: Optional[list] = [] if felsch else None
+        self.buckets = _rotation_buckets(self.relators, width) if felsch else None
 
     # -- primitive operations ---------------------------------------------
 
@@ -341,6 +356,10 @@ class _Engine:
         self.tab = new_tab
         self.p = array("i", range(nid))
         self.live = nid
+        if self.deductions:
+            # queued deductions name the old ids, so they go; dropping
+            # them is sound, the closing pass scans every relator anyway
+            del self.deductions[:]
         return new_mark
 
     def _maybe_compact(self, mark: int) -> int:
@@ -373,58 +392,67 @@ class _Engine:
                     return False
         return True
 
-    # -- strategies --------------------------------------------------------------
+    # -- the enumeration loop ----------------------------------------------------
 
-    def run_hlt(self) -> None:
-        p = self.p
+    def run(self) -> None:
+        """Seed the subgroup words at coset 0, then apply the strategy's
+        per-coset step to every live coset in order.  A full table is
+        recovered by lookahead and the walk resumes where it stopped; when
+        the closing pass re-opens the table the walk restarts from the top."""
         alpha = 0
-        started = False
+        seeded = False
         while True:
-            if not started:
-                # seed: subgroup generators close at coset 0
-                try:
+            try:
+                if not seeded:
                     for sub in self.subgroup:
                         self._scan(0, sub, True)
-                    started = True
-                except _TableFull:
-                    self._recover(0)
-                    continue
-            while alpha < len(p):
-                p = self.p
-                if p[alpha] != alpha:
-                    alpha += 1
-                    continue
-                try:
-                    dead = False
-                    for rel in self.relators:
-                        self._scan(alpha, rel, True)
-                        if p[alpha] != alpha:
-                            dead = True
-                            break
-                    if not dead:
-                        w = self.w
-                        row = alpha * w
-                        tab = self.tab
-                        for x in range(w):
-                            if tab[row + x] == UNDEF:
-                                self._define(alpha, x)
-                except _TableFull:
-                    alpha = self._recover(alpha)
-                    p = self.p
-                    continue
-                alpha += 1
-                alpha = self._maybe_compact(alpha)
-                p = self.p
+                    self._drain_deductions()
+                    seeded = True
+                while alpha < len(self.p):
+                    if self.p[alpha] != alpha:
+                        alpha += 1
+                        continue
+                    self._step(alpha)
+                    alpha = self._maybe_compact(alpha + 1)
+            except _TableFull:
+                alpha = self._recover(alpha)
+                continue
             if self._closing_pass():
                 return
             # a closing merge re-opened the table; re-run from the top
             alpha = self._compact(0)
-            p = self.p
-            started = False
+            seeded = False
+
+    def _hlt_step(self, alpha: int) -> None:
+        """HLT: scan every relator at alpha with fill, then define the
+        entries of alpha that are still open."""
+        p = self.p
+        for rel in self.relators:
+            self._scan(alpha, rel, True)
+            if p[alpha] != alpha:
+                return
+        row = alpha * self.w
+        tab = self.tab
+        for x in range(self.w):
+            if tab[row + x] == UNDEF:
+                self._define(alpha, x)
+
+    def _felsch_step(self, alpha: int) -> None:
+        """Felsch: define each open entry of alpha and drain its deductions
+        before the next one."""
+        p = self.p
+        row = alpha * self.w
+        for x in range(self.w):
+            if p[alpha] != alpha:
+                return
+            if self.tab[row + x] == UNDEF:
+                self._define(alpha, x)
+                self._drain_deductions()
 
     def _recover(self, alpha: int) -> int:
-        """Lookahead plus compaction after the table filled; overflow if the
-        space recovered is too small to make progress."""
+        """Lookahead plus compaction after the table filled, which also
+        empties the deduction stack; overflow if the space recovered is too
+        small to make progress."""
         self.peak = max(self.peak, len(self.p))
         self._lookahead()
         new_alpha = self._compact(alpha)
@@ -432,56 +460,12 @@ class _Engine:
             raise _TableFull
         return new_alpha
 
-    def run_felsch(self) -> None:
-        # relator cyclic conjugates, bucketed by leading letter
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(self.w)]
-        seen = set()
-        for rel in self.relators:
-            for r in (rel, tuple(l ^ 1 for l in reversed(rel))):
-                for k in range(len(r)):
-                    rot = r[k:] + r[:k]
-                    if rot not in seen:
-                        seen.add(rot)
-                        buckets[rot[0]].append(rot)
-        self.deductions = []
-        p = self.p
-        while True:
-            try:
-                for sub in self.subgroup:
-                    self._scan(0, sub, True)
-                self._drain_deductions(buckets)
-                alpha = 0
-                while alpha < len(self.p):
-                    p = self.p
-                    if p[alpha] != alpha:
-                        alpha += 1
-                        continue
-                    x = 0
-                    while x < self.w:
-                        if p[alpha] != alpha:
-                            break
-                        if self.tab[alpha * self.w + x] == UNDEF:
-                            self._define(alpha, x)
-                            self._drain_deductions(buckets)
-                        x += 1
-                    alpha += 1
-            except _TableFull:
-                self.peak = max(self.peak, len(self.p))
-                self.deductions = []
-                self._lookahead()
-                self._compact(0)
-                if len(self.p) >= self.max_cosets * 0.98:
-                    raise
-                continue
-            if self._closing_pass():
-                return
-            self._compact(0)
-
-    def _drain_deductions(self, buckets) -> None:
-        # buckets hold the rotations of every relator and of its inverse,
-        # so the scans from a cover every relator cycle through the edge
-        # (a, x); the scan is bidirectional, so scanning the same cycles
-        # again from a^x, reversed, would deduce nothing new
+    def _drain_deductions(self) -> None:
+        # the buckets hold the rotations of every relator and of its
+        # inverse, so the scans from a cover every relator cycle through
+        # the edge (a, x); the scan is bidirectional, so scanning the same
+        # cycles again from a^x, reversed, would deduce nothing new.  HLT
+        # keeps no stack, so this is a no-op there
         stack = self.deductions
         p = self.p
         while stack:
@@ -492,10 +476,25 @@ class _Engine:
                 continue
             a, x = stack.pop()
             if p[a] == a:
-                for wrd in buckets[x]:
+                for wrd in self.buckets[x]:
                     self._scan(a, wrd, False)
                     if p[a] != a:
                         break
+
+
+def _rotation_buckets(relators, width: int) -> list[list[tuple[int, ...]]]:
+    """The distinct cyclic rotations of every relator and of its inverse,
+    bucketed by leading letter."""
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(width)]
+    seen = set()
+    for rel in relators:
+        for r in (rel, tuple(l ^ 1 for l in reversed(rel))):
+            for k in range(len(r)):
+                rot = r[k:] + r[:k]
+                if rot not in seen:
+                    seen.add(rot)
+                    buckets[rot[0]].append(rot)
+    return buckets
 
 
 def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
@@ -556,10 +555,7 @@ def _run_pure(width: int, relators, subgroup, limits: EnumerationLimits,
     engine = _Engine(width, relators, subgroup, limits,
                      progress=progress, progress_every=progress_every)
     try:
-        if limits.strategy == "felsch":
-            engine.run_felsch()
-        else:
-            engine.run_hlt()
+        engine.run()
     except (_TableFull, _TimeLimit) as exc:
         reason = "max_cosets" if isinstance(exc, _TableFull) else "time_limit"
         return (None, len(engine.p), max(engine.peak, len(engine.p)),
@@ -623,8 +619,7 @@ def word_stabilizes_one(table: CosetTable, w: GroupWord) -> bool:
 # -- relator recovery ---------------------------------------------------------
 
 def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
-                 table: CosetTable, bound: int = 300,
-                 augmented_limit: int = 50_000) -> Optional[GroupWord]:
+                 table: CosetTable, bound: int = 300) -> Optional[GroupWord]:
     """A nonempty relator of the subgroup generated by word_a, word_b, as a
     freely reduced word over the symbols A and B, or None within `bound`.
 
@@ -644,7 +639,7 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     mat_b = evaluate_word(word_b, pres.assignment)
     m = mat_a.e12  # the translation length a/b
     candidates = _collision_relator_search(mat_a, mat_b, m, bound)
-    if not candidates and table.n <= augmented_limit:
+    if not candidates and table.n <= _AUGMENTED_MAX_INDEX:
         # intermediate blowup scales with the presentation, not the index
         candidates = _augmented_relator_search(
             pres, [word_a, word_b],
@@ -670,7 +665,7 @@ class _SyllableBall:
     collision reads get their word rebuilt (`word`)."""
 
     def __init__(self, mat_a: UniModularMatrix, mat_b: UniModularMatrix,
-                 depth: int, erange: int, cap: int = 400_000):
+                 depth: int, erange: int):
         powers = {sym: [(e, mat.pow(e)) for e in range(-erange, erange + 1)
                         if e]
                   for sym, mat in (("A", mat_a), ("B", mat_b))}
@@ -697,7 +692,7 @@ class _SyllableBall:
                         self.weights.append(weight + abs(e))
                         self.parents.append(parent)
                         self.syllables.append((sym, e))
-                if len(self.mats) > cap:
+                if len(self.mats) > _BALL_CAP:
                     return
             layer = range(start, len(self.mats))
 
@@ -710,8 +705,7 @@ class _SyllableBall:
 
 
 def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
-                              m, bound: int,
-                              pair_cap: int = 6_000_000) -> list[GroupWord]:
+                              m, bound: int) -> list[GroupWord]:
     erange = max(12, int(1 / m) + 2 if 0 < m < 1 else 12, m.denominator + 2)
     ball = _SyllableBall(mat_a, mat_b, _SYLLABLE_DEPTH, erange)
     mats, weights = ball.mats, ball.weights
@@ -743,7 +737,7 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
             if n < 2:
                 continue
             pairs += n * (n - 1) // 2
-            if pairs > pair_cap:
+            if pairs > _PAIR_CAP:
                 break
             for u in items:
                 u_mat = mats[u]

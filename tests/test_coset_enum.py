@@ -296,14 +296,56 @@ class TestStrategyEquivalence:
         fel = todd_coxeter(pres, subs, EnumerationLimits(strategy="felsch"))
         assert hlt.index == fel.index == p + 1
 
-    def test_moebius_small(self):
+    # Felsch counts on the benchmark's specs; 7/4 is the one whose deduction
+    # stack outgrows its bound.  7/5 completes at 3,500 cosets only through
+    # the table-full recovery, and overflows at 3,000.  Peaks below
+    # `defined` come from mid-run compaction.
+    @pytest.mark.parametrize("a,b,max_cosets,defined,peak,reason", [
+        (3, 2, 10**7, 93, 93, None),
+        (4, 3, 10**7, 489, 489, None),
+        (4, 5, 10**7, 268, 268, None),
+        (5, 3, 10**7, 6_041, 6_041, None),
+        (5, 4, 10**7, 853, 853, None),
+        (5, 7, 10**7, 9_162, 6_944, None),
+        (5, 8, 10**7, 665, 665, None),
+        (5, 9, 10**7, 776, 776, None),
+        (7, 5, 10**7, 4_671, 4_097, None),
+        (7, 9, 10**7, 4_155, 4_097, None),
+        (7, 4, 10**7, 115_070, 115_070, None),
+        (7, 5, 3_500, 4_671, 3_500, None),
+        (7, 5, 3_000, 3_000, 3_000, "max_cosets"),
+    ], ids=["3/2", "4/3", "4/5", "5/3", "5/4", "5/7", "5/8", "5/9", "7/5",
+            "7/9", "7/4", "7/5@3500", "7/5@3000"])
+    def test_moebius_small(self, a, b, max_cosets, defined, peak, reason):
         from moebius_arith.certifier import MoebiusSpec, express_generators
-        spec = MoebiusSpec(3, 2)
-        pres = build_presentation(2)
+        from moebius_arith.congruence import sl2_order
+        spec = MoebiusSpec(a, b)
+        pres = build_presentation(b)
         wa, wb = express_generators(spec, pres)
         hlt = todd_coxeter(pres, [wa, wb], EnumerationLimits(strategy="hlt"))
-        fel = todd_coxeter(pres, [wa, wb], EnumerationLimits(strategy="felsch"))
-        assert hlt.index == fel.index == 72
+        fel = todd_coxeter(pres, [wa, wb], EnumerationLimits(
+            strategy="felsch", max_cosets=max_cosets))
+        assert hlt.index == a * sl2_order(a)
+        assert fel.index == (None if reason else hlt.index)
+        assert (fel.defined_total, fel.peak_cosets, fel.reason) == \
+            (defined, peak, reason)
+
+
+    # budgets so small that each recovery lookahead queues deductions,
+    # which compaction drops since it renumbers their cosets: on Z the run
+    # must overflow cleanly, and on the trivial group the closing pass
+    # finds what was dropped, re-opens the table and the walk completes it
+    @pytest.mark.parametrize("rels,subs,budget,index", [
+        (["b"], [], 500, None),
+        (["b^-3 a^3 b a^2", "a^-1 b^-3", "b^-3"], ["b^-3 a^3"], 5, 1),
+    ], ids=["Z@500", "trivial@5"])
+    def test_felsch_drops_stale_deductions(self, rels, subs, budget, index):
+        out = todd_coxeter(fake_presentation(["a", "b"], rels),
+                           [parse_word(s) for s in subs],
+                           EnumerationLimits(strategy="felsch",
+                                             max_cosets=budget))
+        assert out.index == index
+        assert out.reason == (None if index else "max_cosets")
 
 
 class TestFindRelator:
@@ -347,6 +389,20 @@ class TestFindRelator:
         ma, mb = make_moebius_generators(4, 11)
         assert evaluate_word(rel, {"A": ma, "B": mb}) == IDENT
         assert 0 < rel.weight <= 300
+
+    def test_augmented_fallback(self, monkeypatch):
+        # with the collision search finding nothing, the word-labelled
+        # re-enumeration is what supplies the relator
+        from moebius_arith import coset_enum
+        from moebius_arith.exact import make_moebius_generators
+        pres, wa, wb, table = self._setup(3, 2)
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            lambda *args: [])
+        rel = find_relator(pres, wa, wb, table, bound=300)
+        assert rel is not None and not rel.is_empty()
+        ma, mb = make_moebius_generators(3, 2)
+        assert evaluate_word(rel, {"A": ma, "B": mb}) == IDENT
+        assert rel.weight <= 300
 
     def test_requires_complete_table(self):
         pres, wa, wb, table = self._setup(1, 2)
