@@ -1,20 +1,20 @@
-"""Compiled HLT engine: loader and wrapper for the C kernel in `_tc.c`.
+"""Compiled coset enumeration: loader and wrapper for the C kernel in `_tc.c`.
 
-`_tc.c` ports the HLT path of `coset_enum._Engine` step for step, so a run
-yields a byte-identical table and the same definition count, peak and
-overflow reason.  The pure engine stays the specification, the fallback
-and the Felsch engine; `todd_coxeter` verifies every kernel table exactly
-as it verifies its own.
+`_tc.c` ports `coset_enum._Engine` step for step, HLT and Felsch alike, so
+a run yields a byte-identical table and the same definition count, peak
+and overflow reason.  The pure engine stays the specification and the
+fallback; `todd_coxeter` verifies every kernel table exactly as it
+verifies its own.
 
-The kernel is compiled on the first HLT enumeration, not at import, with
-the system C compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The
+The kernel is compiled on the first enumeration, not at import, with the
+system C compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The
 library lands in `$XDG_CACHE_HOME/moebius_arith/` (else
 `~/.cache/moebius_arith/`) under a name keyed by the SHA-256 of the source
 and the compile command.  It is written under a temporary name and renamed
 into place, so parallel processes never load a partial file.  If compiling
-or loading fails, `run_hlt` returns None and the caller runs the pure
-engine.  The kernel does not poll for signals, so an interrupt takes
-effect at the next progress report or when the run ends.
+or loading fails, `run` returns None and the caller runs the pure engine.
+The kernel does not poll for signals, so an interrupt takes effect at the
+next progress report or when the run ends.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ MAX_COSETS = 2 ** 31 - 1
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_tc.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
 
-# tc_hlt's return codes
+# tc_enumerate's return codes and strategies
 _OK, _MAX_COSETS, _TIME_LIMIT, _ABORTED, _NO_MEMORY = range(5)
 _REASONS = {_MAX_COSETS: "max_cosets", _TIME_LIMIT: "time_limit"}
+_STRATEGIES = {"hlt": 0, "felsch": 1}
 
 _UNSET = object()
 _kernel = _UNSET
@@ -91,11 +92,11 @@ def kernel():
             return None
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
         lib.progress_type = ctypes.CFUNCTYPE(ctypes.c_int, i64, i64)
-        lib.tc_hlt.argtypes = [
-            i64, ptr, ptr, i64, ptr, ptr, i64, i64, ctypes.c_int,
-            ctypes.c_double, lib.progress_type, i64,
+        lib.tc_enumerate.argtypes = [
+            i64, ptr, ptr, i64, ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr,
+            i64, ctypes.c_int, ctypes.c_double, lib.progress_type, i64,
             ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)), ptr]
-        lib.tc_hlt.restype = ctypes.c_int
+        lib.tc_enumerate.restype = ctypes.c_int
         lib.tc_free.argtypes = [ctypes.POINTER(ctypes.c_int32)]
         lib.tc_free.restype = None
         _kernel = lib
@@ -110,10 +111,11 @@ def _flatten(words) -> tuple[array, array]:
     return flat, off
 
 
-def run_hlt(width: int, relators, subgroup, max_cosets: int,
-            time_limit_s, progress, progress_every: int):
-    """HLT enumeration in the kernel; relators and subgroup words are
-    letter tuples as `coset_enum.todd_coxeter` prepares them.
+def run(width: int, relators, subgroup, strategy: str, max_cosets: int,
+        time_limit_s, progress, progress_every: int):
+    """Enumeration in the kernel under `strategy` ("hlt" or "felsch");
+    relators and subgroup words are letter tuples as
+    `coset_enum.todd_coxeter` prepares them.
 
     Returns None when the kernel is unavailable, else (table, rows, peak,
     defined, reason): the compacted flat table and reason None on
@@ -125,8 +127,19 @@ def run_hlt(width: int, relators, subgroup, max_cosets: int,
         return None
     import ctypes
 
-    rel_flat, rel_off = _flatten(r for r in relators if r)
+    from .coset_enum import _rotation_buckets
+
+    relators = [r for r in relators if r]
+    rel_flat, rel_off = _flatten(relators)
     sub_flat, sub_off = _flatten(subgroup)
+    # Felsch's rotations, flattened bucket after bucket; those leading with
+    # letter x are words rot_first[x] .. rot_first[x + 1] - 1
+    buckets = (_rotation_buckets(relators, width) if strategy == "felsch"
+               else [[]] * width)
+    rot_flat, rot_off = _flatten(wrd for bucket in buckets for wrd in bucket)
+    rot_first = array("q", [0])
+    for bucket in buckets:
+        rot_first.append(rot_first[-1] + len(bucket))
     raised: list[BaseException] = []
 
     def report(defined, live):
@@ -141,16 +154,18 @@ def run_hlt(width: int, relators, subgroup, max_cosets: int,
     table = ctypes.POINTER(ctypes.c_int32)()
     counts = (ctypes.c_int64 * 3)()
     deadline = time.monotonic() + time_limit_s if time_limit_s else 0.0
-    code = lib.tc_hlt(
+    code = lib.tc_enumerate(
         width, rel_flat.buffer_info()[0], rel_off.buffer_info()[0],
         len(rel_off) - 1, sub_flat.buffer_info()[0], sub_off.buffer_info()[0],
-        len(sub_off) - 1, max_cosets, bool(time_limit_s), deadline,
-        callback, progress_every, ctypes.byref(table), counts)
+        len(sub_off) - 1, _STRATEGIES[strategy], rot_flat.buffer_info()[0],
+        rot_off.buffer_info()[0], rot_first.buffer_info()[0], max_cosets,
+        bool(time_limit_s), deadline, callback, progress_every,
+        ctypes.byref(table), counts)
     rows, peak, defined = counts
     if code == _ABORTED:
         raise raised[0]
     if code == _NO_MEMORY:
-        raise MemoryError("coset table allocation failed")
+        raise MemoryError("coset enumeration allocation failed")
     if code != _OK:
         return None, rows, peak, defined, _REASONS[code]
     flat = array("i")

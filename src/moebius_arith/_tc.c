@@ -1,10 +1,11 @@
-/* HLT coset enumeration in C: a port of coset_enum._Engine's HLT path.
+/* Coset enumeration in C: a port of coset_enum._Engine, HLT and Felsch.
 
    Every function below mirrors the method of the same name in the pure
-   engine, step for step: the same definition order, coincidence queue,
-   lookahead, compaction policy, table-full recovery and peak accounting.
-   A run therefore produces a byte-identical table and identical counters;
-   the pure engine is the specification, so change both together.
+   engine, step for step: the same seeding, definition order, coincidence
+   queue, deduction stack, lookahead, compaction policy, table-full
+   recovery and peak accounting.  A run therefore produces a byte-identical
+   table and identical counters; the pure engine is the specification, so
+   change both together.
 
    Cosets are int32 ids (max_cosets < 2^31), rows are indexed in int64.
    libc only; _fast.py compiles this file on first use.  */
@@ -19,14 +20,20 @@
 #define COMPACT_MIN_ROWS 4096
 #define DEADLINE_EVERY 4096
 #define FIRST_CAPACITY 1024
+#define STACK_FLOOR 4096
 
-/* tc_hlt's return codes; the Python wrapper maps them to outcomes */
+/* tc_enumerate's return codes; the Python wrapper maps them to outcomes */
 enum { TC_OK = 0, TC_MAX_COSETS, TC_TIME_LIMIT, TC_ABORTED, TC_NO_MEMORY };
+
+/* tc_enumerate's strategies */
+enum { TC_HLT = 0, TC_FELSCH };
 
 /* nonzero return aborts the run (the Python callback raised) */
 typedef int (*tc_progress)(int64_t defined, int64_t live);
 
-typedef struct {
+typedef struct Engine Engine;
+
+struct Engine {
     int64_t w;
     const int32_t *rel;
     const int64_t *rel_off;
@@ -34,6 +41,12 @@ typedef struct {
     const int32_t *sub;
     const int64_t *sub_off;
     int64_t nsub;
+    /* Felsch: relator rotations; those leading with letter x are words
+       rot_first[x] .. rot_first[x + 1] - 1 of rot/rot_off */
+    const int32_t *rot;
+    const int64_t *rot_off;
+    const int64_t *rot_first;
+    int (*step)(Engine *e, int32_t alpha);
     int64_t max_cosets;
     int has_deadline;
     double deadline;
@@ -47,7 +60,12 @@ typedef struct {
     int64_t live;
     int64_t defined;
     int64_t peak;
-} Engine;
+    /* Felsch's deduction stack of (coset, column) pairs; HLT keeps none */
+    int deduce;
+    int32_t *ded;
+    int64_t nded;
+    int64_t ded_cap;
+};
 
 static double monotonic(void)
 {
@@ -57,6 +75,22 @@ static double monotonic(void)
 }
 
 /* -- primitive operations ------------------------------------------------ */
+
+static int push_deduction(Engine *e, int32_t a, int64_t x)
+{
+    if (e->nded == e->ded_cap) {
+        int64_t cap = e->ded_cap ? 2 * e->ded_cap : FIRST_CAPACITY;
+        int32_t *ded = realloc(e->ded, (size_t)(2 * cap) * sizeof(int32_t));
+        if (!ded)
+            return TC_NO_MEMORY;
+        e->ded = ded;
+        e->ded_cap = cap;
+    }
+    e->ded[2 * e->nded] = a;
+    e->ded[2 * e->nded + 1] = (int32_t)x;
+    e->nded++;
+    return TC_OK;
+}
 
 static int32_t rep(int32_t *p, int32_t k)
 {
@@ -88,7 +122,7 @@ static void merge(Engine *e, int32_t a, int32_t b, int64_t *qn)
     }
 }
 
-static void coincide(Engine *e, int32_t a, int32_t b)
+static int coincide(Engine *e, int32_t a, int32_t b)
 {
     int32_t *tab = e->tab;
     const int64_t w = e->w;
@@ -114,10 +148,13 @@ static void coincide(Engine *e, int32_t a, int32_t b)
                 } else {
                     tab[(int64_t)mu * w + x] = nu;
                     tab[(int64_t)nu * w + (x ^ 1)] = mu;
+                    if (e->deduce && push_deduction(e, mu, x) != TC_OK)
+                        return TC_NO_MEMORY;
                 }
             }
         }
     }
+    return TC_OK;
 }
 
 static int grow(Engine *e)
@@ -162,6 +199,8 @@ static int define(Engine *e, int32_t alpha, int64_t x)
     e->defined++;
     if (e->live > e->peak)
         e->peak = e->live;
+    if (e->deduce && push_deduction(e, alpha, x) != TC_OK)
+        return TC_NO_MEMORY;
     if (e->progress && e->defined % e->progress_every == 0
             && e->progress(e->defined, e->live))
         return TC_ABORTED;
@@ -183,11 +222,8 @@ static int scan(Engine *e, int32_t alpha, const int32_t *letters, int64_t len,
             f = next;
             i++;
         }
-        if (i > j) {
-            if (f != b)
-                coincide(e, f, b);
-            return TC_OK;
-        }
+        if (i > j)
+            return f != b ? coincide(e, f, b) : TC_OK;
         while (j >= i) {
             int32_t next = tab[(int64_t)b * w + (letters[j] ^ 1)];
             if (next == UNDEF)
@@ -195,14 +231,12 @@ static int scan(Engine *e, int32_t alpha, const int32_t *letters, int64_t len,
             b = next;
             j--;
         }
-        if (j < i) {
-            coincide(e, f, b);
-            return TC_OK;
-        }
+        if (j < i)
+            return coincide(e, f, b);
         if (j == i) {
             tab[(int64_t)f * w + letters[i]] = b;
             tab[(int64_t)b * w + (letters[i] ^ 1)] = f;
-            return TC_OK;
+            return e->deduce ? push_deduction(e, f, letters[i]) : TC_OK;
         }
         if (!fill)
             return TC_OK;
@@ -220,18 +254,21 @@ static int scan_word(Engine *e, int32_t alpha, const int32_t *flat,
 
 /* -- table maintenance ----------------------------------------------------- */
 
-static void lookahead(Engine *e)
+static int lookahead(Engine *e)
 {
     const int64_t n = e->n;
     for (int64_t gamma = 0; gamma < n; gamma++) {
         if (e->p[gamma] != gamma)
             continue;
         for (int64_t r = 0; r < e->nrel; r++) {
-            scan_word(e, (int32_t)gamma, e->rel, e->rel_off, r, 0);
+            int rc = scan_word(e, (int32_t)gamma, e->rel, e->rel_off, r, 0);
+            if (rc != TC_OK)
+                return rc;
             if (e->p[gamma] != gamma)
                 break;
         }
     }
+    return TC_OK;
 }
 
 /* Renumber live cosets densely, in place and in order; returns the new
@@ -267,6 +304,9 @@ static int64_t compact(Engine *e, int64_t mark)
         p[i] = (int32_t)i;
     e->n = nid;
     e->live = nid;
+    /* queued deductions name the old ids, so they go; dropping them is
+       sound, the closing pass scans every relator anyway */
+    e->nded = 0;
     return new_mark;
 }
 
@@ -279,114 +319,184 @@ static int64_t maybe_compact(Engine *e, int64_t mark)
 
 /* -- verification ------------------------------------------------------------ */
 
-static int closing_pass(Engine *e)
+/* `*closed` is set when no merge happened and no entry is undefined */
+static int closing_pass(Engine *e, int *closed)
 {
     const int64_t w = e->w, live_before = e->live;
-    for (int64_t s = 0; s < e->nsub; s++)
-        scan_word(e, 0, e->sub, e->sub_off, s, 0);
-    lookahead(e);
-    if (e->live != live_before)
-        return 0;
+    int rc = TC_OK;
+    *closed = 0;
+    for (int64_t s = 0; s < e->nsub && rc == TC_OK; s++)
+        rc = scan_word(e, 0, e->sub, e->sub_off, s, 0);
+    if (rc == TC_OK)
+        rc = lookahead(e);
+    if (rc != TC_OK || e->live != live_before)
+        return rc;
     for (int64_t gamma = 0; gamma < e->n; gamma++) {
         if (e->p[gamma] != gamma)
             continue;
         for (int64_t x = 0; x < w; x++)
             if (e->tab[gamma * w + x] == UNDEF)
-                return 0;
+                return TC_OK;
     }
-    return 1;
+    *closed = 1;
+    return TC_OK;
 }
 
-/* -- strategy ------------------------------------------------------------------ */
+/* -- the enumeration loop ---------------------------------------------------- */
 
+static int drain_deductions(Engine *e)
+{
+    /* the rotations of every relator and of its inverse, scanned from a,
+       cover every relator cycle through the edge (a, x).  HLT keeps no
+       stack, so this is a no-op there */
+    while (e->nded > 0) {
+        int64_t bound = 2 * e->live > STACK_FLOOR ? 2 * e->live : STACK_FLOOR;
+        if (e->nded > bound) {
+            /* stack blow-up: a full lookahead subsumes the queued work */
+            e->nded = 0;
+            int rc = lookahead(e);
+            if (rc != TC_OK)
+                return rc;
+            continue;
+        }
+        e->nded--;
+        int32_t a = e->ded[2 * e->nded];
+        int32_t x = e->ded[2 * e->nded + 1];
+        if (e->p[a] != a)
+            continue;
+        for (int64_t k = e->rot_first[x]; k < e->rot_first[x + 1]; k++) {
+            int rc = scan_word(e, a, e->rot, e->rot_off, k, 0);
+            if (rc != TC_OK)
+                return rc;
+            if (e->p[a] != a)
+                break;
+        }
+    }
+    return TC_OK;
+}
+
+/* HLT: scan every relator at alpha with fill, then define the entries of
+   alpha that are still open */
+static int hlt_step(Engine *e, int32_t alpha)
+{
+    const int64_t w = e->w;
+    for (int64_t r = 0; r < e->nrel; r++) {
+        int rc = scan_word(e, alpha, e->rel, e->rel_off, r, 1);
+        if (rc != TC_OK)
+            return rc;
+        if (e->p[alpha] != alpha)
+            return TC_OK;
+    }
+    for (int64_t x = 0; x < w; x++) {
+        if (e->tab[(int64_t)alpha * w + x] == UNDEF) {
+            int rc = define(e, alpha, x);
+            if (rc != TC_OK)
+                return rc;
+        }
+    }
+    return TC_OK;
+}
+
+/* Felsch: define each open entry of alpha and drain its deductions before
+   the next one */
+static int felsch_step(Engine *e, int32_t alpha)
+{
+    const int64_t w = e->w;
+    for (int64_t x = 0; x < w; x++) {
+        if (e->p[alpha] != alpha)
+            return TC_OK;
+        if (e->tab[(int64_t)alpha * w + x] == UNDEF) {
+            int rc = define(e, alpha, x);
+            if (rc == TC_OK)
+                rc = drain_deductions(e);
+            if (rc != TC_OK)
+                return rc;
+        }
+    }
+    return TC_OK;
+}
+
+/* Lookahead plus compaction after the table filled, which also empties the
+   deduction stack; overflow if the space recovered is too small to make
+   progress */
 static int recover(Engine *e, int64_t *alpha)
 {
     if (e->n > e->peak)
         e->peak = e->n;
-    lookahead(e);
+    int rc = lookahead(e);
+    if (rc != TC_OK)
+        return rc;
     *alpha = compact(e, *alpha);
     if ((double)e->n >= (double)e->max_cosets * 0.98)
         return TC_MAX_COSETS;
     return TC_OK;
 }
 
-static int run_hlt(Engine *e)
+/* Seed the subgroup words at coset 0, then apply the strategy's per-coset
+   step to every live coset in order.  A full table is recovered by
+   lookahead and the walk resumes where it stopped; when the closing pass
+   re-opens the table the walk restarts from the top. */
+static int run(Engine *e)
 {
-    const int64_t w = e->w;
     int64_t alpha = 0;
-    int started = 0, rc;
+    int seeded = 0, closed, rc;
     for (;;) {
-        if (!started) {
-            /* seed: subgroup generators close at coset 0 */
-            rc = TC_OK;
+        rc = TC_OK;
+        if (!seeded) {
             for (int64_t s = 0; s < e->nsub && rc == TC_OK; s++)
                 rc = scan_word(e, 0, e->sub, e->sub_off, s, 1);
-            if (rc == TC_MAX_COSETS) {
-                int64_t seed_mark = 0;
-                rc = recover(e, &seed_mark);
-                if (rc != TC_OK)
-                    return rc;
-                continue;
-            }
-            if (rc != TC_OK)
-                return rc;
-            started = 1;
+            if (rc == TC_OK)
+                rc = drain_deductions(e);
+            seeded = rc == TC_OK;
         }
-        while (alpha < e->n) {
+        while (rc == TC_OK && alpha < e->n) {
             if (e->p[alpha] != alpha) {
                 alpha++;
                 continue;
             }
-            int dead = 0;
-            rc = TC_OK;
-            for (int64_t r = 0; r < e->nrel; r++) {
-                rc = scan_word(e, (int32_t)alpha, e->rel, e->rel_off, r, 1);
-                if (rc != TC_OK)
-                    break;
-                if (e->p[alpha] != alpha) {
-                    dead = 1;
-                    break;
-                }
-            }
-            if (rc == TC_OK && !dead) {
-                for (int64_t x = 0; x < w && rc == TC_OK; x++)
-                    if (e->tab[alpha * w + x] == UNDEF)
-                        rc = define(e, (int32_t)alpha, x);
-            }
-            if (rc == TC_MAX_COSETS) {
-                rc = recover(e, &alpha);
-                if (rc != TC_OK)
-                    return rc;
-                continue;
-            }
+            rc = e->step(e, (int32_t)alpha);
+            if (rc == TC_OK)
+                alpha = maybe_compact(e, alpha + 1);
+        }
+        if (rc == TC_MAX_COSETS) {
+            rc = recover(e, &alpha);
             if (rc != TC_OK)
                 return rc;
-            alpha++;
-            alpha = maybe_compact(e, alpha);
+            continue;
         }
-        if (closing_pass(e))
-            return TC_OK;
+        if (rc != TC_OK)
+            return rc;
+        rc = closing_pass(e, &closed);
+        if (rc != TC_OK || closed)
+            return rc;
         /* a closing merge re-opened the table; re-run from the top */
         alpha = compact(e, 0);
-        started = 0;
+        seeded = 0;
     }
 }
 
 /* -- entry points ------------------------------------------------------------ */
 
-/* Enumerate; `counts` receives (rows, peak, defined).  On TC_OK `*table`
-   is the compacted table of counts[0] rows, owned by the caller (release
-   it with tc_free); on any other code nothing is handed over.  Relators
-   must be nonempty and cyclically reduced, as coset_enum prepares them. */
-int tc_hlt(int64_t w, const int32_t *rel, const int64_t *rel_off, int64_t nrel,
-           const int32_t *sub, const int64_t *sub_off, int64_t nsub,
-           int64_t max_cosets, int has_deadline, double deadline,
-           tc_progress progress, int64_t progress_every,
-           int32_t **table, int64_t *counts)
+/* Enumerate with `strategy` (TC_HLT or TC_FELSCH; Felsch reads the
+   rotations, HLT ignores them); `counts` receives (rows, peak, defined).
+   On TC_OK `*table` is the compacted table of counts[0] rows, owned by the
+   caller (release it with tc_free); on any other code nothing is handed
+   over.  Relators must be nonempty and cyclically reduced, as coset_enum
+   prepares them. */
+int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
+                 int64_t nrel, const int32_t *sub, const int64_t *sub_off,
+                 int64_t nsub, int strategy, const int32_t *rot,
+                 const int64_t *rot_off, const int64_t *rot_first,
+                 int64_t max_cosets, int has_deadline, double deadline,
+                 tc_progress progress, int64_t progress_every,
+                 int32_t **table, int64_t *counts)
 {
     Engine e = {
         .w = w, .rel = rel, .rel_off = rel_off, .nrel = nrel,
         .sub = sub, .sub_off = sub_off, .nsub = nsub,
+        .rot = rot, .rot_off = rot_off, .rot_first = rot_first,
+        .step = strategy == TC_FELSCH ? felsch_step : hlt_step,
+        .deduce = strategy == TC_FELSCH,
         .max_cosets = max_cosets, .has_deadline = has_deadline,
         .deadline = deadline, .progress = progress,
         .progress_every = progress_every,
@@ -402,7 +512,7 @@ int tc_hlt(int64_t w, const int32_t *rel, const int64_t *rel_off, int64_t nrel,
         for (int64_t x = 0; x < w; x++)
             e.tab[x] = UNDEF;
         e.p[0] = 0;
-        rc = run_hlt(&e);
+        rc = run(&e);
     }
     if (rc == TC_OK) {
         compact(&e, 0);
@@ -415,6 +525,7 @@ int tc_hlt(int64_t w, const int32_t *rel, const int64_t *rel_off, int64_t nrel,
     free(e.tab);
     free(e.p);
     free(e.queue);
+    free(e.ded);
     return rc;
 }
 

@@ -502,6 +502,11 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
     validates the relator witness by exact evaluation.  No enumeration is
     re-run; an Inconclusive certificate carries no claim and only gets a
     structural check.
+
+    Finite index is not re-proved.  An Arithmetic certificate's index is
+    compared with the formula a*|SL(2, Z_a)|, but the certificate carries
+    no coset table or other proof, so a valid result means the recorded
+    claims are consistent, not that the index was shown again.
     """
     problems: list[str] = []
     try:

@@ -39,6 +39,12 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
+# `verify` prints this on stderr for an Arithmetic certificate
+INDEX_NOT_REPROVED = (
+    "note: finite index is not re-proved: the index was compared with the "
+    "formula a*|SL(2,Z_a)|, but the certificate carries no coset table or "
+    "proof")
+
 
 class _UsageError(Exception):
     pass
@@ -264,6 +270,8 @@ def _dispatch(args) -> int:
         with open(args.certificate) as fh:
             payload = json.load(fh)
         ok, problems = verify_certificate(payload)
+        if payload.get("status") == "Arithmetic":
+            print(INDEX_NOT_REPROVED, file=sys.stderr)
         if args.json:
             print(json.dumps({"valid": ok, "problems": problems,
                               "status": payload.get("status")}))

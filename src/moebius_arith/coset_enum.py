@@ -20,11 +20,11 @@ subgroup generator closing at coset 0.  Failure to finish within the coset
 budget is reported as an Overflow outcome, which is an explicitly
 inconclusive result, never evidence of infinite index.
 
-`_Engine` below is the executable specification.  HLT runs in its C port
-(`_fast`, source `_tc.c`) whenever that compiles and loads, which gives
-the same table bytes and counters; otherwise, and for Felsch, `_Engine`
-runs.  Either way the table goes through the same verification pass, and
-the outcome names the engine that ran.
+`_Engine` below is the executable specification.  Both strategies run in
+its C port (`_fast`, source `_tc.c`) whenever that compiles and loads,
+which gives the same table bytes and counters; otherwise `_Engine` runs.
+Either way the table goes through the same verification pass, and the
+outcome names the engine that ran.
 
 `find_relator` recovers a nonempty relator in the subgroup generators by
 short-word search with exact matrix evaluation, falling back to an
@@ -508,13 +508,12 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     or an Overflow outcome when the coset or time budget is exhausted.
     Overflow is inconclusive: it never demonstrates infinite index.
 
-    HLT runs in the C kernel (`_fast`) whenever it can be built and
-    loaded, else in the pure engine; both produce the same table and
-    counters, and `engine` on the outcome says which one ran.  Felsch
-    always runs in the pure engine.  Every completed table goes through
-    the same exhaustive verification.  `progress(defined, live)` is
-    called every `progress_every` definitions; an exception it raises
-    aborts the run and propagates.
+    Both strategies run in the C kernel (`_fast`) whenever it can be
+    built and loaded, else in the pure engine; both produce the same table
+    and counters, and `engine` on the outcome says which one ran.  Every
+    completed table goes through the same exhaustive verification.
+    `progress(defined, live)` is called every `progress_every`
+    definitions; an exception it raises aborts the run and propagates.
     """
     if limits is None:
         limits = EnumerationLimits()
@@ -528,9 +527,10 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     width = 2 * len(pres.generators)
 
     run = None
-    if limits.strategy == "hlt" and limits.max_cosets <= _fast.MAX_COSETS:
-        run = _fast.run_hlt(width, relators, subgroup, limits.max_cosets,
-                            limits.time_limit_s, progress, progress_every)
+    if limits.max_cosets <= _fast.MAX_COSETS:
+        run = _fast.run(width, relators, subgroup, limits.strategy,
+                        limits.max_cosets, limits.time_limit_s, progress,
+                        progress_every)
     engine = "c"
     if run is None:
         engine = "pure"
@@ -551,7 +551,7 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
 def _run_pure(width: int, relators, subgroup, limits: EnumerationLimits,
               progress, progress_every: int):
     """`_Engine` run, as (table, rows, peak, defined, reason) like
-    `_fast.run_hlt`."""
+    `_fast.run`."""
     engine = _Engine(width, relators, subgroup, limits,
                      progress=progress, progress_every=progress_every)
     try:
@@ -696,12 +696,32 @@ class _SyllableBall:
                     return
             layer = range(start, len(self.mats))
 
-    def word(self, i: int) -> GroupWord:
+    def syllables_of(self, i: int) -> list[tuple[str, int]]:
         out = []
         while i >= 0:
             out.append(self.syllables[i])
             i = self.parents[i]
-        return GroupWord(tuple(reversed(out)))
+        out.reverse()
+        return out
+
+    def word(self, i: int) -> GroupWord:
+        return GroupWord(tuple(self.syllables_of(i)))
+
+
+def _conjugated(sym: str, k: int, syllables: list) -> list:
+    """The syllables of sym^k w sym^-k, freely reduced, for the reduced
+    word w with these syllables."""
+    out = list(syllables)
+    if out and out[0][0] == sym:
+        out[0] = (sym, out[0][1] + k)
+    else:
+        out.insert(0, (sym, k))
+    if out[-1][0] == sym:
+        out[-1] = (sym, out[-1][1] - k)
+    else:
+        out.append((sym, -k))
+    # a zero exponent can only be left at an end, next to the other symbol
+    return [syl for syl in out if syl[1]]
 
 
 def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
@@ -741,6 +761,7 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                 break
             for u in items:
                 u_mat = mats[u]
+                u_syllables = ball.syllables_of(u)
                 for v in items:
                     if u == v:
                         continue
@@ -758,6 +779,10 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                         continue
                     k = int(k)
                     if 2 * abs(k) + weights[u] + weights[v] > bound:
+                        continue
+                    # v spelled as sym^k u sym^-k gives the empty relator
+                    v_syllables = ball.syllables_of(v)
+                    if _conjugated(sym, k, u_syllables) == v_syllables:
                         continue
                     gk = conj_mat.pow(k)
                     if gk * u_mat * gk.inv() != v_mat:

@@ -7,6 +7,7 @@ from moebius_arith.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    INDEX_NOT_REPROVED,
     run,
 )
 
@@ -166,6 +167,26 @@ class TestVerify:
         payload["words"]["B"] = "s"
         path.write_text(json.dumps(payload))
         assert run(["verify", str(path)]) == EXIT_ERROR
+
+    def test_index_not_reproved_note_on_stderr(self, tmp_path, capsys):
+        path, _ = self._write_cert(tmp_path, ["3/2"])
+        capsys.readouterr()
+        assert run(["verify", str(path)]) == EXIT_OK
+        human = capsys.readouterr()
+        assert human.out == "valid\n"
+        assert human.err == INDEX_NOT_REPROVED + "\n"
+        assert run(["verify", str(path), "--json"]) == EXIT_OK
+        machine = capsys.readouterr()
+        assert json.loads(machine.out) == {
+            "valid": True, "problems": [], "status": "Arithmetic"}
+        assert machine.err == INDEX_NOT_REPROVED + "\n"
+
+    def test_inconclusive_gets_no_note(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        run(["certify", "5/2", "--max-cosets", "5000", "--out", str(path)])
+        capsys.readouterr()
+        assert run(["verify", str(path)]) == EXIT_INCONCLUSIVE
+        assert capsys.readouterr().err == ""
 
     def test_json_and_human_agree(self, tmp_path, capsys):
         path, _ = self._write_cert(tmp_path, ["3/2"])

@@ -357,6 +357,21 @@ class TestFindRelator:
         out = todd_coxeter(pres, [wa, wb], EnumerationLimits())
         return pres, wa, wb, out.table
 
+    def test_conjugated_syllables_match_word_product(self):
+        # the relator search skips v == A^k u A^-k by comparing syllables;
+        # they must agree with the reduced word product
+        from moebius_arith.coset_enum import _conjugated
+        words = [(("A", 2),), (("B", -1),), (("A", -3), ("B", 1)),
+                 (("B", 2), ("A", 1), ("B", -2)),
+                 (("A", 1), ("B", 4), ("A", -2))]
+        for syllables in words:
+            for sym in ("A", "B"):
+                for k in (-3, -2, -1, 1, 2, 3):
+                    conj = (GroupWord(((sym, k),)) * GroupWord(syllables)
+                            * GroupWord(((sym, -k),)))
+                    assert _conjugated(sym, k, list(syllables)) == \
+                        list(conj.syllables)
+
     def test_trivial_bound_finds_nothing(self):
         pres, wa, wb, table = self._setup(1, 2)
         assert find_relator(pres, wa, wb, table, bound=1) is None

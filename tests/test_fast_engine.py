@@ -1,9 +1,12 @@
 """The C kernel (`_fast`) against the pure reference engine.
 
-The kernel is a step-for-step port of `_Engine`'s HLT path, so every run
-must give the same table bytes, index, definition count, peak and overflow
-reason.  The reference side runs with the kernel loader patched to report
-no kernel, which is also what happens when no C compiler is available.
+The kernel is a step-for-step port of `_Engine`, HLT and Felsch alike, so
+every run must give the same table bytes, index, definition count, peak
+and overflow reason.  `TestEquivalence` and `TestRunControl` run under
+HLT and their `Felsch` subclasses repeat them under Felsch; the loader's
+fallback test covers both.  The reference side runs with the kernel
+loader patched to report no kernel, which is also what happens when no C
+compiler is available.
 """
 
 import os
@@ -41,8 +44,8 @@ def pure(monkeypatch, pres, subs, limits, **kw):
         return todd_coxeter(pres, subs, limits, **kw)
 
 
-def assert_identical(monkeypatch, pres, subs, **limits):
-    limits = EnumerationLimits(**limits)
+def assert_identical(monkeypatch, pres, subs, strategy, **limits):
+    limits = EnumerationLimits(strategy=strategy, **limits)
     fast = todd_coxeter(pres, subs, limits)
     ref = pure(monkeypatch, pres, subs, limits)
     assert (fast.engine, ref.engine) == ("c", "pure")
@@ -59,39 +62,62 @@ def assert_identical(monkeypatch, pres, subs, **limits):
 
 
 class TestEquivalence:
+    strategy = "hlt"
+
+    def identical(self, monkeypatch, pres, subs, **limits):
+        return assert_identical(monkeypatch, pres, subs, self.strategy,
+                                **limits)
+
     @pytest.mark.parametrize("entry", CORPUS, ids=[e[0] for e in CORPUS])
     def test_identical_on_corpus(self, entry, monkeypatch):
         name, gens, rels, subs, _ = entry
-        out = assert_identical(monkeypatch, fake_presentation(gens, rels),
-                               [parse_word(s) for s in subs])
+        out = self.identical(monkeypatch, fake_presentation(gens, rels),
+                             [parse_word(s) for s in subs])
         assert out.completed
 
     def test_identical_on_gamma0(self, monkeypatch):
         pres = fake_presentation(["s", "t"], ["s^4", "s t s t s t s^-2"])
         subs = [decompose_st(mat) for _, mat in _schreier_pairs(7)]
-        assert assert_identical(monkeypatch, pres, subs).index == 8
+        assert self.identical(monkeypatch, pres, subs).index == 8
 
     @pytest.mark.parametrize("a,b", CERTIFY_SPECS,
                              ids=[f"{a}/{b}" for a, b in CERTIFY_SPECS])
     def test_identical_on_moebius(self, a, b, monkeypatch):
-        out = assert_identical(monkeypatch, *moebius(a, b))
+        out = self.identical(monkeypatch, *moebius(a, b))
         assert out.completed
 
     @pytest.mark.parametrize("a,b,budget", [(7, 4, 120_000), (5, 3, 12_000)],
                              ids=["7/4@120000", "5/3@12000"])
     def test_identical_through_recovery(self, a, b, budget, monkeypatch):
-        out = assert_identical(monkeypatch, *moebius(a, b), max_cosets=budget)
+        out = self.identical(monkeypatch, *moebius(a, b), max_cosets=budget)
         assert out.completed and out.peak_cosets == budget
 
     def test_identical_overflow(self, monkeypatch):
-        out = assert_identical(monkeypatch, *moebius(7, 4), max_cosets=50_000)
+        out = self.identical(monkeypatch, *moebius(7, 4), max_cosets=50_000)
         assert out.reason == "max_cosets"
+
+    def test_identical_when_recovery_fails(self, monkeypatch):
+        # at 3,000 cosets the table-full lookahead frees too little room
+        out = self.identical(monkeypatch, *moebius(7, 5), max_cosets=3_000)
+        assert out.reason == "max_cosets" and out.peak_cosets == 3_000
 
     def test_overflow_verdicts_match(self, monkeypatch):
         pres = fake_presentation(["a", "b"], [])
-        out = assert_identical(monkeypatch, pres, [parse_word("a")],
-                               max_cosets=500)
+        out = self.identical(monkeypatch, pres, [parse_word("a")],
+                             max_cosets=500)
         assert out.reason == "max_cosets" and out.peak_cosets >= 500
+
+    # budgets so small that recovery queues deductions which compaction
+    # then drops (see test_coset_enum's test_felsch_drops_stale_deductions)
+    @pytest.mark.parametrize("rels,subs,budget,index", [
+        (["b"], [], 500, None),
+        (["b^-3 a^3 b a^2", "a^-1 b^-3", "b^-3"], ["b^-3 a^3"], 5, 1),
+    ], ids=["Z@500", "trivial@5"])
+    def test_identical_at_tiny_budgets(self, rels, subs, budget, index,
+                                       monkeypatch):
+        out = self.identical(monkeypatch, fake_presentation(["a", "b"], rels),
+                             [parse_word(s) for s in subs], max_cosets=budget)
+        assert out.index == index
 
     def test_identical_on_random_presentations(self, monkeypatch):
         # coincidence-heavy presentations with small budgets, many of
@@ -113,7 +139,7 @@ class TestEquivalence:
                     for _ in range(rng.randint(len(gens), len(gens) + 3))]
             subs = [rand_word(gens, rng.randint(1, 3))
                     for _ in range(rng.randint(0, 2))]
-            out = assert_identical(
+            out = self.identical(
                 monkeypatch, fake_presentation(gens, rels), subs,
                 max_cosets=rng.choice((5, 50, 500, 5000, 20_000)))
             reasons.add(out.reason)
@@ -121,27 +147,42 @@ class TestEquivalence:
 
     def test_budget_beyond_int32_runs_pure(self):
         pres = fake_presentation(["g"], ["g^4"])
-        out = todd_coxeter(pres, [], EnumerationLimits(max_cosets=2 ** 31))
+        out = todd_coxeter(pres, [], EnumerationLimits(
+            max_cosets=2 ** 31, strategy=self.strategy))
         assert out.engine == "pure" and out.index == 4
 
 
+class TestFelschEquivalence(TestEquivalence):
+    strategy = "felsch"
+
+    # Felsch stays below both HLT budgets; at 3,500 cosets 7/5 completes
+    # only through the table-full recovery
+    @pytest.mark.parametrize("a,b,budget", [(7, 5, 3_500)], ids=["7/5@3500"])
+    def test_identical_through_recovery(self, a, b, budget, monkeypatch):
+        super().test_identical_through_recovery(a, b, budget, monkeypatch)
+
+
 class TestRunControl:
-    def test_time_limit(self):
+    strategy = "hlt"
+
+    def test_time_limit(self, monkeypatch):
         pres = fake_presentation(["a", "b"], [])
-        out = todd_coxeter(pres, [],
-                           EnumerationLimits(max_cosets=50_000_000,
-                                             time_limit_s=0.3))
-        assert out.engine == "c"
-        assert not out.completed
-        assert out.reason == "time_limit"
+        limits = EnumerationLimits(max_cosets=50_000_000,
+                                   strategy=self.strategy, time_limit_s=0.3)
+        out = todd_coxeter(pres, [], limits)
+        ref = pure(monkeypatch, pres, [], limits)
+        assert (out.engine, ref.engine) == ("c", "pure")
+        assert not out.completed and not ref.completed
+        assert out.reason == ref.reason == "time_limit"
 
     def test_progress_hook(self, monkeypatch):
         pres, subs = moebius(5, 3)
+        limits = EnumerationLimits(strategy=self.strategy)
         calls, ref_calls = [], []
-        todd_coxeter(pres, subs, EnumerationLimits(),
+        todd_coxeter(pres, subs, limits,
                      progress=lambda d, l: calls.append((d, l)),
                      progress_every=1000)
-        pure(monkeypatch, pres, subs, EnumerationLimits(),
+        pure(monkeypatch, pres, subs, limits,
              progress=lambda d, l: ref_calls.append((d, l)),
              progress_every=1000)
         assert calls and calls == ref_calls
@@ -154,34 +195,46 @@ class TestRunControl:
             raise Stop(defined)
 
         pres, subs = moebius(5, 3)
+        limits = EnumerationLimits(strategy=self.strategy)
         with pytest.raises(Stop) as info:
-            todd_coxeter(pres, subs, EnumerationLimits(), progress=stop,
+            todd_coxeter(pres, subs, limits, progress=stop,
                          progress_every=1000)
         assert info.value.args == (1000,)
         # the aborted run left nothing behind
-        assert todd_coxeter(pres, subs, EnumerationLimits()).index == 600
+        assert todd_coxeter(pres, subs, limits).index == 600
 
     def test_progress_every_validated(self):
         pres, subs = moebius(3, 2)
         with pytest.raises(ValueError):
-            todd_coxeter(pres, subs, progress=print, progress_every=0)
+            todd_coxeter(pres, subs,
+                         EnumerationLimits(strategy=self.strategy),
+                         progress=print, progress_every=0)
+
+
+class TestFelschRunControl(TestRunControl):
+    strategy = "felsch"
 
 
 class TestLoader:
     def test_broken_compiler_falls_back_to_pure(self, monkeypatch, tmp_path):
         spec = MoebiusSpec(5, 3)
-        fast = certify(spec)
+        limits = [EnumerationLimits(strategy=s) for s in ("hlt", "felsch")]
+        fast = [certify(spec, lim) for lim in limits]
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
         monkeypatch.setattr(_fast, "_kernel", _fast._UNSET)
-        ref = certify(spec)
+        refs = [certify(spec, lim) for lim in limits]
         assert _fast.kernel() is None
-        assert (fast.resources["engine"], ref.resources["engine"]) == \
-            ("c", "pure")
-        assert (ref.status, ref.index, ref.checks) == \
-            (fast.status, fast.index, fast.checks)
-        for key in ("peak_cosets", "defined_cosets"):
-            assert ref.resources[key] == fast.resources[key]
+        for fast_cert, ref in zip(fast, refs):
+            assert (fast_cert.resources["engine"], ref.resources["engine"]) \
+                == ("c", "pure")
+            assert (ref.status, ref.index, ref.checks) == \
+                (fast_cert.status, fast_cert.index, fast_cert.checks)
+            for key in ("peak_cosets", "defined_cosets"):
+                assert ref.resources[key] == fast_cert.resources[key]
+        # the two strategies did different work
+        assert fast[0].resources["defined_cosets"] != \
+            fast[1].resources["defined_cosets"]
 
     def test_library_cached_by_key(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
