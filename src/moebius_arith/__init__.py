@@ -58,11 +58,9 @@ from .certifier import (
     Certificate,
     IndexMismatchError,
     MoebiusSpec,
-    WordSearchError,
     certify,
     certify_with_table,
     express_generators,
-    matrix_word_search,
     membership_report,
     table_sweep,
     verify_certificate,

@@ -7,8 +7,9 @@ subgroup, and cross-validates a completed run on four independent fronts:
   1. the index must equal a * |SL(2, Z_a)| exactly,
   2. the generator images mod a^2 must close to an abelian group of order
      a^2 and exponent a,
-  3. the three words generating the level-a^2 congruence subgroup must
-     stabilize coset 0 of the table,
+  3. the words for A(am), B(am), B(am)^x (m = a/b), three matrices that lie
+     in the level-a^2 principal congruence subgroup, must stabilize coset
+     0 of the table,
   4. the generators must surject onto SL(2, Z_p) for primes p away from ab.
 
 A certificate with status Arithmetic witnesses finite index, hence
@@ -63,16 +64,6 @@ ARITHMETIC_CHECKS = (
     "level_subgroup_words_stabilize",
     "surjects_outside_level_primes",
 )
-
-# states either half of `matrix_word_search` may visit before it gives up
-_WORD_SEARCH_STATES = 250_000
-# letters of the word membership looks for to corroborate a verdict
-_MEMBERSHIP_WORD_LEN = 10
-
-
-class WordSearchError(RuntimeError):
-    """No word for the target matrix was found within the length bound."""
-
 
 class IndexMismatchError(RuntimeError):
     """Completed enumeration disagreeing with the index formula.
@@ -222,74 +213,12 @@ def express_generators(spec: MoebiusSpec, pres: Presentation) \
     return wa, wb
 
 
-def matrix_word_search(pres: Presentation, target: UniModularMatrix,
-                       max_len: int = 12) -> GroupWord:
-    """Bidirectional breadth-first search for a word evaluating to target.
-
-    Words are built letter by letter over all generators and inverses;
-    the forward ball is met by suffixes of the remaining length.  Raises
-    WordSearchError when nothing is found within max_len letters.
-    """
-    if target == UniModularMatrix.identity():
-        return GroupWord()
-    steps = []
-    for sym in pres.generators:
-        m = pres.assignment[sym]
-        steps.append((sym, 1, m))
-        steps.append((sym, -1, m.inv()))
-    half = max(1, max_len // 2)
-    forward: dict[UniModularMatrix, GroupWord] = {
-        UniModularMatrix.identity(): GroupWord()}
-    frontier = [(UniModularMatrix.identity(), GroupWord())]
-    for _ in range(half):
-        nxt = []
-        for mat, wrd in frontier:
-            for sym, exp, step in steps:
-                if wrd.syllables and wrd.syllables[-1] == (sym, -exp):
-                    continue
-                nmat = mat * step
-                if nmat in forward:
-                    continue
-                nwrd = wrd * word([(sym, exp)])
-                if nmat == target:
-                    return nwrd
-                forward[nmat] = nwrd
-                nxt.append((nmat, nwrd))
-                if len(forward) > _WORD_SEARCH_STATES:
-                    raise WordSearchError(
-                        f"word search exceeded {_WORD_SEARCH_STATES} states")
-        frontier = nxt
-    # backward half: suffix v with target * v^-1 in the forward ball
-    back_frontier = [(UniModularMatrix.identity(), GroupWord())]
-    seen_back = {UniModularMatrix.identity()}
-    for _ in range(max_len - half):
-        nxt = []
-        for mat, wrd in back_frontier:
-            for sym, exp, step in steps:
-                if wrd.syllables and wrd.syllables[0] == (sym, -exp):
-                    continue
-                nmat = step * mat                 # prefix letters of the suffix
-                if nmat in seen_back:
-                    continue
-                seen_back.add(nmat)
-                nwrd = word([(sym, exp)]) * wrd
-                hit = forward.get(target * nmat.inv())
-                if hit is not None:
-                    result = hit * nwrd
-                    if evaluate_word(result, pres.assignment) == target:
-                        return result
-                nxt.append((nmat, nwrd))
-                if len(seen_back) > _WORD_SEARCH_STATES:
-                    raise WordSearchError(
-                        f"word search exceeded {_WORD_SEARCH_STATES} states")
-        back_frontier = nxt
-    raise WordSearchError(f"no word of length <= {max_len} for {target}")
-
-
 def gamma_level_words(spec: MoebiusSpec, pres: Presentation) \
         -> list[tuple[str, GroupWord]]:
-    """Words for the three generators A(am), B(am), B(am)^x of the level-a^2
-    congruence subgroup, m = a/b, verified by evaluation."""
+    """Words for A(am), B(am), B(am)^x, m = a/b, verified by evaluation.
+
+    The three matrices lie in the level-a^2 principal congruence subgroup;
+    that they generate it is not claimed."""
     a, b = spec.a, spec.b
     mat_a, mat_b = spec.matrices()
     # A(a*m) = A(a^2/b); exponent scaling keeps this short
@@ -423,7 +352,6 @@ def _inconclusive(spec, ld, wa_s, wb_s, resources, reason) -> Certificate:
 # -- membership ---------------------------------------------------------------
 
 VERDICT_IN = "InG"
-VERDICT_NOT_IN = "NotInG"
 VERDICT_NOT_IN_CLOSURE = "NotInClosure"
 VERDICT_UNKNOWN = "Unknown"
 
@@ -435,10 +363,11 @@ def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
     """Membership verdict for g relative to G(a/b) under a certificate.
 
     NotInClosure is always conclusive (g is not even in the arithmetic
-    closure, hence not in G).  With an Arithmetic certificate the closure
-    test is decisive, so success upgrades to InG; a coset table, when
-    supplied, corroborates via the word test.  Without arithmeticity a
-    passing closure test proves nothing: Unknown.
+    closure, hence not in G).  With an Arithmetic certificate G is its
+    closure, so the closure test decides and success is InG.  Without
+    arithmeticity a passing closure test proves nothing: Unknown.  The
+    closure test needs neither `table` nor `pres`; both are accepted so
+    that callers holding them can pass them along, and are not used.
     """
     if not set(g.denominator_primes()) <= set(prime_factors(spec.b)):
         raise ValueError(
@@ -447,12 +376,6 @@ def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
         return VERDICT_NOT_IN_CLOSURE
     if cert.status != "Arithmetic":
         return VERDICT_UNKNOWN
-    if table is not None and pres is not None:
-        try:
-            wrd = matrix_word_search(pres, g, max_len=_MEMBERSHIP_WORD_LEN)
-        except WordSearchError:
-            return VERDICT_IN
-        return VERDICT_IN if word_stabilizes_one(table, wrd) else VERDICT_NOT_IN
     return VERDICT_IN
 
 

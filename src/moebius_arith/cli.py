@@ -20,6 +20,7 @@ from math import gcd
 from .certifier import (
     Certificate,
     MoebiusSpec,
+    certify,
     certify_with_table,
     express_generators,
     membership_report,
@@ -220,9 +221,8 @@ def _dispatch(args) -> int:
     if args.command == "member":
         spec = _parse_rational(args.rational)
         g = parse_matrix(args.matrix)
-        cert, table = certify_with_table(spec, _limits(args))
-        pres = build_presentation(spec.b)
-        verdict = membership_report(spec, g, cert, table=table, pres=pres)
+        cert = certify(spec, _limits(args))
+        verdict = membership_report(spec, g, cert)
         if args.json:
             print(json.dumps({"spec": {"a": spec.a, "b": spec.b},
                               "matrix": args.matrix, "verdict": verdict}))

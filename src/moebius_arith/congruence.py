@@ -6,7 +6,8 @@ closure of a Moebius group G(a/b) inside SL(2, Z[1/b]):
   * breadth-first closures of generator images in SL(2, Z_n),
   * level data: the closure of G(a/b) has level a^2 and index a*|SL(2,Z_a)|,
     with quotient mod a^2 isomorphic to C_a x C_a,
-  * an explicit generating set for the closure, and the level-a^2
+  * explicit elements of the closure: A(m), B(m) and three matrices that
+    lie in the level-a^2 principal congruence subgroup, and the level-a^2
     membership test.
 
 All group computations here are exact and finite; closures are materialized
@@ -16,6 +17,7 @@ up to a configurable element cap and overflow loudly beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -146,7 +148,17 @@ class SubgroupImage:
     order: int
     elements: Optional[frozenset] = None  # of key() values, when materialized
     is_abelian: bool = False
-    exponent: int = 1
+    generators: tuple[ResidueMatrix, ...] = ()
+
+    @cached_property
+    def exponent(self) -> int:
+        """lcm of the element orders, computed when first read: from the
+        generators alone when the closure is abelian, else over every
+        element."""
+        if self.is_abelian:
+            return lcm(*(g.order() for g in self.generators))
+        n = self.modulus
+        return lcm(*(_from_key(n, k).order() for k in self.elements))
 
     def contains(self, m: ResidueMatrix) -> bool:
         if self.elements is None:
@@ -154,46 +166,60 @@ class SubgroupImage:
         return m.key() in self.elements
 
 
+def _from_key(n: int, k) -> ResidueMatrix:
+    """Inverse of ResidueMatrix.key."""
+    if n < 65536:
+        return ResidueMatrix(n, k & 0xFFFF, (k >> 16) & 0xFFFF,
+                             (k >> 32) & 0xFFFF, k >> 48)
+    return ResidueMatrix(n, *k)
+
+
 def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
                      cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupImage:
     """Breadth-first closure of `gens` under multiplication in SL(2, Z_n).
 
     The group is finite, so closing under right multiplication by the
-    generators alone suffices.  Raises ClosureOverflowError past `cap`.
+    generators alone suffices.  The search runs on plain residue 4-tuples
+    and `ResidueMatrix.key` values; every new product is checked to have
+    determinant 1 mod n.  Raises ClosureOverflowError past `cap`.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for g in gens:
         if g.n != n:
             raise ValueError("generator modulus mismatch")
-    ident = ResidueMatrix.identity(n)
-    seen = {ident.key()}
+    packed = n < 65536
+    one = 1 % n
+    steps = [(g.a, g.b, g.c, g.d) for g in gens]
+    ident = (one, 0, 0, one)
+    seen = {ResidueMatrix.identity(n).key()}
     frontier = [ident]
-    elements = [ident]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                k = prod.key()
+        for a, b, c, d in frontier:
+            for ga, gb, gc, gd in steps:
+                pa = (a * ga + b * gc) % n
+                pb = (a * gb + b * gd) % n
+                pc = (c * ga + d * gc) % n
+                pd = (c * gb + d * gd) % n
+                k = (pa | pb << 16 | pc << 32 | pd << 48 if packed
+                     else (pa, pb, pc, pd))
                 if k not in seen:
+                    # a product already seen was checked when first found
+                    if (pa * pd - pb * pc) % n != one:
+                        raise ValueError(f"determinant is not 1 mod {n}")
                     seen.add(k)
                     if len(seen) > cap:
                         raise ClosureOverflowError(
                             f"closure mod {n} exceeded cap {cap}")
-                    nxt.append(prod)
-                    elements.append(prod)
+                    nxt.append((pa, pb, pc, pd))
         frontier = nxt
     abelian = all(g * h == h * g for i, g in enumerate(gens)
                   for h in gens[i + 1:])
-    if abelian:
-        exponent = lcm(*(g.order() for g in gens)) if gens else 1
-    else:
-        exponent = lcm(*(m.order() for m in elements))
-    assert sl2_order(n) % len(elements) == 0, "closure violates Lagrange"
-    return SubgroupImage(modulus=n, order=len(elements),
+    assert sl2_order(n) % len(seen) == 0, "closure violates Lagrange"
+    return SubgroupImage(modulus=n, order=len(seen),
                          elements=frozenset(seen),
-                         is_abelian=abelian, exponent=exponent)
+                         is_abelian=abelian, generators=tuple(gens))
 
 
 def generator_image_closure(a: int, b: int, n: int,
@@ -252,11 +278,12 @@ def closure_quotient_structure(a: int) -> tuple[int, ...]:
 
 
 def closure_generators(a: int, b: int) -> list[UniModularMatrix]:
-    """Generators of the arithmetic closure of G(a/b).
+    """Five elements of the arithmetic closure of G(a/b).
 
     Returns [A(m), B(m), A(am), B(am), B(am)^x] with m = a/b and
     x = [[-1,1],[0,1]]; the first two generate G itself, the last three
-    generate the level-a^2 principal congruence subgroup.
+    lie in the level-a^2 principal congruence subgroup.  That the five
+    generate the closure is not claimed.
     """
     if a < 1 or b <= 1 or gcd(a, b) != 1:
         raise ValueError(f"invalid Moebius parameters ({a}, {b})")

@@ -92,10 +92,6 @@ class CosetTable:
     def _letters(self, w: GroupWord) -> list[int]:
         return word_to_letters(w, self.col_of)
 
-    def target(self, coset: int, sym: str, invert: bool = False) -> int:
-        col = self.col_of[sym] ^ (1 if invert else 0)
-        return self._tab[coset * self.width + col]
-
     def trace(self, start: int, w: GroupWord) -> int:
         cur = start
         width = self.width
@@ -567,22 +563,23 @@ def _run_pure(width: int, relators, subgroup, limits: EnumerationLimits,
 
 def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
                   subgroup: Sequence[tuple[int, ...]]) -> None:
-    """Exhaustive invariant check on a completed table."""
+    """Exhaustive invariant check on a completed table, column by column:
+    a column is the permutation i -> tab[i*w + col], and tracing a word
+    over every coset at once is composing its letters' columns."""
     n = table.n
     w = table.width
     tab = table._tab
-    for col in range(w):
-        seen = bytearray(n)
-        for i in range(n):
-            e = tab[i * w + col]
-            if e < 0 or e >= n or seen[e]:
-                raise RuntimeError("generator column is not a permutation")
-            seen[e] = 1
-    for col in range(w):
-        for i in range(n):
-            if tab[tab[i * w + col] * w + (col ^ 1)] != i:
-                raise RuntimeError(
-                    "inverse column does not invert its generator column")
+    cols = [tab[c:n * w:w].tolist() for c in range(w)]
+    ident = list(range(n))
+    points = set(ident)
+    for col in cols:
+        # n entries covering all n points: a permutation
+        if set(col) != points:
+            raise RuntimeError("generator column is not a permutation")
+    for c, col in enumerate(cols):
+        if list(map(cols[c ^ 1].__getitem__, col)) != ident:
+            raise RuntimeError(
+                "inverse column does not invert its generator column")
     reached = bytearray(n)
     reached[0] = 1
     frontier = [0]
@@ -594,12 +591,11 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
     if len(frontier) != n:
         raise RuntimeError("some coset is not reachable from coset 0")
     for rel in relators:
-        for i in range(n):
-            cur = i
-            for letter in rel:
-                cur = tab[cur * w + letter]
-            if cur != i:
-                raise RuntimeError("relator does not close at every coset")
+        cur = ident
+        for letter in rel:
+            cur = list(map(cols[letter].__getitem__, cur))
+        if cur != ident:
+            raise RuntimeError("relator does not close at every coset")
     for sub in subgroup:
         cur = 0
         for letter in sub:

@@ -10,18 +10,16 @@ from moebius_arith.certifier import (
     Certificate,
     IndexMismatchError,
     MoebiusSpec,
-    WordSearchError,
     a_generator_word,
     certify,
     certify_with_table,
     express_generators,
     gamma_level_words,
-    matrix_word_search,
     membership_report,
     table_sweep,
     verify_certificate,
 )
-from moebius_arith.congruence import sl2_order
+from moebius_arith.congruence import ResidueMatrix, reduce_mod, sl2_order
 from moebius_arith.coset_enum import EnumerationLimits, word_stabilizes_one
 from moebius_arith.exact import (
     UniModularMatrix,
@@ -68,18 +66,19 @@ class TestExpressGenerators:
         assert wa == parse_word("y5^-3")
         assert wb == parse_word("s y5^3 s^-1")
 
-    def test_search_path_finds_quarter(self):
-        # contract is evaluation equality only
-        pres = build_presentation(4)
-        target = parse_matrix("[[1,1/4],[0,1]]")
-        w = matrix_word_search(pres, target, max_len=8)
-        assert evaluate_word(w, pres.assignment) == target
-
-    def test_search_raises_when_out_of_reach(self):
-        pres = build_presentation(2)
-        target = make_moebius_generators(1, 2)[0].pow(999)
-        with pytest.raises(WordSearchError):
-            matrix_word_search(pres, target, max_len=3)
+    @pytest.mark.parametrize("a,b", [(3, 2), (5, 3), (7, 4)])
+    def test_level_words_lie_in_level_subgroup(self, a, b):
+        # A(am), B(am), B(am)^x are the identity mod a^2; nothing more
+        # about the subgroup they generate is claimed
+        spec = MoebiusSpec(a, b)
+        pres = build_presentation(b)
+        words = gamma_level_words(spec, pres)
+        assert [name for name, _ in words] == ["A(am)", "B(am)", "B(am)^x"]
+        ident = ResidueMatrix.identity(a * a)
+        for _, wrd in words:
+            g = evaluate_word(wrd, pres.assignment)
+            assert g != UniModularMatrix.identity()
+            assert reduce_mod(g, a * a) == ident
 
     def test_unit_word_scaling(self):
         # words for A(k/b) stay short as k grows

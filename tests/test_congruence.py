@@ -1,12 +1,14 @@
 """Congruence images, closures, level data, membership."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from moebius_arith.congruence import (
     ClosureOverflowError,
     ResidueMatrix,
+    _from_key,
     closure_generators,
     closure_quotient_structure,
     conjugate_by_x,
@@ -131,6 +133,80 @@ class TestSubgroupClosure:
             a, b = {2: (3, 7), 3: (2, 7), 5: (2, 7)}[p]
             img = generator_image_closure(a, b, p * p)
             assert img.order == sl2_order(p * p)
+
+
+def reference_closure(gens, n):
+    """Breadth-first closure over ResidueMatrix products: key set and
+    abelianness."""
+    ident = ResidueMatrix.identity(n)
+    seen = {ident.key()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = m * g
+                if prod.key() not in seen:
+                    seen.add(prod.key())
+                    nxt.append(prod)
+        frontier = nxt
+    abelian = all(g * h == h * g for g in gens for h in gens)
+    return seen, abelian
+
+
+def random_residue(rng, n):
+    while True:
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        # solve a d - b c = 1 for d when a is a unit, else retry
+        try:
+            d = (1 + b * c) * pow(a, -1, n) % n
+        except ValueError:
+            continue
+        return ResidueMatrix(n, a, b, c, d)
+
+
+class TestClosureParity:
+    @pytest.mark.parametrize("n", list(range(2, 13)) + [25, 49])
+    def test_matches_reference_bfs(self, n):
+        rng = random.Random(600 + n)
+        g = random_residue(rng, n)
+        pairs = [[g, g * g]]            # abelian
+        for _ in range(2):
+            pairs.append([random_residue(rng, n), random_residue(rng, n)])
+        for gens in pairs:
+            img = subgroup_closure(gens, n)
+            keys, abelian = reference_closure(gens, n)
+            assert img.elements == frozenset(keys)
+            assert img.order == len(keys)
+            assert img.is_abelian == abelian
+
+    def test_key_round_trip(self):
+        rng = random.Random(61)
+        for n in (7, 49, 70_001):
+            for _ in range(20):
+                m = random_residue(rng, n)
+                assert _from_key(n, m.key()) == m
+
+    def test_tuple_keys_past_16_bits(self):
+        # n >= 2^16 keys elements by residue tuples
+        n = 65_537
+        img = subgroup_closure([ResidueMatrix(n, 1, 256, 0, 1)], n)
+        assert img.order == n and img.is_abelian and img.exponent == n
+        assert img.contains(ResidueMatrix(n, 1, 1, 0, 1))
+
+    def test_rejects_determinant_off_one(self):
+        # a generator built around ResidueMatrix's own check
+        bad = SimpleNamespace(n=5, a=2, b=0, c=0, d=1)
+        with pytest.raises(ValueError, match="determinant"):
+            subgroup_closure([bad], 5)
+
+    def test_order_only_never_computes_element_orders(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("element order computed")
+        monkeypatch.setattr(ResidueMatrix, "order", refuse)
+        assert surjects_mod_p(3, 2, 5) is True
+        img = generator_image_closure(1, 2, 7)
+        assert img.order == 336 and not img.is_abelian
 
 
 class TestSurjectsModP:

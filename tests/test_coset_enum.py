@@ -9,6 +9,9 @@ from moebius_arith.congruence import ResidueMatrix, subgroup_closure
 from moebius_arith.coset_enum import (
     CosetTable,
     EnumerationLimits,
+    _Engine,
+    _cyclic_reduce_letters,
+    _free_reduce_letters,
     _verify_table,
     find_relator,
     todd_coxeter,
@@ -228,6 +231,38 @@ class TestTableInvariants:
         with pytest.raises(RuntimeError, match="not reachable"):
             _verify_table(table, self._letters(pres, pres.relators), [])
 
+    def test_verify_rejects_non_permutation(self):
+        pres, table = self._table()
+        relators = self._letters(pres, pres.relators)
+        tab, w = table._tab, table.width
+        for bad in (tab[1 * w + 2], -1, table.n):
+            # a repeated target, an undefined entry, an out-of-range one
+            corrupt = CosetTable(table.generators, array("i", tab), table.n)
+            corrupt._tab[0 * w + 2] = bad
+            with pytest.raises(RuntimeError, match="not a permutation"):
+                _verify_table(corrupt, relators, [])
+
+    def test_verify_rejects_relator_open_off_coset_0(self):
+        # a = (1 2), b = (0 1 2): permutations, inverses, reachable, a^2
+        # and b^3 close everywhere; the relator a closes at coset 0 only
+        pres = fake_presentation(["a", "b"], ["a^2", "b^3", "a"])
+        table = CosetTable(pres.generators, array("i", [
+            0, 0, 1, 2,
+            2, 2, 2, 0,
+            1, 1, 0, 1]), 3)
+        relators = self._letters(pres, pres.relators)
+        _verify_table(table, relators[:2], [])
+        assert table.trace(0, parse_word("a")) == 0
+        with pytest.raises(RuntimeError, match="relator does not close"):
+            _verify_table(table, relators, [])
+
+    def test_verify_rejects_subgroup_word_moving_coset_0(self):
+        pres, table = self._table()
+        relators = self._letters(pres, pres.relators)
+        with pytest.raises(RuntimeError, match="does not fix coset 0"):
+            _verify_table(table, relators,
+                          self._letters(pres, [parse_word("r")]))
+
     def test_word_stabilizes_one(self):
         _, table = self._table()
         assert word_stabilizes_one(table, GroupWord())
@@ -255,6 +290,28 @@ class TestTableInvariants:
                      progress=lambda d, l: calls.append((d, l)),
                      progress_every=10)
         assert calls and all(d % 10 == 0 for d, _ in calls)
+
+
+class TestLetterReduction:
+    # a GroupWord is freely reduced, so todd_coxeter never hands these
+    # helpers a cancelling pair; letters here are s = 0, s^-1 = 1, t = 2
+    def test_free_reduction_cancels(self):
+        assert _free_reduce_letters([0, 1, 2]) == [2]          # s s^-1 t
+        assert _free_reduce_letters([2, 0, 1, 3]) == []        # t s s^-1 t^-1
+
+    def test_cyclic_reduction(self):
+        assert _cyclic_reduce_letters([2, 0, 3]) == (0,)       # t s t^-1
+        assert _cyclic_reduce_letters([0, 2, 3, 0]) == (0, 0)  # s t t^-1 s
+
+
+class TestClosingPass:
+    def test_undefined_entry_keeps_table_open(self):
+        # one coset, one generator, no relators: nothing merges, but the
+        # open entries alone must keep the table from closing
+        engine = _Engine(2, [], [], EnumerationLimits())
+        assert engine._closing_pass() is False
+        engine.tab[0] = engine.tab[1] = 0
+        assert engine._closing_pass() is True
 
 
 class TestOverflow:
