@@ -14,7 +14,6 @@ from .exact import (
     evaluate_word,
     format_matrix,
     format_word,
-    is_finite_order,
     make_moebius_generators,
     parse_matrix,
     parse_word,
@@ -25,8 +24,6 @@ from .congruence import (
     LevelData,
     ResidueMatrix,
     SubgroupImage,
-    closure_generators,
-    closure_quotient_structure,
     level_data,
     member_of_closure,
     reduce_mod,
@@ -34,14 +31,11 @@ from .congruence import (
     subgroup_closure,
     surjects_mod_p,
 )
-from .modular_words import decompose_st, word_length_reduce
+from .modular_words import decompose_st
 from .presentation import (
     AmalgamPiece,
     Presentation,
     build_presentation,
-    gamma0_schreier_generators,
-    presentation_from_json,
-    presentation_from_text,
     presentation_to_json,
     presentation_to_text,
     verify_presentation_soundness,

@@ -22,13 +22,12 @@ from .certifier import (
     MoebiusSpec,
     certify,
     certify_with_table,
-    express_generators,
     membership_report,
     table_sweep,
     verify_certificate,
 )
-from .coset_enum import DEFAULT_MAX_COSETS, EnumerationLimits, find_relator
-from .exact import format_word, parse_matrix
+from .coset_enum import DEFAULT_MAX_COSETS, EnumerationLimits
+from .exact import parse_matrix, parse_word
 from .presentation import (
     build_presentation,
     presentation_to_json,
@@ -232,21 +231,20 @@ def _dispatch(args) -> int:
 
     if args.command == "relator":
         spec = _parse_rational(args.rational)
-        pres = build_presentation(spec.b)
-        cert, table = certify_with_table(spec, _limits(args))
+        cert, table = certify_with_table(spec, _limits(args),
+                                         find_witness=True,
+                                         witness_bound=args.bound)
         if table is None:
             print("NotFound (enumeration did not complete)")
             return EXIT_INCONCLUSIVE
-        wa, wb = express_generators(spec, pres)
-        rel = find_relator(pres, wa, wb, table, bound=args.bound)
-        if rel is None:
+        if cert.witness is None:
             print("NotFound")
             return EXIT_INCONCLUSIVE
         if args.json:
-            print(json.dumps({"relator": format_word(rel),
-                              "weight": rel.weight}))
+            print(json.dumps({"relator": cert.witness,
+                              "weight": parse_word(cert.witness).weight}))
         else:
-            print(format_word(rel))
+            print(cert.witness)
         return EXIT_OK
 
     if args.command == "sweep":

@@ -6,12 +6,12 @@ closure of a Moebius group G(a/b) inside SL(2, Z[1/b]):
   * breadth-first closures of generator images in SL(2, Z_n),
   * level data: the closure of G(a/b) has level a^2 and index a*|SL(2,Z_a)|,
     with quotient mod a^2 isomorphic to C_a x C_a,
-  * explicit elements of the closure: A(m), B(m) and three matrices that
-    lie in the level-a^2 principal congruence subgroup, and the level-a^2
-    membership test.
+  * conjugation by x = [[-1,1],[0,1]], which gives B(am)^x, one of the
+    three matrices that lie in the level-a^2 principal congruence subgroup,
+  * the level-a^2 membership test.
 
 All group computations here are exact and finite; closures are materialized
-up to a configurable element cap and overflow loudly beyond it.
+in full and overflow loudly past an element cap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exact import (
     UniModularMatrix,
@@ -146,7 +146,7 @@ class SubgroupImage:
 
     modulus: int
     order: int
-    elements: Optional[frozenset] = None  # of key() values, when materialized
+    elements: frozenset  # of key() values
     is_abelian: bool = False
     generators: tuple[ResidueMatrix, ...] = ()
 
@@ -161,8 +161,6 @@ class SubgroupImage:
         return lcm(*(_from_key(n, k).order() for k in self.elements))
 
     def contains(self, m: ResidueMatrix) -> bool:
-        if self.elements is None:
-            raise ClosureOverflowError("closure was not materialized")
         return m.key() in self.elements
 
 
@@ -222,15 +220,13 @@ def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
                          is_abelian=abelian, generators=tuple(gens))
 
 
-def generator_image_closure(a: int, b: int, n: int,
-                            cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupImage:
+def generator_image_closure(a: int, b: int, n: int) -> SubgroupImage:
     """Closure of {A(a/b) mod n, B(a/b) mod n} in SL(2, Z_n)."""
     ma, mb = make_moebius_generators(a, b)
-    return subgroup_closure([reduce_mod(ma, n), reduce_mod(mb, n)], n, cap)
+    return subgroup_closure([reduce_mod(ma, n), reduce_mod(mb, n)], n)
 
 
-def surjects_mod_p(a: int, b: int, p: int,
-                   cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def surjects_mod_p(a: int, b: int, p: int) -> bool:
     """True iff the generator images fill all of SL(2, Z_p).
 
     Holds exactly when p does not divide a (for p coprime to b); p | b is
@@ -240,9 +236,7 @@ def surjects_mod_p(a: int, b: int, p: int,
         raise ValueError(f"{p} is not prime")
     if b % p == 0:
         raise ValueError(f"prime {p} divides the base {b}")
-    target = sl2_order(p)
-    img = generator_image_closure(a, b, p, cap=min(cap, target))
-    return img.order == target
+    return generator_image_closure(a, b, p).order == sl2_order(p)
 
 
 @dataclass(frozen=True)
@@ -268,33 +262,7 @@ def level_data(a: int, b: int) -> LevelData:
     )
 
 
-def closure_quotient_structure(a: int) -> tuple[int, ...]:
-    """Abelian invariants of cl(G)/Gamma_{a^2}: (a, a), trivial for a = 1."""
-    if a < 1:
-        raise ValueError(f"numerator must be positive, got {a}")
-    if a == 1:
-        return ()
-    return (a, a)
-
-
-def closure_generators(a: int, b: int) -> list[UniModularMatrix]:
-    """Five elements of the arithmetic closure of G(a/b).
-
-    Returns [A(m), B(m), A(am), B(am), B(am)^x] with m = a/b and
-    x = [[-1,1],[0,1]]; the first two generate G itself, the last three
-    lie in the level-a^2 principal congruence subgroup.  That the five
-    generate the closure is not claimed.
-    """
-    if a < 1 or b <= 1 or gcd(a, b) != 1:
-        raise ValueError(f"invalid Moebius parameters ({a}, {b})")
-    ma, mb = make_moebius_generators(a, b)
-    maa = ma.pow(a)   # A(am) = A(m)^a
-    mbb = mb.pow(a)   # B(am) = B(m)^a
-    return [ma, mb, maa, mbb, conjugate_by_x(mbb)]
-
-
-def member_of_closure(g: UniModularMatrix, a: int, b: int,
-                      cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+def member_of_closure(g: UniModularMatrix, a: int, b: int) -> bool:
     """Level-a^2 membership test for the arithmetic closure of G(a/b).
 
     True iff g mod a^2 lands in the image of the generators; this is
@@ -311,5 +279,4 @@ def member_of_closure(g: UniModularMatrix, a: int, b: int,
         img = reduce_mod(g, n)
     except ValueError:
         return False
-    closure = generator_image_closure(a, b, n, cap)
-    return closure.contains(img)
+    return generator_image_closure(a, b, n).contains(img)

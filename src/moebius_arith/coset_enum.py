@@ -86,7 +86,6 @@ class CosetTable:
         self.width = 2 * len(self.generators)
         self._tab = flat
         self.n = n
-        self.status = "complete"
         self.col_of = {g: 2 * i for i, g in enumerate(self.generators)}
 
     def _letters(self, w: GroupWord) -> list[int]:
@@ -99,21 +98,6 @@ class CosetTable:
         for letter in self._letters(w):
             cur = tab[cur * width + letter]
         return cur
-
-    def generator_permutation(self, sym: str) -> list[int]:
-        col = self.col_of[sym]
-        width = self.width
-        return [self._tab[i * width + col] for i in range(self.n)]
-
-    def dump_text(self) -> str:
-        """One line per coset: tab-separated 1-based targets in column order
-        s, s^-1, t, t^-1, x_p, x_p^-1, ..."""
-        width = self.width
-        lines = []
-        for i in range(self.n):
-            row = self._tab[i * width:(i + 1) * width]
-            lines.append("\t".join(str(e + 1) for e in row))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -144,23 +128,14 @@ def word_to_letters(w: GroupWord, col_of: dict) -> list[int]:
     return out
 
 
-def _free_reduce_letters(letters: Sequence[int]) -> list[int]:
-    stack: list[int] = []
-    for l in letters:
-        if stack and stack[-1] == (l ^ 1):
-            stack.pop()
-        else:
-            stack.append(l)
-    return stack
-
-
 def _cyclic_reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
-    red = _free_reduce_letters(letters)
-    i, j = 0, len(red)
-    while j - i >= 2 and red[i] == (red[j - 1] ^ 1):
+    """Trim cancelling letters off both ends.  The letters of a GroupWord
+    are already freely reduced: its syllables never repeat a symbol."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == (letters[j - 1] ^ 1):
         i += 1
         j -= 1
-    return tuple(red[i:j])
+    return tuple(letters[i:j])
 
 
 class _TableFull(Exception):
@@ -518,8 +493,7 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     col_of = {g: 2 * i for i, g in enumerate(pres.generators)}
     relators = [_cyclic_reduce_letters(word_to_letters(r, col_of))
                 for r in pres.relators]
-    subgroup = [tuple(_free_reduce_letters(word_to_letters(g, col_of)))
-                for g in subgroup_gens]
+    subgroup = [tuple(word_to_letters(g, col_of)) for g in subgroup_gens]
     width = 2 * len(pres.generators)
 
     run = None
@@ -607,8 +581,6 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
 def word_stabilizes_one(table: CosetTable, w: GroupWord) -> bool:
     """True iff tracing w from coset 0 returns to coset 0; for a complete
     table this is membership of the word's image in the subgroup."""
-    if table.status != "complete":
-        raise ValueError("coset table is not complete")
     return table.trace(0, w) == 0
 
 
@@ -629,8 +601,6 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     augmented re-enumeration rewriting relator traces into subgroup words
     is the fallback.  Every returned word is re-verified by evaluation.
     """
-    if table.status != "complete":
-        raise ValueError("coset table is not complete")
     mat_a = evaluate_word(word_a, pres.assignment)
     mat_b = evaluate_word(word_b, pres.assignment)
     m = mat_a.e12  # the translation length a/b
@@ -740,7 +710,8 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
 
     # conjugation collisions: bucket by the entry a translation power fixes
     # together with the trace, then solve for the conjugating exponent
-    for sym, conj_mat, corner in (("A", mat_a, "e21"), ("B", mat_b, "e12")):
+    for sym, conj_mat, corner, row_entry in (("A", mat_a, "e21", "e11"),
+                                             ("B", mat_b, "e12", "e22")):
         buckets: dict[tuple, list[int]] = {}
         for i, mat in enumerate(mats):
             r = getattr(mat, corner)
@@ -755,25 +726,29 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
             pairs += n * (n - 1) // 2
             if pairs > _PAIR_CAP:
                 break
+            # translation by c = k*m moves the fixed-corner row:
+            # conj by A(c): p -> p + c*r;  conj by B(c): s -> s + c*q.
+            # So u, v pair up exactly when that row entry agrees mod r*m,
+            # and k is the difference of the entries' quotients by r*m
+            step = r * m
+            split = {i: divmod(getattr(mats[i], row_entry), step)
+                     for i in items}
+            classes: dict = {}
+            for i in items:
+                classes.setdefault(split[i][1], []).append(i)
             for u in items:
+                q_u, rem_u = split[u]
+                same = classes[rem_u]
+                if len(same) < 2:
+                    continue
                 u_mat = mats[u]
                 u_syllables = ball.syllables_of(u)
-                for v in items:
-                    if u == v:
+                for v in same:
+                    # k = 0 also covers v = u
+                    k = split[v][0] - q_u
+                    if k == 0:
                         continue
                     v_mat = mats[v]
-                    # translation by c = k*m moves the fixed-corner row:
-                    # conj by A(c): p -> p + c*r;  conj by B(c): s -> s + c*q
-                    if sym == "A":
-                        c = (v_mat.e11 - u_mat.e11) / r
-                    else:
-                        c = (v_mat.e22 - u_mat.e22) / r
-                    if c == 0:
-                        continue
-                    k = c / m
-                    if k.denominator != 1:
-                        continue
-                    k = int(k)
                     if 2 * abs(k) + weights[u] + weights[v] > bound:
                         continue
                     # v spelled as sym^k u sym^-k gives the empty relator
@@ -1063,8 +1038,8 @@ def _augmented_relator_search(pres: Presentation, sub_words: Sequence[GroupWord]
     relators = [_cyclic_reduce_letters(word_to_letters(r, col_of))
                 for r in pres.relators]
     symbols = ["A", "B"]
-    subgroup = [(tuple(_free_reduce_letters(word_to_letters(g, col_of))),
-                 symbols[i]) for i, g in enumerate(sub_words)]
+    subgroup = [(tuple(word_to_letters(g, col_of)), symbols[i])
+                for i, g in enumerate(sub_words)]
     engine = _AugmentedEngine(2 * len(pres.generators), relators, subgroup,
                               max_cosets)
     try:

@@ -1,4 +1,4 @@
-"""Exact arithmetic core: scalars in a localization Z[1/b], 2x2 unimodular
+"""Exact arithmetic core: rational scalars, 2x2 unimodular
 matrices over Q, and freely reduced group words with matrix evaluation.
 
 Everything here is exact; no floating point is accepted anywhere.  Scalars
@@ -7,8 +7,7 @@ common denominator, as five integers `(n11, n12, n21, n22, den)` in
 canonical form (`den > 0`, no common factor), so equality and hashing are
 structural and a product is eight integer multiplications and one gcd.
 Every construction checks the determinant identity
-`n11*n22 - n12*n21 == den*den`.  Membership in a localization Z[1/b] is a
-validation against a supplied base, not a separate numeric type.
+`n11*n22 - n12*n21 == den*den`.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
-
-Scalar = Fraction
+from typing import Iterable, Mapping, Sequence, Tuple
 
 _ENTRY_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -38,20 +35,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def in_localization(q: Fraction, base: int) -> bool:
-    """True iff q lies in Z[1/base], i.e. every prime of the denominator
-    divides base.  Denominator 1 is valid for any base."""
-    den = q.denominator
-    if den == 1:
-        return True
-    if base <= 1:
-        return False
-    for p in prime_factors(den):
-        if base % p != 0:
-            return False
-    return True
 
 
 _new = object.__new__
@@ -237,27 +220,6 @@ def make_moebius_generators(a: int, b: int) -> tuple[UniModularMatrix, UniModula
     return (_make(b, a, 0, b, b), _make(b, 0, a, b, b))
 
 
-def is_finite_order(m: UniModularMatrix) -> Optional[int]:
-    """Order of m if finite, else None.
-
-    In SL(2, Q) an element has finite order iff it is +-1 or its trace lies
-    in {-1, 0, 1}; possible orders divide 12, so a bounded multiplication
-    loop confirms the order exactly.
-    """
-    if m == _IDENTITY:
-        return 1
-    if m == _NEG_IDENTITY:
-        return 2
-    if m.trace() not in (-1, 0, 1):
-        return None
-    acc = m
-    for k in range(2, 13):
-        acc = acc * m
-        if acc == _IDENTITY:
-            return k
-    raise AssertionError(f"trace criterion violated for {m}")
-
-
 # -- group words -------------------------------------------------------------
 
 Syllable = Tuple[str, int]
@@ -334,12 +296,6 @@ class GroupWord:
     def weight(self) -> int:
         """Total of absolute exponents."""
         return sum(abs(e) for _, e in self.syllables)
-
-    def symbols(self) -> set[str]:
-        return {s for s, _ in self.syllables}
-
-    def exponent_sum(self, sym: str) -> int:
-        return sum(e for s, e in self.syllables if s == sym)
 
     def cyclically_reduced(self) -> "GroupWord":
         syl = list(self.syllables)

@@ -78,50 +78,3 @@ def decompose_st(m: UniModularMatrix) -> GroupWord:
     assert evaluate_word(w, ST_ASSIGNMENT) == m, "decompose_st round trip failed"
     return w
 
-
-def word_length_reduce(w: GroupWord) -> GroupWord:
-    """Free reduction plus the rewrites s^4 -> 1 and `s^2 is central`,
-    valid in SL(2, Z); the evaluated value is unchanged.
-
-    s exponents are folded mod 4 into {-1, 0, 1, 2}; every s^2 so produced
-    is commuted out to the front and the total sign collapses mod s^4.
-    """
-    bad = w.symbols() - {"s", "t"}
-    if bad:
-        raise ValueError(f"word uses symbols outside {{s, t}}: {sorted(bad)}")
-    central = 0
-    syllables = list(w.syllables)
-    changed = True
-    while changed:
-        changed = False
-        out: list[list] = []
-        for sym, exp in syllables:
-            if sym == "s":
-                r = exp % 4
-                if r == 3:
-                    r = -1
-                elif r == 2:
-                    central ^= 1
-                    r = 0
-                if r != exp:
-                    changed = True
-                exp = r
-            if exp == 0:
-                changed = True
-                continue
-            if out and out[-1][0] == sym:
-                out[-1][1] += exp
-                changed = True
-                if out[-1][1] == 0:
-                    out.pop()
-            else:
-                out.append([sym, exp])
-        syllables = [(s, e) for s, e in out]
-    if central:
-        # s^2 is central; park it in front and fold the seam once more
-        merged = word([("s", 2)] + syllables)
-        if merged.syllables and merged.syllables[0][0] == "s" \
-                and not (-1 <= merged.syllables[0][1] <= 2):
-            return word_length_reduce(merged)
-        return merged
-    return word(syllables)

@@ -19,10 +19,8 @@ soundness invariant is checked at construction time.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .congruence import is_prime
 from .exact import (
@@ -31,8 +29,6 @@ from .exact import (
     evaluate_word,
     format_matrix,
     format_word,
-    parse_matrix,
-    parse_word,
     prime_factors,
     word,
 )
@@ -73,10 +69,6 @@ class Presentation:
     pieces: tuple[AmalgamPiece, ...] = ()
 
 
-def _projective_points(p: int) -> list[tuple[int, int]]:
-    return [(0, 1)] + [(1, k) for k in range(p)]
-
-
 def _normalize_point(u: int, v: int, p: int) -> tuple[int, int]:
     u %= p
     v %= p
@@ -92,8 +84,9 @@ def _act(m: UniModularMatrix, pt: tuple[int, int], p: int) -> tuple[int, int]:
     return _normalize_point(a * u + b * v, c * u + d * v, p)
 
 
-def gamma0_schreier_generators(p: int) -> list[GroupWord]:
-    """Schreier generators of Gamma_0(p), as words over {x<p>, y<p>}.
+def _schreier_pairs(p: int) -> list[tuple[GroupWord, UniModularMatrix]]:
+    """Schreier generators of Gamma_0(p), as words over {x<p>, y<p>} paired
+    with their values.
 
     The orbit of the distinguished point of P^1(F_p) under the untwisted
     matrices xbar, ybar has exactly p + 1 points; the breadth-first
@@ -103,10 +96,6 @@ def gamma0_schreier_generators(p: int) -> list[GroupWord]:
     divisible by p.  The distinguished point is the one that makes those
     evaluations integral.
     """
-    return [w for w, _ in _schreier_pairs(p)]
-
-
-def _schreier_pairs(p: int) -> list[tuple[GroupWord, UniModularMatrix]]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     xsym, ysym = f"x{p}", f"y{p}"
@@ -212,44 +201,6 @@ def presentation_to_text(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def presentation_from_text(text: str) -> Presentation:
-    """Parse the text format; the matrix assignment is rebuilt from the
-    generator naming convention (s, t, x<p>, y<p>)."""
-    gens: Optional[list[str]] = None
-    relators = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("gen:"):
-            gens = line[len("gen:"):].split()
-        elif line.startswith("rel:"):
-            relators.append(parse_word(line[len("rel:"):]))
-        else:
-            raise ValueError(f"unrecognized line {raw!r}")
-    if gens is None:
-        raise ValueError("missing generator line")
-    assignment = _assignment_for_symbols(gens)
-    return Presentation(generators=tuple(gens), relators=tuple(relators),
-                        assignment=assignment)
-
-
-def _assignment_for_symbols(gens: Iterable[str]) -> dict[str, UniModularMatrix]:
-    assignment: dict[str, UniModularMatrix] = {}
-    for sym in gens:
-        if sym == "s":
-            assignment[sym] = MAT_S
-        elif sym == "t":
-            assignment[sym] = MAT_T
-        elif m := re.fullmatch(r"x(\d+)", sym):
-            assignment[sym] = x_matrix(int(m.group(1)))
-        elif m := re.fullmatch(r"y(\d+)", sym):
-            assignment[sym] = y_matrix(int(m.group(1)))
-        else:
-            raise ValueError(f"cannot infer a matrix for generator {sym!r}")
-    return assignment
-
-
 def presentation_to_json(pres: Presentation) -> str:
     payload = {
         "generators": list(pres.generators),
@@ -259,13 +210,3 @@ def presentation_to_json(pres: Presentation) -> str:
     }
     return json.dumps(payload, indent=2)
 
-
-def presentation_from_json(text: str) -> Presentation:
-    payload = json.loads(text)
-    assignment = {sym: parse_matrix(lit)
-                  for sym, lit in payload["assignment"].items()}
-    return Presentation(
-        generators=tuple(payload["generators"]),
-        relators=tuple(parse_word(r) for r in payload["relators"]),
-        assignment=assignment,
-    )

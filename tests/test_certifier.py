@@ -24,7 +24,6 @@ from moebius_arith.coset_enum import EnumerationLimits, word_stabilizes_one
 from moebius_arith.exact import (
     UniModularMatrix,
     evaluate_word,
-    is_finite_order,
     make_moebius_generators,
     parse_matrix,
     parse_word,
@@ -152,12 +151,16 @@ class TestTorsionFreeness:
             g = evaluate_word(w, asg)
             if g == UniModularMatrix.identity():
                 continue
-            assert is_finite_order(g) is None
+            # in SL(2, Q), finite order means +-I or trace in {-1, 0, 1}
+            assert g != -UniModularMatrix.identity()
+            assert g.trace() not in (-1, 0, 1)
 
     def test_whole_group_has_torsion(self):
         # a = 1 keeps all of SL(2, Z), e.g. the order-4 rotation
         s = parse_matrix("[[0,1],[-1,0]]")
-        assert is_finite_order(s) == 4
+        assert s.trace() == 0
+        assert s.pow(2) != UniModularMatrix.identity()
+        assert s.pow(4) == UniModularMatrix.identity()
 
 
 class TestMembershipReport:

@@ -10,6 +10,7 @@ from moebius_arith.cli import (
     INDEX_NOT_REPROVED,
     run,
 )
+from moebius_arith.exact import evaluate_word, make_moebius_generators, parse_word
 
 FAST = ["--max-cosets", "200000", "--time-limit", "60"]
 
@@ -101,6 +102,16 @@ class TestRelator:
         code = run(["relator", "1/2", "--bound", "1"] + FAST)
         assert code == EXIT_INCONCLUSIVE
         assert "NotFound" in capsys.readouterr().out
+
+    def test_json(self, capsys):
+        code = run(["relator", "2/3", "--json"] + FAST)
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        rel = parse_word(payload["relator"])
+        assert not rel.is_empty()
+        ma, mb = make_moebius_generators(2, 3)
+        assert evaluate_word(rel, {"A": ma, "B": mb}).is_identity()
+        assert payload["weight"] == rel.weight
 
 
 class TestSweep:

@@ -9,8 +9,6 @@ from moebius_arith.congruence import (
     ClosureOverflowError,
     ResidueMatrix,
     _from_key,
-    closure_generators,
-    closure_quotient_structure,
     conjugate_by_x,
     generator_image_closure,
     level_data,
@@ -253,11 +251,6 @@ class TestLevelData:
 
 
 class TestQuotientStructure:
-    def test_values(self):
-        assert closure_quotient_structure(1) == ()
-        assert closure_quotient_structure(3) == (3, 3)
-        assert closure_quotient_structure(4) == (4, 4)
-
     def test_verified_by_closure(self):
         for a, b in ((3, 2), (4, 3)):
             img = generator_image_closure(a, b, a * a)
@@ -267,33 +260,12 @@ class TestQuotientStructure:
 
 
 class TestClosureGenerators:
-    def test_count_and_identities(self):
-        gens = closure_generators(3, 2)
-        assert len(gens) == 5
-        a, b = make_moebius_generators(3, 2)
-        assert gens[0] == a and gens[1] == b
-        assert gens[2] == a.pow(3)           # A(am) = A(m)^a
-        assert gens[3] == b.pow(3)
-        assert gens[4] == conjugate_by_x(b.pow(3))
-
     def test_conjugate_matches_direct_formula(self):
         # x = [[-1,1],[0,1]] is an involution; conjugation computed entrywise
         b = make_moebius_generators(2, 3)[1].pow(2)   # B(4/3)
         c = b.e21
         expect = UniModularMatrix(1 - c, c, -c, c + 1)
         assert conjugate_by_x(b) == expect
-
-    def test_unipotent_scaling(self):
-        gens = closure_generators(2, 3)
-        assert gens[2] == parse_matrix("[[1,4/3],[0,1]]")
-
-    def test_congruence_level_of_x_conjugate(self):
-        # all three level generators reduce to the identity mod a^2
-        for a, b in ((3, 2), (2, 3), (4, 3)):
-            for g in closure_generators(a, b)[2:]:
-                r = reduce_mod(g, a * a)
-                ident = ResidueMatrix.identity(a * a)
-                assert r == ident
 
 
 class TestMembership:

@@ -13,8 +13,6 @@ from moebius_arith.exact import (
     evaluate_word,
     format_matrix,
     format_word,
-    in_localization,
-    is_finite_order,
     make_moebius_generators,
     parse_matrix,
     parse_word,
@@ -56,15 +54,6 @@ def reference_product(x, y):
 
 
 class TestLocalizedScalars:
-    def test_membership(self):
-        assert in_localization(Fraction(3, 8), 2)
-        assert in_localization(Fraction(7, 12), 6)
-        assert not in_localization(Fraction(1, 3), 2)
-        assert in_localization(Fraction(5), 2)  # denominator 1: any base
-
-    def test_integer_always_valid(self):
-        assert in_localization(Fraction(-4), 1)
-
     def test_arithmetic_against_integer_oracle(self):
         # independent oracle: cross-multiplication on (num, den) pairs
         rng = random.Random(20240817)
@@ -185,39 +174,6 @@ class TestMatrices:
                 assert m.pow(k) == acc
                 assert m.pow(-k) == acc.inv()
                 acc = acc * m
-
-
-class TestFiniteOrder:
-    def test_identity(self):
-        assert is_finite_order(IDENT) == 1
-
-    def test_minus_identity(self):
-        assert is_finite_order(parse_matrix("[[-1,0],[0,-1]]")) == 2
-
-    def test_s_has_order_four(self):
-        s = parse_matrix("[[0,1],[-1,0]]")
-        assert is_finite_order(s) == 4
-
-    def test_orders_three_and_six(self):
-        st = parse_matrix("[[1,1],[-1,0]]")       # trace 1
-        assert is_finite_order(st) == 6
-        assert is_finite_order(st * st) == 3      # trace -1
-
-    def test_parabolic_infinite(self):
-        a, _ = make_moebius_generators(3, 2)
-        assert is_finite_order(a) is None
-        assert is_finite_order(parse_matrix("[[2,1],[1,1]]")) is None
-
-    def test_order_divides_check(self):
-        rng = random.Random(31337)
-        for _ in range(200):
-            m = random_unimodular(rng, size=5)
-            k = is_finite_order(m)
-            if k is not None:
-                assert m.pow(k) == IDENT
-                for d in range(1, k):
-                    if k % d == 0:
-                        assert m.pow(d) != IDENT
 
 
 class TestWords:

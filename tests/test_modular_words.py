@@ -1,4 +1,4 @@
-"""Decomposition over s, t and the length-reduction rewrites."""
+"""Decomposition of SL(2, Z) matrices over s, t."""
 
 import random
 
@@ -16,7 +16,6 @@ from moebius_arith.modular_words import (
     MAT_T,
     ST_ASSIGNMENT,
     decompose_st,
-    word_length_reduce,
 )
 
 IDENT = UniModularMatrix.identity()
@@ -86,35 +85,3 @@ class TestDecompose:
         assert evaluate_word(w, ST_ASSIGNMENT) == m
         assert w.length < 40
 
-
-class TestWordLengthReduce:
-    def test_s_fourth_vanishes(self):
-        assert word_length_reduce(word([("s", 4)])).is_empty()
-
-    def test_s_squared_twice_vanishes(self):
-        assert word_length_reduce(word([("s", 2), ("t", 1), ("t", -1),
-                                        ("s", 2)])).is_empty()
-
-    def test_free_reduction(self):
-        assert word_length_reduce(word([("t", 3), ("t", -3)])).is_empty()
-
-    def test_rejects_foreign_symbols(self):
-        with pytest.raises(ValueError):
-            word_length_reduce(word([("x5", 1)]))
-
-    def test_preserves_value(self):
-        rng = random.Random(31)
-        for _ in range(400):
-            w = word([(rng.choice("st"), rng.randint(-6, 6))
-                      for _ in range(8)])
-            r = word_length_reduce(w)
-            assert evaluate_word(r, ST_ASSIGNMENT) == \
-                evaluate_word(w, ST_ASSIGNMENT)
-            # never longer than the input
-            assert r.weight <= w.weight
-
-    def test_folds_s_exponents(self):
-        r = word_length_reduce(word([("s", 7), ("t", 1)]))
-        for sym, exp in r.syllables:
-            if sym == "s":
-                assert -1 <= exp <= 2
