@@ -27,9 +27,11 @@ Either way the table goes through the same verification pass, and the
 outcome names the engine that ran.
 
 `find_relator` recovers a nonempty relator in the subgroup generators by
-short-word search with exact matrix evaluation, falling back to an
-augmented (word-labelled) re-enumeration that rewrites relator traces into
-subgroup words.
+short-word search, falling back to an augmented (word-labelled)
+re-enumeration that rewrites relator traces into subgroup words.  The
+search's ball of short words is integer arithmetic over one fixed
+denominator, with each product's determinant checked; its candidates are
+verified lightest first by exact evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import _fast
@@ -558,7 +562,10 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
     reached[0] = 1
     frontier = [0]
     for i in frontier:
-        for e in tab[i * w:(i + 1) * w]:
+        # generator columns suffice: the columns are permutations and
+        # each odd column inverts its even one, so the generators' orbit
+        # is the group's
+        for e in tab[i * w:(i + 1) * w:2]:
             if not reached[e]:
                 reached[e] = 1
                 frontier.append(e)
@@ -589,7 +596,9 @@ def word_stabilizes_one(table: CosetTable, w: GroupWord) -> bool:
 def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
                  table: CosetTable, bound: int = 300) -> Optional[GroupWord]:
     """A nonempty relator of the subgroup generated by word_a, word_b, as a
-    freely reduced word over the symbols A and B, or None within `bound`.
+    freely reduced word over the symbols A and B, or None when the search
+    below finds none within `bound`.  None is not a proof that no relator
+    of that size exists.
 
     `bound` limits the total of absolute exponents.  The search enumerates
     short-syllable words by increasing size and looks for two kinds of
@@ -599,7 +608,10 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     g^k u g^-k = v with k solvable in closed form).  The latter is what
     recovers the long witnesses whose exponents scale with the index.  An
     augmented re-enumeration rewriting relator traces into subgroup words
-    is the fallback.  Every returned word is re-verified by evaluation.
+    is the fallback, tried only up to index _AUGMENTED_MAX_INDEX.  The
+    candidates are verified by evaluation lightest first (first found among
+    equal weights), and the first that evaluates to the identity is
+    returned.
     """
     mat_a = evaluate_word(word_a, pres.assignment)
     mat_b = evaluate_word(word_b, pres.assignment)
@@ -610,17 +622,17 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
         candidates = _augmented_relator_search(
             pres, [word_a, word_b],
             max_cosets=max(200_000, 64 * table.n))
-    best: Optional[GroupWord] = None
-    asg = {"A": mat_a, "B": mat_b}
-    for cand in candidates:
+    reduced = []
+    for i, cand in enumerate(candidates):
         cand = cand.cyclically_reduced().rotated_to("A")
-        if cand.is_empty() or cand.weight > bound:
-            continue
-        if not evaluate_word(cand, asg).is_identity():
-            continue
-        if best is None or cand.weight < best.weight:
-            best = cand
-    return best
+        if not cand.is_empty() and cand.weight <= bound:
+            reduced.append((cand.weight, i, cand))
+    reduced.sort(key=lambda entry: entry[:2])
+    asg = {"A": mat_a, "B": mat_b}
+    for _, _, cand in reduced:
+        if evaluate_word(cand, asg).is_identity():
+            return cand
+    return None
 
 
 class _SyllableBall:
@@ -628,50 +640,90 @@ class _SyllableBall:
     exponents in [-erange, erange], in breadth-first order, stored as
     parallel lists: evaluation, weight, and the parent element (-1 for
     the empty word) with the last syllable.  Only the few elements a
-    collision reads get their word rebuilt (`word`)."""
+    collision reads get their word rebuilt (`word`).
+
+    Evaluations are integer 4-tuples over one fixed denominator `den`: with
+    L the lcm of the entry denominators of the step powers A^e, B^e, an
+    element at layer k has entries with denominators dividing L^k, so
+    `den = L^depth` makes every `nums[i] = den * M_i` integral.  A child is
+    (N * (L*S)) // L, an exact division, and every product is checked
+    against det N = den^2.  Equal tuples are equal matrices.
+    """
 
     def __init__(self, mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                  depth: int, erange: int):
         powers = {sym: [(e, mat.pow(e)) for e in range(-erange, erange + 1)
                         if e]
                   for sym, mat in (("A", mat_a), ("B", mat_b))}
-        self.mats: list[UniModularMatrix] = []
+        l = lcm(*(x.denominator for pows in powers.values()
+                  for _, p in pows for x in (p.e11, p.e12, p.e21, p.e22)))
+        # per symbol: the syllables, their sizes and the integer L*S
+        steps = {sym: ([(sym, e) for e, _ in pows], [abs(e) for e, _ in pows],
+                       [tuple(x.numerator * (l // x.denominator)
+                              for x in (p.e11, p.e12, p.e21, p.e22))
+                        for _, p in pows])
+                 for sym, pows in powers.items()}
+        den = l ** depth
+        dd = den * den
+        self.den = den
+        self.nums: list[tuple[int, int, int, int]] = []
         self.weights: list[int] = []
         self.parents: list[int] = []
         self.syllables: list[tuple[str, int]] = []
-        identity = UniModularMatrix.identity()
+        # spellings of the interior layers' elements (a prefix of the list)
+        self._spelled: list[tuple] = []
+        nums, weights = self.nums, self.weights
+        parents, syllables = self.parents, self.syllables
         layer = range(-1, 0)
-        for _ in range(depth):
-            start = len(self.mats)
+        for layer_no in range(depth):
+            start = len(nums)
             for parent in layer:
                 if parent < 0:
-                    mat, weight, last = identity, 0, ""
+                    n11, n12, n21, n22 = den, 0, 0, den
+                    weight, last = 0, ""
                 else:
-                    mat = self.mats[parent]
-                    weight = self.weights[parent]
-                    last = self.syllables[parent][0]
+                    n11, n12, n21, n22 = nums[parent]
+                    weight = weights[parent]
+                    last = syllables[parent][0]
                 for sym in ("A", "B"):
                     if sym == last:
                         continue
-                    for e, step in powers[sym]:
-                        self.mats.append(mat * step)
-                        self.weights.append(weight + abs(e))
-                        self.parents.append(parent)
-                        self.syllables.append((sym, e))
-                if len(self.mats) > _BALL_CAP:
+                    syls, sizes, scaled = steps[sym]
+                    children = [((n11 * s11 + n12 * s21) // l,
+                                 (n11 * s12 + n12 * s22) // l,
+                                 (n21 * s11 + n22 * s21) // l,
+                                 (n21 * s12 + n22 * s22) // l)
+                                for s11, s12, s21, s22 in scaled]
+                    for c11, c12, c21, c22 in children:
+                        if c11 * c22 - c12 * c21 != dd:
+                            raise ValueError(
+                                "syllable ball product has determinant != 1")
+                    nums.extend(children)
+                    weights.extend([weight + size for size in sizes])
+                    parents.extend([parent] * len(syls))
+                    syllables.extend(syls)
+                if len(nums) > _BALL_CAP:
                     return
-            layer = range(start, len(self.mats))
+            if layer_no < depth - 1:
+                spelled = self._spelled
+                for i in range(start, len(nums)):
+                    parent = parents[i]
+                    prefix = spelled[parent] if parent >= 0 else ()
+                    spelled.append((*prefix, syllables[i]))
+            layer = range(start, len(nums))
 
     def syllables_of(self, i: int) -> list[tuple[str, int]]:
-        out = []
-        while i >= 0:
-            out.append(self.syllables[i])
-            i = self.parents[i]
-        out.reverse()
-        return out
+        if i < len(self._spelled):
+            return list(self._spelled[i])
+        parent = self.parents[i]
+        prefix = self._spelled[parent] if parent >= 0 else ()
+        return [*prefix, self.syllables[i]]
 
     def word(self, i: int) -> GroupWord:
         return GroupWord(tuple(self.syllables_of(i)))
+
+    def matrix(self, i: int) -> UniModularMatrix:
+        return UniModularMatrix(*(Fraction(x, self.den) for x in self.nums[i]))
 
 
 def _conjugated(sym: str, k: int, syllables: list) -> list:
@@ -694,13 +746,15 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                               m, bound: int) -> list[GroupWord]:
     erange = max(12, int(1 / m) + 2 if 0 < m < 1 else 12, m.denominator + 2)
     ball = _SyllableBall(mat_a, mat_b, _SYLLABLE_DEPTH, erange)
-    mats, weights = ball.mats, ball.weights
+    nums, weights = ball.nums, ball.weights
+    mnum, mden = m.numerator, m.denominator
     out: list[GroupWord] = []
 
-    # equal-evaluation collisions
-    seen: dict[UniModularMatrix, int] = {}
-    for i, mat in enumerate(mats):
-        first = seen.setdefault(mat, i)
+    # equal-evaluation collisions; the denominator is fixed, so equal
+    # tuples are equal matrices
+    seen: dict[tuple, int] = {}
+    for i, key in enumerate(nums):
+        first = seen.setdefault(key, i)
         if first != i:
             rel = ball.word(i) * ball.word(first).inv()
             if not rel.is_empty():
@@ -709,15 +763,16 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
         return out
 
     # conjugation collisions: bucket by the entry a translation power fixes
-    # together with the trace, then solve for the conjugating exponent
-    for sym, conj_mat, corner, row_entry in (("A", mat_a, "e21", "e11"),
-                                             ("B", mat_b, "e12", "e22")):
+    # together with the trace, then solve for the conjugating exponent.
+    # Indices into the tuples: (fixed corner, row entry it moves)
+    for sym, conj_mat, corner, row_entry in (("A", mat_a, 2, 0),
+                                             ("B", mat_b, 1, 3)):
         buckets: dict[tuple, list[int]] = {}
-        for i, mat in enumerate(mats):
-            r = getattr(mat, corner)
+        for i, num in enumerate(nums):
+            r = num[corner]
             if r == 0:
                 continue
-            buckets.setdefault((r, mat.trace()), []).append(i)
+            buckets.setdefault((r, num[0] + num[3]), []).append(i)
         pairs = 0
         for (r, _), items in buckets.items():
             n = len(items)
@@ -729,34 +784,39 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
             # translation by c = k*m moves the fixed-corner row:
             # conj by A(c): p -> p + c*r;  conj by B(c): s -> s + c*q.
             # So u, v pair up exactly when that row entry agrees mod r*m,
-            # and k is the difference of the entries' quotients by r*m
-            step = r * m
-            split = {i: divmod(getattr(mats[i], row_entry), step)
+            # and k is the difference of the entries' quotients by r*m.
+            # Both sides scaled by den*mden: entry*mden split by r*mnum
+            step = r * mnum
+            split = {i: divmod(nums[i][row_entry] * mden, step)
                      for i in items}
             classes: dict = {}
             for i in items:
                 classes.setdefault(split[i][1], []).append(i)
+            # spellings, each built once per bucket
+            spell: dict[int, list] = {}
             for u in items:
                 q_u, rem_u = split[u]
                 same = classes[rem_u]
                 if len(same) < 2:
                     continue
-                u_mat = mats[u]
-                u_syllables = ball.syllables_of(u)
+                u_mat = None
                 for v in same:
                     # k = 0 also covers v = u
                     k = split[v][0] - q_u
                     if k == 0:
                         continue
-                    v_mat = mats[v]
                     if 2 * abs(k) + weights[u] + weights[v] > bound:
                         continue
+                    for i in (u, v):
+                        if i not in spell:
+                            spell[i] = ball.syllables_of(i)
                     # v spelled as sym^k u sym^-k gives the empty relator
-                    v_syllables = ball.syllables_of(v)
-                    if _conjugated(sym, k, u_syllables) == v_syllables:
+                    if _conjugated(sym, k, spell[u]) == spell[v]:
                         continue
+                    if u_mat is None:
+                        u_mat = ball.matrix(u)
                     gk = conj_mat.pow(k)
-                    if gk * u_mat * gk.inv() != v_mat:
+                    if gk * u_mat * gk.inv() != ball.matrix(v):
                         continue
                     rel = (GroupWord(((sym, k),)) * ball.word(u)
                            * GroupWord(((sym, -k),)) * ball.word(v).inv())

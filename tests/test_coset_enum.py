@@ -455,6 +455,74 @@ class TestFindRelator:
         assert evaluate_word(rel, {"A": ma, "B": mb}) == IDENT
         assert 0 < rel.weight <= 300
 
+    @pytest.mark.parametrize("a, b, bound, witness, candidates", [
+        (1, 2, 40, "A^-1 B^2 A^-2 B^-1 A^2 B^-2", 426),
+        (1, 3, 40, "A^-1 B^3 A^-3 B^-1 A^3 B^-3", 400),
+        (2, 3, 40, "A^2 B^-3 A^3 B^-2 A^3 B^-3", 42),
+        (4, 11, 300, "A^22 B^-11 A^-11 B A^-22 B^11 A^11 B^-1", 2),
+    ], ids=["1/2", "1/3", "2/3", "4/11"])
+    def test_witness_and_candidate_count(self, monkeypatch, a, b, bound,
+                                         witness, candidates):
+        # the lightest verified candidate, first among equal weights
+        from moebius_arith import coset_enum
+        search = coset_enum._collision_relator_search
+        found = []
+
+        def recording(*args):
+            found.append(search(*args))
+            return found[-1]
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            recording)
+        pres, wa, wb, table = self._setup(a, b)
+        rel = find_relator(pres, wa, wb, table, bound=bound)
+        assert str(rel) == witness
+        assert [len(c) for c in found] == [candidates]
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (4, 11)])
+    def test_ball_matches_matrix_products(self, a, b):
+        # each element is stored as den * M over one fixed denominator;
+        # spot-check it against the product of its spelled syllables
+        from fractions import Fraction
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
+        from moebius_arith.exact import make_moebius_generators
+        ma, mb = make_moebius_generators(a, b)
+        # the exponent range the search uses for these two
+        ball = _SyllableBall(ma, mb, _SYLLABLE_DEPTH, max(12, b + 2))
+        assert len(ball.nums) > 20_000
+        for i in range(0, len(ball.nums), 97):
+            word_i = ball.word(i)
+            stored = UniModularMatrix(*(Fraction(x, ball.den)
+                                        for x in ball.nums[i]))
+            assert stored == evaluate_word(word_i, {"A": ma, "B": mb})
+            assert ball.weights[i] == word_i.weight
+
+    def test_ball_rejects_step_with_wrong_determinant(self, monkeypatch):
+        from fractions import Fraction
+        from types import SimpleNamespace
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
+        from moebius_arith.exact import make_moebius_generators
+        ma, mb = make_moebius_generators(1, 2)
+
+        def det_two_power(self, e):
+            return SimpleNamespace(e11=Fraction(2), e12=Fraction(e, 2),
+                                   e21=Fraction(0), e22=Fraction(1))
+        monkeypatch.setattr(UniModularMatrix, "pow", det_two_power)
+        with pytest.raises(ValueError, match="determinant"):
+            _SyllableBall(ma, mb, _SYLLABLE_DEPTH, 12)
+
+    def test_none_is_not_a_proof_of_freeness(self, monkeypatch):
+        # None means only that the searches found nothing: past
+        # _AUGMENTED_MAX_INDEX the fallback does not run, and 3/2 then
+        # gets None although it has a relator of weight 27
+        from moebius_arith import coset_enum
+        pres, wa, wb, table = self._setup(3, 2)
+        rel = find_relator(pres, wa, wb, table, bound=300)
+        assert rel is not None and rel.weight == 27
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            lambda *args: [])
+        monkeypatch.setattr(coset_enum, "_AUGMENTED_MAX_INDEX", 0)
+        assert find_relator(pres, wa, wb, table, bound=300) is None
+
     def test_augmented_fallback(self, monkeypatch):
         # with the collision search finding nothing, the word-labelled
         # re-enumeration is what supplies the relator
