@@ -193,7 +193,8 @@ def a_generator_word(a: int, b: int) -> GroupWord:
         total += c * (b // m)
     # sum_p c_p/p^e = (1 + k b)/b, so subtract the integer excess k
     k = (total - 1) // b
-    assert k * b == total - 1
+    if k * b != total - 1:
+        raise RuntimeError(f"unit word exponents for b={b} do not sum to 1/b")
     if k:
         # A(-ka) = s t^(ka) s^-1
         out = out * word([("s", 1), ("t", k * a), ("s", -1)])

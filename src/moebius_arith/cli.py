@@ -45,6 +45,12 @@ INDEX_NOT_REPROVED = (
     "formula a*|SL(2,Z_a)|, but the certificate carries no coset table or "
     "proof")
 
+# `present` prints this on stderr when b has two or more distinct primes
+PUSHOUT_NOTE = (
+    "note: b has two or more distinct primes: these relators present the "
+    "pushout of the SL(2,Z[1/p]) over SL(2,Z), which only surjects onto "
+    "SL(2,Z[1/b])")
+
 
 class _UsageError(Exception):
     pass
@@ -196,6 +202,8 @@ def run(argv) -> int:
 def _dispatch(args) -> int:
     if args.command == "present":
         pres = build_presentation(args.b)
+        if len(pres.pieces) > 1:
+            print(PUSHOUT_NOTE, file=sys.stderr)
         text = presentation_to_json(pres) if args.json \
             else presentation_to_text(pres)
         if args.out:

@@ -4,6 +4,8 @@ closure of a Moebius group G(a/b) inside SL(2, Z[1/b]):
   * reduction of rational matrices mod n (denominators inverted mod n),
   * |SL(2, Z_n)| by the multiplicative formula n^3 * prod_{p|n} (1 - p^-2),
   * breadth-first closures of generator images in SL(2, Z_n),
+  * the exact order of a subgroup of SL(2, Z_n) by orbit-stabilizer on
+    e1 = (1, 0)^T, without listing its elements (`subgroup_order`),
   * level data: the closure of G(a/b) has level a^2 and index a*|SL(2,Z_a)|,
     with quotient mod a^2 isomorphic to C_a x C_a,
   * conjugation by x = [[-1,1],[0,1]], which gives B(am)^x, one of the
@@ -11,7 +13,8 @@ closure of a Moebius group G(a/b) inside SL(2, Z[1/b]):
   * the level-a^2 membership test.
 
 All group computations here are exact and finite; closures are materialized
-in full and overflow loudly past an element cap.
+in full and overflow loudly past an element cap.  Surjectivity mod p needs
+only the order, O(p^2) work where the closure is O(p^3).
 """
 
 from __future__ import annotations
@@ -214,20 +217,81 @@ def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
         frontier = nxt
     abelian = all(g * h == h * g for i, g in enumerate(gens)
                   for h in gens[i + 1:])
-    assert sl2_order(n) % len(seen) == 0, "closure violates Lagrange"
+    if sl2_order(n) % len(seen):
+        raise RuntimeError(f"closure of order {len(seen)} mod {n} "
+                           "violates Lagrange")
     return SubgroupImage(modulus=n, order=len(seen),
                          elements=frozenset(seen),
                          is_abelian=abelian, generators=tuple(gens))
 
 
+def subgroup_order(gens: Sequence[ResidueMatrix], n: int) -> int:
+    """Exact order of the subgroup of SL(2, Z_n) generated by `gens`.
+
+    Orbit-stabilizer on e1 = (1, 0)^T: a breadth-first search over the
+    orbit keeps one transversal matrix T_v with T_v e1 = v per orbit
+    vector.  By Schreier's lemma the stabilizer of e1 is generated by
+    U^-1 g T_v, U = T_{gv}, over the edges that leave the tree; each lies
+    in {[[1, x], [0, 1]]}, the stabilizer of e1 in SL(2, Z_n), cyclic of
+    order n.  So the order is |orbit| * n / gcd(n, all x).  Every new
+    transversal matrix is checked to have determinant 1 mod n.
+    """
+    one = 1 % n
+    for g in gens:
+        if g.n != n:
+            raise ValueError("generator modulus mismatch")
+        if (g.a * g.d - g.b * g.c) % n != one:
+            raise ValueError(f"determinant is not 1 mod {n}")
+    steps = [(g.a, g.b, g.c, g.d) for g in gens]
+    # transversal keyed by v = (x, y) as x*n + y
+    trans = {one * n: (one, 0, 0, one)}
+    frontier = [(one, 0, 0, one)]
+    stab = n
+    while frontier:
+        nxt = []
+        for ta, tb, tc, td in frontier:
+            for ga, gb, gc, gd in steps:
+                pa = (ga * ta + gb * tc) % n
+                pb = (ga * tb + gb * td) % n
+                pc = (gc * ta + gd * tc) % n
+                pd = (gc * tb + gd * td) % n
+                key = pa * n + pc
+                u = trans.get(key)
+                if u is None:
+                    if (pa * pd - pb * pc) % n != one:
+                        raise ValueError(f"determinant is not 1 mod {n}")
+                    trans[key] = (pa, pb, pc, pd)
+                    nxt.append((pa, pb, pc, pd))
+                    continue
+                # Schreier generator U^-1 (g T), U^-1 = [[ud, -ub], [-uc, ua]]
+                ua, ub, uc, ud = u
+                if ((ud * pa - ub * pc) % n != one
+                        or (ua * pc - uc * pa) % n
+                        or (ua * pd - uc * pb) % n != one):
+                    raise RuntimeError(
+                        f"Schreier generator mod {n} does not fix e1 "
+                        "as [[1, x], [0, 1]]")
+                stab = gcd(stab, ud * pb - ub * pd)
+        frontier = nxt
+    order = len(trans) * (n // stab)
+    if sl2_order(n) % order:
+        raise RuntimeError(f"subgroup of order {order} mod {n} "
+                           "violates Lagrange")
+    return order
+
+
+def _generator_images(a: int, b: int, n: int) -> list[ResidueMatrix]:
+    return [reduce_mod(m, n) for m in make_moebius_generators(a, b)]
+
+
 def generator_image_closure(a: int, b: int, n: int) -> SubgroupImage:
     """Closure of {A(a/b) mod n, B(a/b) mod n} in SL(2, Z_n)."""
-    ma, mb = make_moebius_generators(a, b)
-    return subgroup_closure([reduce_mod(ma, n), reduce_mod(mb, n)], n)
+    return subgroup_closure(_generator_images(a, b, n), n)
 
 
 def surjects_mod_p(a: int, b: int, p: int) -> bool:
-    """True iff the generator images fill all of SL(2, Z_p).
+    """True iff the generator images fill all of SL(2, Z_p): their
+    `subgroup_order` equals |SL(2, Z_p)|.
 
     Holds exactly when p does not divide a (for p coprime to b); p | b is
     rejected because reduction mod p is undefined there.
@@ -236,7 +300,7 @@ def surjects_mod_p(a: int, b: int, p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if b % p == 0:
         raise ValueError(f"prime {p} divides the base {b}")
-    return generator_image_closure(a, b, p).order == sl2_order(p)
+    return subgroup_order(_generator_images(a, b, p), p) == sl2_order(p)
 
 
 @dataclass(frozen=True)
@@ -248,8 +312,9 @@ class LevelData:
     expected_index: int
 
     def __post_init__(self):
-        assert self.level == self.a * self.a
-        assert self.expected_index == self.a * sl2_order(self.a)
+        if (self.level != self.a * self.a
+                or self.expected_index != self.a * sl2_order(self.a)):
+            raise ValueError(f"inconsistent level data for a={self.a}")
 
 
 def level_data(a: int, b: int) -> LevelData:

@@ -726,20 +726,18 @@ class _SyllableBall:
         return UniModularMatrix(*(Fraction(x, self.den) for x in self.nums[i]))
 
 
-def _conjugated(sym: str, k: int, syllables: list) -> list:
-    """The syllables of sym^k w sym^-k, freely reduced, for the reduced
-    word w with these syllables."""
-    out = list(syllables)
-    if out and out[0][0] == sym:
-        out[0] = (sym, out[0][1] + k)
-    else:
-        out.insert(0, (sym, k))
-    if out[-1][0] == sym:
-        out[-1] = (sym, out[-1][1] - k)
-    else:
-        out.append((sym, -k))
-    # a zero exponent can only be left at an end, next to the other symbol
-    return [syl for syl in out if syl[1]]
+def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
+    """(lead, core, trail) with w = sym^lead core sym^trail for the reduced
+    word w with these syllables; core is empty or begins and ends with the
+    other symbol.  For k != 0 and u != v, sym^k u sym^-k reduces to v exactly
+    when the cores agree, lead_v = lead_u + k and trail_v = trail_u - k."""
+    lo, hi = 0, len(syllables)
+    lead = trail = 0
+    if hi and syllables[0][0] == sym:
+        lead, lo = syllables[0][1], 1
+    if hi > lo and syllables[-1][0] == sym:
+        trail, hi = syllables[-1][1], hi - 1
+    return lead, tuple(syllables[lo:hi]), trail
 
 
 def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
@@ -792,8 +790,8 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
             classes: dict = {}
             for i in items:
                 classes.setdefault(split[i][1], []).append(i)
-            # spellings, each built once per bucket
-            spell: dict[int, list] = {}
+            # spellings split at sym, each built once per bucket
+            parts: dict[int, tuple] = {}
             for u in items:
                 q_u, rem_u = split[u]
                 same = classes[rem_u]
@@ -808,10 +806,13 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                     if 2 * abs(k) + weights[u] + weights[v] > bound:
                         continue
                     for i in (u, v):
-                        if i not in spell:
-                            spell[i] = ball.syllables_of(i)
+                        if i not in parts:
+                            parts[i] = _split_at(sym, ball.syllables_of(i))
                     # v spelled as sym^k u sym^-k gives the empty relator
-                    if _conjugated(sym, k, spell[u]) == spell[v]:
+                    lead_u, core_u, trail_u = parts[u]
+                    lead_v, core_v, trail_v = parts[v]
+                    if (lead_v - lead_u == k == trail_u - trail_v
+                            and core_u == core_v):
                         continue
                     if u_mat is None:
                         u_mat = ball.matrix(u)

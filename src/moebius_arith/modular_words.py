@@ -75,6 +75,7 @@ def decompose_st(m: UniModularMatrix) -> GroupWord:
 
     # m = E_1^-1 E_2^-1 ... E_k^-1
     w = word((sym, -exp) for sym, exp in ops)
-    assert evaluate_word(w, ST_ASSIGNMENT) == m, "decompose_st round trip failed"
+    if evaluate_word(w, ST_ASSIGNMENT) != m:
+        raise RuntimeError("decompose_st round trip failed")
     return w
 

@@ -14,6 +14,13 @@ Gamma_0(p) and w' rewrites the same integer matrix over {s, t}.
 
 Every relator evaluates to the identity under the matrix assignment; that
 soundness invariant is checked at construction time.
+
+For prime-power b this presents SL(2, Z[1/b]).  When b has two or more
+distinct primes the relators are still sound, but gluing every amalgam onto
+the same {s, t} copy presents the pushout SL(2,Z[1/p]) *_{SL(2,Z)}
+SL(2,Z[1/q]) (over all primes of b), which only surjects onto
+SL(2, Z[1/b]): diag(2,1/2) and diag(3,1/3) commute as matrices but not in
+the pushout.
 """
 
 from __future__ import annotations
@@ -119,7 +126,8 @@ def _schreier_pairs(p: int) -> list[tuple[GroupWord, UniModularMatrix]]:
             if img not in transversal:
                 transversal[img] = rep * word([syl])
                 queue.append(img)
-    assert len(transversal) == p + 1, "projective orbit must have p+1 points"
+    if len(transversal) != p + 1:
+        raise RuntimeError("projective orbit must have p+1 points")
 
     pairs: list[tuple[GroupWord, UniModularMatrix]] = []
     seen_values: set = set()
@@ -141,7 +149,8 @@ def _schreier_pairs(p: int) -> list[tuple[GroupWord, UniModularMatrix]]:
                     f"Schreier generator {gen} leaves Gamma_0({p})")
             seen_values.add(value)
             pairs.append((gen, value))
-    assert len(pairs) <= p + 2, "more than p+2 nontrivial Schreier generators"
+    if len(pairs) > p + 2:
+        raise RuntimeError("more than p+2 nontrivial Schreier generators")
     return pairs
 
 
@@ -154,7 +163,10 @@ def _power_braid_relators(g: str, h: str) -> list[GroupWord]:
 
 
 def build_presentation(b: int) -> Presentation:
-    """Presentation of SL(2, Z[1/b]); depends on b only through its primes."""
+    """Presentation of SL(2, Z[1/b]) for prime-power b; depends on b only
+    through its primes.  With two or more distinct primes the relators are
+    sound but present the pushout SL(2,Z[1/p]) *_{SL(2,Z)} SL(2,Z[1/q]),
+    which only surjects onto SL(2, Z[1/b]) (see the module docstring)."""
     if b <= 1:
         raise ValueError(f"base must exceed 1, got {b}")
     primes = prime_factors(b)

@@ -8,6 +8,7 @@ from moebius_arith.cli import (
     EXIT_OK,
     EXIT_USAGE,
     INDEX_NOT_REPROVED,
+    PUSHOUT_NOTE,
     run,
 )
 from moebius_arith.exact import evaluate_word, make_moebius_generators, parse_word
@@ -33,6 +34,15 @@ class TestPresent:
         path = tmp_path / "p5.txt"
         assert run(["present", "5", "--out", str(path)]) == EXIT_OK
         assert path.read_text().startswith("gen: s t x5 y5")
+
+    def test_multi_prime_note_on_stderr_only(self, capsys):
+        assert run(["present", "5"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert run(["present", "6"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == PUSHOUT_NOTE + "\n"
+        assert captured.out.startswith("gen: s t x2 y2 x3 y3")
+        assert PUSHOUT_NOTE not in captured.out
 
     def test_bad_base(self, capsys):
         assert run(["present", "1"]) == EXIT_ERROR

@@ -1,6 +1,7 @@
 """Congruence images, closures, level data, membership."""
 
 import random
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from moebius_arith.congruence import (
     reduce_mod,
     sl2_order,
     subgroup_closure,
+    subgroup_order,
     surjects_mod_p,
 )
 from moebius_arith.exact import (
@@ -207,6 +209,56 @@ class TestClosureParity:
         assert img.order == 336 and not img.is_abelian
 
 
+def order_grid():
+    """(a, b, n): primes n <= 13, n = r^2 for r <= 7 and the composites
+    12, 20, 25, with numerators that n divides or shares a prime with.
+    The full SL(2, Z_n) for n = 36, 49 (10^5 elements) is left out."""
+    moduli = [(n, range(1, 14)) for n in (2, 3, 5, 7, 11, 13)]
+    moduli += [(r * r, (r, 2 * r, r * r) + ((1,) if r <= 5 else ()))
+               for r in range(2, 8)]
+    moduli += [(n, (1, 2, 3, 5, 6, 10)) for n in (12, 20, 25)]
+    for n, numerators in moduli:
+        for a in numerators:
+            yield a, next(b for b in range(2, 20) if gcd(b, a * n) == 1), n
+
+
+class TestSubgroupOrder:
+    def test_matches_closure_order(self):
+        for a, b, n in order_grid():
+            gens = [reduce_mod(m, n) for m in make_moebius_generators(a, b)]
+            assert subgroup_order(gens, n) == \
+                subgroup_closure(gens, n).order, (a, b, n)
+
+    def test_random_generators_match_closure(self):
+        rng = random.Random(900)
+        for n in (4, 6, 8, 9, 10, 12, 15):
+            g = random_residue(rng, n)
+            for gens in ([], [g], [g, g * g],
+                         [random_residue(rng, n), random_residue(rng, n)]):
+                assert subgroup_order(gens, n) == \
+                    subgroup_closure(gens, n).order
+
+    @pytest.mark.parametrize("bad", [
+        SimpleNamespace(n=5, a=2, b=0, c=0, d=1),   # moves e1
+        SimpleNamespace(n=5, a=1, b=0, c=0, d=2),   # fixes e1
+    ])
+    def test_rejects_determinant_two(self, bad):
+        with pytest.raises(ValueError, match="determinant"):
+            subgroup_order([ResidueMatrix.identity(5), bad], 5)
+
+    def test_rejects_modulus_mismatch(self):
+        with pytest.raises(ValueError, match="modulus"):
+            subgroup_order([ResidueMatrix.identity(7)], 5)
+
+    def test_surjects_without_a_closure(self, monkeypatch):
+        import moebius_arith.congruence as congruence
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closure built")
+        monkeypatch.setattr(congruence, "subgroup_closure", refuse)
+        assert surjects_mod_p(5, 3, 11) is True
+
+
 class TestSurjectsModP:
     def test_divides_numerator(self):
         assert surjects_mod_p(3, 2, 3) is False
@@ -229,6 +281,17 @@ class TestSurjectsModP:
                 if p == 3 and a % 3 == 0:
                     continue
                 assert surjects_mod_p(a, 11, p) == (a % p != 0)
+
+    def test_law_grid(self):
+        primes = [p for p in range(2, 32)
+                  if all(p % d for d in range(2, p))]
+        for b in (2, 3, 5, 7):
+            for a in range(1, 14):
+                if gcd(a, b) != 1:
+                    continue
+                for p in primes:
+                    if b % p:
+                        assert surjects_mod_p(a, b, p) == (a % p != 0)
 
 
 class TestLevelData:

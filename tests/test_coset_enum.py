@@ -408,19 +408,26 @@ class TestFindRelator:
         return pres, wa, wb, out.table
 
     def test_conjugated_syllables_match_word_product(self):
-        # the relator search skips v == A^k u A^-k by comparing syllables;
-        # they must agree with the reduced word product
-        from moebius_arith.coset_enum import _conjugated
-        words = [(("A", 2),), (("B", -1),), (("A", -3), ("B", 1)),
+        # the relator search skips v == A^k u A^-k by comparing the words
+        # split at A; that must agree with the reduced word product
+        from moebius_arith.coset_enum import _split_at
+        words = [(), (("A", 2),), (("B", -1),), (("A", -3), ("B", 1)),
                  (("B", 2), ("A", 1), ("B", -2)),
-                 (("A", 1), ("B", 4), ("A", -2))]
-        for syllables in words:
+                 (("A", 1), ("B", 4), ("A", -2)),
+                 # off by the core, then by the trailing exponent
+                 (("A", 2), ("B", 1), ("A", -3)),
+                 (("A", 2), ("B", 4), ("A", -2))]
+        for u in words:
             for sym in ("A", "B"):
+                lead_u, core_u, trail_u = _split_at(sym, u)
                 for k in (-3, -2, -1, 1, 2, 3):
-                    conj = (GroupWord(((sym, k),)) * GroupWord(syllables)
-                            * GroupWord(((sym, -k),)))
-                    assert _conjugated(sym, k, list(syllables)) == \
-                        list(conj.syllables)
+                    conj = (GroupWord(((sym, k),)) * GroupWord(u)
+                            * GroupWord(((sym, -k),))).syllables
+                    for v in {*words, conj} - {u}:
+                        lead_v, core_v, trail_v = _split_at(sym, v)
+                        literal = (lead_v - lead_u == k == trail_u - trail_v
+                                   and core_u == core_v)
+                        assert literal == (v == conj)
 
     def test_trivial_bound_finds_nothing(self):
         pres, wa, wb, table = self._setup(1, 2)
