@@ -1,10 +1,11 @@
 """Compiled coset enumeration: loader and wrapper for the C kernel in `_tc.c`.
 
-`_tc.c` ports `coset_enum._Engine` step for step, HLT and Felsch alike, so
-a run yields a byte-identical table and the same definition count, peak
-and overflow reason.  The pure engine stays the specification and the
-fallback; `todd_coxeter` verifies every kernel table exactly as it
-verifies its own.
+`_tc.c` ports the unlabelled `coset_enum._Engine` step for step, HLT and
+Felsch alike, so a run yields a byte-identical table and the same
+definition count, peak and overflow reason.  The engine's labelled mode,
+which `find_relator` uses, stays pure Python.  The pure engine stays the
+specification and the fallback; `todd_coxeter` verifies every kernel table
+exactly as it verifies its own.
 
 The kernel is compiled on the first enumeration, not at import, with the
 system C compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The

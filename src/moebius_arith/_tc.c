@@ -1,4 +1,5 @@
-/* Coset enumeration in C: a port of coset_enum._Engine, HLT and Felsch.
+/* Coset enumeration in C: a port of coset_enum._Engine, HLT and Felsch,
+   without the engine's labelled mode (labels stay pure Python).
 
    Every function below mirrors the method of the same name in the pure
    engine, step for step: the same seeding, definition order, coincidence

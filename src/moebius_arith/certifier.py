@@ -204,19 +204,21 @@ def a_generator_word(a: int, b: int) -> GroupWord:
 def express_generators(spec: MoebiusSpec, pres: Presentation) \
         -> tuple[GroupWord, GroupWord]:
     """Words over pres generators evaluating exactly to A(a/b) and B(a/b):
-    the closed form above and its conjugate by s, verified by evaluation."""
+    the closed form above and its conjugate by s, verified by evaluation;
+    a mismatch is a bug and raises RuntimeError."""
     wa = a_generator_word(spec.a, spec.b)
     s_word = word([("s", 1)])
     wb = s_word * wa.inv() * s_word.inv()
     for wrd, expect in zip((wa, wb), spec.matrices()):
         if evaluate_word(wrd, pres.assignment) != expect:
-            raise AssertionError("generator word mismatch")
+            raise RuntimeError("generator word mismatch")
     return wa, wb
 
 
 def gamma_level_words(spec: MoebiusSpec, pres: Presentation) \
         -> list[tuple[str, GroupWord]]:
-    """Words for A(am), B(am), B(am)^x, m = a/b, verified by evaluation.
+    """Words for A(am), B(am), B(am)^x, m = a/b, verified by evaluation;
+    a mismatch is a bug and raises RuntimeError.
 
     The three matrices lie in the level-a^2 principal congruence subgroup;
     that they generate it is not claimed."""
@@ -235,7 +237,7 @@ def gamma_level_words(spec: MoebiusSpec, pres: Presentation) \
     expect_bx = conjugate_by_x(expect_b2)
     for wrd, expect in ((wa2, expect_a2), (wb2, expect_b2), (wbx, expect_bx)):
         if evaluate_word(wrd, pres.assignment) != expect:
-            raise AssertionError("congruence generator word mismatch")
+            raise RuntimeError("congruence generator word mismatch")
     return [("A(am)", wa2), ("B(am)", wb2), ("B(am)^x", wbx)]
 
 
@@ -290,18 +292,10 @@ def certify_with_table(spec: MoebiusSpec,
 
     checks: list[tuple[str, bool]] = [("index_formula", True)]
 
-    if a > 1:
-        img = generator_image_closure(a, b, a * a)
-        ok = (img.order == a * a and img.is_abelian and img.exponent == a)
-    else:
-        ok = True
-    checks.append(("closure_mod_level_is_CaxCa", ok))
+    checks.append(("closure_mod_level_is_CaxCa", _closure_is_CaxCa(a, b)))
 
-    try:
-        words3 = gamma_level_words(spec, pres)
-        ok = all(word_stabilizes_one(table, w) for _, w in words3)
-    except AssertionError:
-        ok = False
+    ok = all(word_stabilizes_one(table, w)
+             for _, w in gamma_level_words(spec, pres))
     checks.append(("level_subgroup_words_stabilize", ok))
 
     ok = all(surjects_mod_p(a, b, q)
@@ -326,6 +320,14 @@ def certify_with_table(spec: MoebiusSpec,
         checks=tuple(checks), resources=resources, witness=witness_s,
         reason=None if status == "Arithmetic" else "cross-check failed")
     return cert, table
+
+
+def _closure_is_CaxCa(a: int, b: int) -> bool:
+    """Check 2: the generator images mod a^2 close to C_a x C_a."""
+    if a == 1:
+        return True
+    img = generator_image_closure(a, b, a * a)
+    return img.order == a * a and img.is_abelian and img.exponent == a
 
 
 def _resources(t0, limits, outcome=None) -> dict:
@@ -467,10 +469,8 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
             problems.append("word for B does not evaluate to B(a/b)")
     except Exception as exc:
         problems.append(f"word evaluation failed: {exc}")
-    if a > 1:
-        img = generator_image_closure(a, b, a * a)
-        if not (img.order == a * a and img.is_abelian and img.exponent == a):
-            problems.append("closure mod a^2 is not C_a x C_a")
+    if not _closure_is_CaxCa(a, b):
+        problems.append("closure mod a^2 is not C_a x C_a")
     if cert.witness is not None:
         try:
             wit = parse_word(cert.witness)

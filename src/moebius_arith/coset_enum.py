@@ -26,9 +26,16 @@ which gives the same table bytes and counters; otherwise `_Engine` runs.
 Either way the table goes through the same verification pass, and the
 outcome names the engine that ran.
 
+`_Engine` also has a labelled mode, the modified Todd-Coxeter of Holt, Eick
+& O'Brien (Handbook of Computational Group Theory, ch. 5): every table
+entry carries a word in symbols for the subgroup words.  The labels are
+lazy word DAGs, written only at definitions, deductions, coincidences and
+compactions, so they never steer the walk and the table is the unlabelled
+one.  Labelled mode is pure Python; the kernel ports the unlabelled engine.
+
 `find_relator` recovers a nonempty relator in the subgroup generators by
-short-word search, falling back to an augmented (word-labelled)
-re-enumeration that rewrites relator traces into subgroup words.  The
+short-word search, falling back to a labelled run whose relator traces,
+read off the closed table, are words in the subgroup generators.  The
 search's ball of short words is integer arithmetic over one fixed
 denominator, with each product's determinant checked; its candidates are
 verified lightest first by exact evaluation.
@@ -61,7 +68,7 @@ _SYLLABLE_DEPTH = 3
 _BALL_CAP = 400_000
 # candidate pairs the conjugation-collision search examines per generator
 _PAIR_CAP = 6_000_000
-# largest index at which the augmented re-enumeration is tried
+# largest index at which the labelled run is tried
 _AUGMENTED_MAX_INDEX = 50_000
 
 
@@ -92,14 +99,11 @@ class CosetTable:
         self.n = n
         self.col_of = {g: 2 * i for i, g in enumerate(self.generators)}
 
-    def _letters(self, w: GroupWord) -> list[int]:
-        return word_to_letters(w, self.col_of)
-
     def trace(self, start: int, w: GroupWord) -> int:
         cur = start
         width = self.width
         tab = self._tab
-        for letter in self._letters(w):
+        for letter in word_to_letters(w, self.col_of):
             cur = tab[cur * width + letter]
         return cur
 
@@ -150,13 +154,92 @@ class _TimeLimit(Exception):
     pass
 
 
+# -- labels: lazy words in the subgroup symbols --------------------------------
+#
+# Labels are lazy word DAGs: concatenation and inversion are O(1) node
+# allocations, and a label is freely reduced only when it is finally read
+# off the completed table.  Eager tuples would be copied on every
+# coincidence and turn the merge cascade quadratic.
+
+def _wmul(u, v):
+    if u is None:
+        return v
+    if v is None:
+        return u
+    return ("cat", u, v)
+
+
+def _winv(u):
+    if u is None:
+        return None
+    if u[0] == "inv":
+        return u[1]
+    return ("inv", u)
+
+
+def _wmaterialize(node, memo: dict) -> tuple:
+    """Reduced syllable tuple for a lazy word node (iterative, memoized).
+
+    Memo values keep a reference to their node: entries are keyed by id()
+    and a collected node would let its id be reused by a fresh one.
+    """
+    if node is None:
+        return ()
+    stack = [node]
+    while stack:
+        cur = stack[-1]
+        if id(cur) in memo:
+            stack.pop()
+        elif cur[0] == "syl":
+            memo[id(cur)] = (cur, (cur[1:],))
+        else:
+            # "inv" and "cat" nodes never hold None
+            missing = [n for n in cur[1:] if id(n) not in memo]
+            if missing:
+                stack.extend(missing)
+            elif cur[0] == "inv":
+                red = memo[id(cur[1])][1]
+                memo[id(cur)] = (cur, tuple((s, -e) for s, e in reversed(red)))
+            else:
+                merged = list(memo[id(cur[1])][1])
+                _extend_reduced(merged, memo[id(cur[2])][1])
+                memo[id(cur)] = (cur, tuple(merged))
+    return memo[id(node)][1]
+
+
+def _extend_reduced(acc: list, red: tuple) -> None:
+    """Append the reduced syllables `red` to the reduced list `acc`,
+    cancelling across the seam."""
+    ri = 0
+    while acc and ri < len(red) and acc[-1][0] == red[ri][0]:
+        e = acc[-1][1] + red[ri][1]
+        ri += 1
+        if e == 0:
+            acc.pop()
+        else:
+            acc[-1] = (acc[-1][0], e)
+            break
+    acc.extend(red[ri:])
+
+
 class _Engine:
-    """One enumeration owns its engine exclusively; nothing here is shared."""
+    """One enumeration owns its engine exclusively; nothing here is shared.
+
+    Given `symbols`, one per subgroup word, the engine runs labelled.  With
+    tau(k) the representative of coset k, an entry alpha^x = beta carries
+    a word u in the symbols with tau(alpha) x = u tau(beta), and a coset a
+    word v with tau(k) = v tau(parent) for its union-find parent; None is
+    the empty word.  A subgroup word scans at coset 0 against its own
+    symbol.  Labels are written only at definitions, deductions,
+    coincidences, path compressions and compactions, never in the walking
+    loops, and nothing reads them there, so the table is the unlabelled one.
+    """
 
     def __init__(self, width: int, relators: Sequence[tuple[int, ...]],
                  subgroup: Sequence[tuple[int, ...]], limits: EnumerationLimits,
                  progress: Optional[Callable[[int, int], None]] = None,
-                 progress_every: int = 100_000):
+                 progress_every: int = 100_000,
+                 symbols: Optional[Sequence[str]] = None):
         self.w = width
         self.relators = [r for r in relators if r]
         self.subgroup = list(subgroup)
@@ -177,6 +260,13 @@ class _Engine:
         self._step = self._felsch_step if felsch else self._hlt_step
         self.deductions: Optional[list] = [] if felsch else None
         self.buckets = _rotation_buckets(self.relators, width) if felsch else None
+        # labelled mode: entry labels parallel to tab, coset labels
+        # parallel to p
+        labelled = symbols is not None
+        self.labels: Optional[list] = [None] * width if labelled else None
+        self.coset_labels: Optional[list] = [None] if labelled else None
+        self.subgroup_labels = ([("syl", sym, 1) for sym in symbols]
+                                if labelled else [None] * len(self.subgroup))
 
     # -- primitive operations ---------------------------------------------
 
@@ -186,24 +276,47 @@ class _Engine:
         while p[r] != r:
             r = p[r]
         while p[k] != r:
+            if self.coset_labels is not None:
+                self._compress_labelled(k, r)
+                break
             p[k], k = r, p[k]
         return r
 
-    def _merge(self, a: int, b: int, queue: list) -> None:
+    def _compress_labelled(self, k: int, r: int) -> None:
+        """Path compression from k to its root r, composing the coset
+        labels from the root down."""
+        p = self.p
+        lab = self.coset_labels
+        chain = []
+        while p[k] != r:
+            chain.append(k)
+            k = p[k]
+        for node in reversed(chain):
+            lab[node] = _wmul(lab[node], lab[p[node]])
+            p[node] = r
+
+    def _merge(self, a: int, b: int, queue: list, wrd=None) -> None:
+        # labelled: wrd is the word with tau(a) = wrd tau(b)
         ra = self._rep(a)
         rb = self._rep(b)
         if ra != rb:
+            lab = self.coset_labels
             if rb < ra:
+                if lab is not None:
+                    lab[ra] = _wmul(_wmul(_winv(lab[a]), wrd), lab[b])
                 ra, rb = rb, ra
+            elif lab is not None:
+                lab[rb] = _wmul(_wmul(_winv(lab[b]), _winv(wrd)), lab[a])
             self.p[rb] = ra
             self.live -= 1
             queue.append(rb)
 
-    def _coincide(self, a: int, b: int) -> None:
+    def _coincide(self, a: int, b: int, wrd=None) -> None:
         tab = self.tab
         w = self.w
+        labels = self.labels
         queue: list[int] = []
-        self._merge(a, b, queue)
+        self._merge(a, b, queue, wrd)
         qi = 0
         while qi < len(queue):
             gamma = queue[qi]
@@ -216,16 +329,34 @@ class _Engine:
                 tab[delta * w + (x ^ 1)] = UNDEF
                 mu = self._rep(gamma)
                 nu = self._rep(delta)
+                # labelled: the edge moves to tau(mu) x = g^-1 e d tau(nu)
+                # with g, e, d the labels of gamma, of the edge, of delta
                 tmu = tab[mu * w + x]
                 if tmu != UNDEF:
-                    self._merge(nu, tmu, queue)
+                    if labels is not None:
+                        lab = self.coset_labels
+                        wrd = _wmul(_wmul(_winv(lab[delta]),
+                                          _winv(labels[row + x])),
+                                    _wmul(lab[gamma], labels[mu * w + x]))
+                    self._merge(nu, tmu, queue, wrd)
                 else:
                     tnu = tab[nu * w + (x ^ 1)]
                     if tnu != UNDEF:
-                        self._merge(mu, tnu, queue)
+                        if labels is not None:
+                            lab = self.coset_labels
+                            wrd = _wmul(_wmul(_winv(lab[gamma]), labels[row + x]),
+                                        _wmul(lab[delta],
+                                              labels[nu * w + (x ^ 1)]))
+                        self._merge(mu, tnu, queue, wrd)
                     else:
                         tab[mu * w + x] = nu
                         tab[nu * w + (x ^ 1)] = mu
+                        if labels is not None:
+                            lab = self.coset_labels
+                            wrd = _wmul(_wmul(_winv(lab[gamma]), labels[row + x]),
+                                        lab[delta])
+                            labels[mu * w + x] = wrd
+                            labels[nu * w + (x ^ 1)] = _winv(wrd)
                         if self.deductions is not None:
                             self.deductions.append((mu, x))
 
@@ -241,6 +372,10 @@ class _Engine:
         self.p.append(beta)
         self.tab[alpha * self.w + x] = beta
         self.tab[beta * self.w + (x ^ 1)] = alpha
+        if self.labels is not None:
+            self.labels.extend([None] * self.w)
+            self.labels[alpha * self.w + x] = None
+            self.coset_labels.append(None)
         self.live += 1
         self.defined_total += 1
         if self.live > self.peak:
@@ -250,7 +385,9 @@ class _Engine:
         if self.progress and self.defined_total % self.progress_every == 0:
             self.progress(self.defined_total, self.live)
 
-    def _scan(self, alpha: int, letters: tuple[int, ...], fill: bool) -> None:
+    def _scan(self, alpha: int, letters: tuple[int, ...], fill: bool,
+              label=None) -> None:
+        # `label` is the subgroup symbol a subgroup word scans against
         tab = self.tab
         w = self.w
         f = alpha
@@ -265,9 +402,9 @@ class _Engine:
                 f = nxt
                 i += 1
             if i > j:
-                if f != b:
-                    self._coincide(f, b)
-                return
+                if f == b:
+                    return
+                break
             while j >= i:
                 nxt = tab[b * w + (letters[j] ^ 1)]
                 if nxt == UNDEF:
@@ -275,17 +412,45 @@ class _Engine:
                 b = nxt
                 j -= 1
             if j < i:
-                self._coincide(f, b)
-                return
+                break
             if j == i:
-                tab[f * w + letters[i]] = b
-                tab[b * w + (letters[i] ^ 1)] = f
+                x = letters[i]
+                tab[f * w + x] = b
+                tab[b * w + (x ^ 1)] = f
+                if self.labels is not None:
+                    wrd = self._scan_label(alpha, letters, i, j, label)
+                    self.labels[f * w + x] = wrd
+                    self.labels[b * w + (x ^ 1)] = _winv(wrd)
                 if self.deductions is not None:
-                    self.deductions.append((f, letters[i]))
+                    self.deductions.append((f, x))
                 return
             if not fill:
                 return
             self._define(f, letters[i])
+        # the walks end at different cosets
+        self._coincide(f, b, None if self.labels is None
+                       else self._scan_label(alpha, letters, i, j, label))
+
+    def _scan_label(self, alpha: int, letters: tuple[int, ...], i: int,
+                    j: int, label):
+        """f_p^-1 b_p for a scan from alpha that ended with letters[:i]
+        walked forward (f_p the labels passed) and letters[j+1:] walked
+        backward (b_p, starting from `label`).  The scan's walk only read
+        the table, so this walk passes the same entries."""
+        tab = self.tab
+        labels = self.labels
+        w = self.w
+        f = alpha
+        f_p = None
+        for x in letters[:i]:
+            f_p = _wmul(f_p, labels[f * w + x])
+            f = tab[f * w + x]
+        b = alpha
+        b_p = label
+        for x in reversed(letters[j + 1:]):
+            b_p = _wmul(b_p, labels[b * w + (x ^ 1)])
+            b = tab[b * w + (x ^ 1)]
+        return _wmul(_winv(f_p), b_p)
 
     # -- table maintenance ---------------------------------------------------
 
@@ -329,6 +494,12 @@ class _Engine:
                 new_tab[pos] = UNDEF if e == UNDEF else newid[e]
                 pos += 1
         self.tab = new_tab
+        if self.labels is not None:
+            # every live coset is now a root, so its coset label is empty
+            old_labels = self.labels
+            self.labels = [old_labels[old * w + x] for old in range(old_n)
+                           if p[old] == old for x in range(w)]
+            self.coset_labels = [None] * nid
         self.p = array("i", range(nid))
         self.live = nid
         if self.deductions:
@@ -350,8 +521,8 @@ class _Engine:
         filling.  Returns True when no merge happened and no entry is
         undefined, i.e. the table is complete and closed."""
         live_before = self.live
-        for sub in self.subgroup:
-            self._scan(0, sub, False)
+        for sub, label in zip(self.subgroup, self.subgroup_labels):
+            self._scan(0, sub, False, label)
         self._lookahead()
         if self.live != live_before:
             return False
@@ -379,8 +550,8 @@ class _Engine:
         while True:
             try:
                 if not seeded:
-                    for sub in self.subgroup:
-                        self._scan(0, sub, True)
+                    for sub, label in zip(self.subgroup, self.subgroup_labels):
+                        self._scan(0, sub, True, label)
                     self._drain_deductions()
                     seeded = True
                 while alpha < len(self.p):
@@ -494,12 +665,7 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
         limits = EnumerationLimits()
     if progress is not None and progress_every < 1:
         raise ValueError("progress_every must be >= 1")
-    col_of = {g: 2 * i for i, g in enumerate(pres.generators)}
-    relators = [_cyclic_reduce_letters(word_to_letters(r, col_of))
-                for r in pres.relators]
-    subgroup = [tuple(word_to_letters(g, col_of)) for g in subgroup_gens]
-    width = 2 * len(pres.generators)
-
+    width, relators, subgroup = _enumeration_letters(pres, subgroup_gens)
     run = None
     if limits.max_cosets <= _fast.MAX_COSETS:
         run = _fast.run(width, relators, subgroup, limits.strategy,
@@ -508,8 +674,9 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     engine = "c"
     if run is None:
         engine = "pure"
-        run = _run_pure(width, relators, subgroup, limits, progress,
-                        progress_every)
+        run = _run_pure(_Engine(width, relators, subgroup, limits,
+                                progress=progress,
+                                progress_every=progress_every))
     flat, n, peak, defined, reason = run
     if reason is not None:
         return EnumerationOutcome(completed=False, peak_cosets=peak,
@@ -522,12 +689,20 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
                               engine=engine)
 
 
-def _run_pure(width: int, relators, subgroup, limits: EnumerationLimits,
-              progress, progress_every: int):
-    """`_Engine` run, as (table, rows, peak, defined, reason) like
-    `_fast.run`."""
-    engine = _Engine(width, relators, subgroup, limits,
-                     progress=progress, progress_every=progress_every)
+def _enumeration_letters(pres: Presentation,
+                         subgroup_gens: Sequence[GroupWord]):
+    """(width, relators, subgroup) as column letters; the relators are
+    cyclically reduced."""
+    col_of = {g: 2 * i for i, g in enumerate(pres.generators)}
+    relators = [_cyclic_reduce_letters(word_to_letters(r, col_of))
+                for r in pres.relators]
+    subgroup = [tuple(word_to_letters(g, col_of)) for g in subgroup_gens]
+    return 2 * len(pres.generators), relators, subgroup
+
+
+def _run_pure(engine: _Engine):
+    """Run `engine` and compact its table; (table, rows, peak, defined,
+    reason) like `_fast.run`."""
     try:
         engine.run()
     except (_TableFull, _TimeLimit) as exc:
@@ -606,9 +781,9 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     the relator u v^-1) and conjugation collisions (translation powers fix
     a corner entry and the trace, so u, v agreeing there may satisfy
     g^k u g^-k = v with k solvable in closed form).  The latter is what
-    recovers the long witnesses whose exponents scale with the index.  An
-    augmented re-enumeration rewriting relator traces into subgroup words
-    is the fallback, tried only up to index _AUGMENTED_MAX_INDEX.  The
+    recovers the long witnesses whose exponents scale with the index.  A
+    labelled run, whose relator traces are words in A and B, is the
+    fallback, tried only up to index _AUGMENTED_MAX_INDEX.  The
     candidates are verified by evaluation lightest first (first found among
     equal weights), and the first that evaluates to the identity is
     returned.
@@ -619,14 +794,15 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     candidates = _collision_relator_search(mat_a, mat_b, m, bound)
     if not candidates and table.n <= _AUGMENTED_MAX_INDEX:
         # intermediate blowup scales with the presentation, not the index
-        candidates = _augmented_relator_search(
-            pres, [word_a, word_b],
+        candidates = _labelled_relator_search(
+            pres, [word_a, word_b], ("A", "B"),
             max_cosets=max(200_000, 64 * table.n))
     reduced = []
     for i, cand in enumerate(candidates):
-        cand = cand.cyclically_reduced().rotated_to("A")
-        if not cand.is_empty() and cand.weight <= bound:
-            reduced.append((cand.weight, i, cand))
+        cand = cand.cyclically_reduced()
+        weight = cand.weight
+        if 0 < weight <= bound:
+            reduced.append((weight, i, cand.rotated_to("A")))
     reduced.sort(key=lambda entry: entry[:2])
     asg = {"A": mat_a, "B": mat_b}
     for _, _, cand in reduced:
@@ -830,281 +1006,39 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
     return out
 
 
-# -- augmented enumeration (subgroup-word labels) ------------------------------
-#
-# Labels are lazy word DAGs: concatenation and inversion are O(1) node
-# allocations, and a label is freely reduced only when it is finally read
-# off the completed table.  Eager tuples would be copied on every
-# coincidence and turn the merge cascade quadratic.
-
-def _wmul(u, v):
-    if u is None:
-        return v
-    if v is None:
-        return u
-    return ("cat", u, v)
-
-
-def _winv(u):
-    if u is None:
-        return None
-    if u[0] == "inv":
-        return u[1]
-    return ("inv", u)
-
-
-def _wsyl(sym: str, exp: int):
-    return ("syl", sym, exp)
-
-
-def _wmaterialize(node, memo: dict) -> tuple:
-    """Reduced syllable tuple for a lazy word node (iterative, memoized).
-
-    Memo values keep a reference to their node: entries are keyed by id()
-    and a collected node would let its id be reused by a fresh one.
-    """
-    if node is None:
-        return ()
-    hit = memo.get(id(node))
-    if hit is not None:
-        return hit[1]
-    stack = [node]
-    while stack:
-        cur = stack[-1]
-        if cur is None or id(cur) in memo:
-            stack.pop()
-            continue
-        kind = cur[0]
-        if kind == "syl":
-            memo[id(cur)] = (cur, ((cur[1], cur[2]),))
-            stack.pop()
-        elif kind == "inv":
-            inner = cur[1]
-            if inner is not None and id(inner) not in memo:
-                stack.append(inner)
-                continue
-            red = memo[id(inner)][1] if inner is not None else ()
-            memo[id(cur)] = (cur, tuple((s, -e) for s, e in reversed(red)))
-            stack.pop()
-        else:  # cat
-            left, right = cur[1], cur[2]
-            missing = [n for n in (left, right)
-                       if n is not None and id(n) not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            lred = memo[id(left)][1] if left is not None else ()
-            rred = memo[id(right)][1] if right is not None else ()
-            merged = list(lred)
-            ri = 0
-            while merged and ri < len(rred) and merged[-1][0] == rred[ri][0]:
-                e = merged[-1][1] + rred[ri][1]
-                ri += 1
-                if e == 0:
-                    merged.pop()
-                else:
-                    merged[-1] = (merged[-1][0], e)
-                    break
-            memo[id(cur)] = (cur, tuple(merged) + rred[ri:])
-            stack.pop()
-    return memo[id(node)][1]
-
-
-class _AugmentedEngine:
-    """Todd-Coxeter with subgroup-word labels on every table entry.
-
-    Kept deliberately simple (lists, no compaction): it only runs at
-    moderate scale to extract subgroup relators, not to race the main
-    enumerator.  Labels are lazy nodes; see _wmaterialize.
-    """
-
-    def __init__(self, width: int, relators, subgroup, max_cosets: int):
-        self.w = width
-        self.relators = [r for r in relators if r]
-        self.subgroup = subgroup            # list of (letters, symbol)
-        self.max_cosets = max_cosets
-        self.tab: list[list[int]] = [[UNDEF] * width]
-        self.ptab: list[list] = [[None] * width]   # labels; None = identity
-        self.p: list[int] = [0]
-        self.p_p: dict[int, object] = {0: None}
-
-    def rep(self, k: int) -> int:
-        p, p_p = self.p, self.p_p
-        chain = []
-        r = k
-        while p[r] != r:
-            chain.append(r)
-            r = p[r]
-        for node in reversed(chain):
-            parent = p[node]
-            if parent != r:
-                p_p[node] = _wmul(p_p[node], p_p[parent])
-                p[node] = r
-        return r
-
-    def merge(self, k: int, lam: int, wrd, queue: list) -> None:
-        # relation: tau(k) = wrd * tau(lam) as subgroup elements
-        phi = self.rep(k)
-        psi = self.rep(lam)
-        if phi == psi:
-            return
-        mu, v = (phi, psi) if phi < psi else (psi, phi)
-        if v == phi:
-            self.p_p[phi] = _wmul(_wmul(_winv(self.p_p[k]), wrd), self.p_p[lam])
-        else:
-            self.p_p[psi] = _wmul(_wmul(_winv(self.p_p[lam]), _winv(wrd)),
-                                  self.p_p[k])
-        self.p[v] = mu
-        queue.append(v)
-
-    def coincide(self, a: int, b: int, wrd) -> None:
-        tab, ptab = self.tab, self.ptab
-        queue: list[int] = []
-        self.merge(a, b, wrd, queue)
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            for x in range(self.w):
-                delta = tab[gamma][x]
-                if delta == UNDEF:
-                    continue
-                tab[delta][x ^ 1] = UNDEF
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if tab[mu][x] != UNDEF:
-                    v = _wmul(_wmul(_winv(self.p_p[delta]),
-                                    _winv(ptab[gamma][x])),
-                              _wmul(self.p_p[gamma], ptab[mu][x]))
-                    self.merge(nu, tab[mu][x], v, queue)
-                elif tab[nu][x ^ 1] != UNDEF:
-                    v = _wmul(_wmul(_winv(self.p_p[gamma]), ptab[gamma][x]),
-                              _wmul(self.p_p[delta], ptab[nu][x ^ 1]))
-                    self.merge(mu, tab[nu][x ^ 1], v, queue)
-                else:
-                    v = _wmul(_wmul(_winv(self.p_p[gamma]), ptab[gamma][x]),
-                              self.p_p[delta])
-                    tab[mu][x] = nu
-                    tab[nu][x ^ 1] = mu
-                    ptab[mu][x] = v
-                    ptab[nu][x ^ 1] = _winv(v)
-
-    def define(self, alpha: int, x: int) -> None:
-        if len(self.p) >= self.max_cosets:
-            raise _TableFull
-        beta = len(self.p)
-        self.tab.append([UNDEF] * self.w)
-        self.ptab.append([None] * self.w)
-        self.p.append(beta)
-        self.p_p[beta] = None
-        self.tab[alpha][x] = beta
-        self.tab[beta][x ^ 1] = alpha
-
-    def scan(self, alpha: int, letters, y, fill: bool) -> None:
-        tab, ptab = self.tab, self.ptab
-        f = alpha
-        f_p = None
-        b = alpha
-        b_p = y
-        i, j = 0, len(letters) - 1
-        while True:
-            while i <= j and tab[f][letters[i]] != UNDEF:
-                f_p = _wmul(f_p, ptab[f][letters[i]])
-                f = tab[f][letters[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincide(f, b, _wmul(_winv(f_p), b_p))
-                return
-            while j >= i and tab[b][letters[j] ^ 1] != UNDEF:
-                b_p = _wmul(b_p, ptab[b][letters[j] ^ 1])
-                b = tab[b][letters[j] ^ 1]
-                j -= 1
-            if j < i:
-                self.coincide(f, b, _wmul(_winv(f_p), b_p))
-                return
-            if j == i:
-                tab[f][letters[i]] = b
-                tab[b][letters[i] ^ 1] = f
-                ptab[f][letters[i]] = _wmul(_winv(f_p), b_p)
-                ptab[b][letters[i] ^ 1] = _wmul(_winv(b_p), f_p)
-                return
-            if not fill:
-                return
-            self.define(f, letters[i])
-
-    def run(self) -> None:
-        for letters, sym in self.subgroup:
-            self.scan(0, letters, _wsyl(sym, 1), True)
-        alpha = 0
-        while alpha < len(self.p):
-            if self.p[alpha] != alpha:
-                alpha += 1
-                continue
-            for rel in self.relators:
-                self.scan(alpha, rel, None, True)
-                if self.p[alpha] != alpha:
-                    break
-            else:
-                for x in range(self.w):
-                    if self.tab[alpha][x] == UNDEF:
-                        self.define(alpha, x)
-            alpha += 1
-
-    def relator_words(self):
-        """Rewrites of every relator trace at every live coset, plus the
-        subgroup-generator traces against their own symbols.  Returns
-        reduced syllable tuples."""
-        out = []
-        memo: dict = {}
-        for rel in self.relators:
-            for alpha in range(len(self.p)):
-                if self.p[alpha] != alpha:
-                    continue
-                cur = alpha
-                acc = None
-                ok = True
-                for letter in rel:
-                    nxt = self.tab[cur][letter]
-                    if nxt == UNDEF:
-                        ok = False
-                        break
-                    acc = _wmul(acc, self.ptab[cur][letter])
-                    cur = nxt
-                if ok and cur == alpha:
-                    red = _wmaterialize(acc, memo)
-                    if red:
-                        out.append(red)
-        for letters, sym in self.subgroup:
-            cur = 0
-            acc = None
-            ok = True
-            for letter in letters:
-                nxt = self.tab[cur][letter]
-                if nxt == UNDEF:
-                    ok = False
-                    break
-                acc = _wmul(acc, self.ptab[cur][letter])
-                cur = nxt
-            if ok and cur == 0:
-                red = _wmaterialize(_wmul(acc, _winv(_wsyl(sym, 1))), memo)
-                if red:
-                    out.append(red)
-        return out
-
-
-def _augmented_relator_search(pres: Presentation, sub_words: Sequence[GroupWord],
-                              max_cosets: int) -> list[GroupWord]:
-    col_of = {g: 2 * i for i, g in enumerate(pres.generators)}
-    relators = [_cyclic_reduce_letters(word_to_letters(r, col_of))
-                for r in pres.relators]
-    symbols = ["A", "B"]
-    subgroup = [(tuple(word_to_letters(g, col_of)), symbols[i])
-                for i, g in enumerate(sub_words)]
-    engine = _AugmentedEngine(2 * len(pres.generators), relators, subgroup,
-                              max_cosets)
-    try:
-        engine.run()
-    except _TableFull:
+def _labelled_relator_search(pres: Presentation,
+                             sub_words: Sequence[GroupWord],
+                             symbols: Sequence[str],
+                             max_cosets: int) -> list[GroupWord]:
+    """Relators in `symbols` from a labelled HLT run over `sub_words`; none
+    when the run overflows."""
+    width, relators, subgroup = _enumeration_letters(pres, sub_words)
+    engine = _Engine(width, relators, subgroup,
+                     EnumerationLimits(max_cosets=max_cosets),
+                     symbols=symbols)
+    if _run_pure(engine)[4] is not None:
         return []
-    return [GroupWord(w) for w in engine.relator_words()]
+    return _relator_words(engine)
+
+
+def _relator_words(engine: _Engine) -> list[GroupWord]:
+    """The nonempty labels of every relator traced at every coset, then of
+    every subgroup word traced at coset 0 against its own symbol: words in
+    the symbols equal to 1.  The table is closed and compacted, so every
+    entry is defined and every trace closes."""
+    tab, labels, w = engine.tab, engine.labels, engine.w
+    traces = [(rel, alpha, None) for rel in engine.relators
+              for alpha in range(engine.live)]
+    traces += [(sub, 0, _winv(label)) for sub, label
+               in zip(engine.subgroup, engine.subgroup_labels)]
+    out = []
+    memo: dict = {}
+    for letters, cur, tail in traces:
+        acc: list = []
+        for x in letters:
+            _extend_reduced(acc, _wmaterialize(labels[cur * w + x], memo))
+            cur = tab[cur * w + x]
+        _extend_reduced(acc, _wmaterialize(tail, memo))
+        if acc:
+            out.append(GroupWord(tuple(acc)))
+    return out

@@ -298,15 +298,16 @@ class GroupWord:
         return sum(abs(e) for _, e in self.syllables)
 
     def cyclically_reduced(self) -> "GroupWord":
-        syl = list(self.syllables)
-        while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
-            merged = syl[0][1] + syl[-1][1]
-            if merged == 0:
-                syl = syl[1:-1]
-            else:
-                syl = [(syl[0][0], merged)] + syl[1:-1]
-                break
-        return GroupWord(_reduce_syllables(syl))
+        # trim cancelling end pairs by index, then slice once
+        syl = self.syllables
+        i, j = 0, len(syl) - 1
+        while i < j and syl[i][0] == syl[j][0]:
+            merged = syl[i][1] + syl[j][1]
+            if merged:
+                return GroupWord(((syl[i][0], merged),) + syl[i + 1:j])
+            i += 1
+            j -= 1
+        return GroupWord(syl[i:j + 1])
 
     def rotated_to(self, sym: str) -> "GroupWord":
         """Cyclic rotation placing a syllable of `sym` first, if present."""

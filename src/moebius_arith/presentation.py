@@ -145,7 +145,7 @@ def _schreier_pairs(p: int) -> list[tuple[GroupWord, UniModularMatrix]]:
             if value in seen_values:
                 continue  # duplicate of an earlier generator
             if not value.is_integral() or int(value.e21) % p != 0:
-                raise AssertionError(
+                raise RuntimeError(
                     f"Schreier generator {gen} leaves Gamma_0({p})")
             seen_values.add(value)
             pairs.append((gen, value))
@@ -194,7 +194,7 @@ def build_presentation(b: int) -> Presentation:
         pieces=tuple(pieces),
     )
     if not verify_presentation_soundness(pres):
-        raise AssertionError(f"unsound presentation for b={b}")
+        raise RuntimeError(f"unsound presentation for b={b}")
     return pres
 
 

@@ -242,6 +242,29 @@ class TestSweep:
             "error: IndexMismatchError: index 71, formula 72"
         assert certs[2].reason == "max_cosets"
 
+    def test_corrupt_level_word_fails_loudly(self, monkeypatch):
+        # a level word that no longer evaluates to its matrix is a bug:
+        # gamma_level_words raises, and sweep records the error, never a
+        # failed check
+        import moebius_arith.certifier as certifier
+        real = certifier.a_generator_word
+
+        def corrupt(a, b):
+            out = real(a, b)
+            return out * word([("t", 1)]) if a == 9 else out
+
+        monkeypatch.setattr(certifier, "a_generator_word", corrupt)
+        spec, pres = MoebiusSpec(3, 2), build_presentation(2)
+        express_generators(spec, pres)
+        with pytest.raises(RuntimeError, match="congruence generator word"):
+            gamma_level_words(spec, pres)
+        with pytest.raises(RuntimeError, match="congruence generator word"):
+            certify(spec)
+        certs = table_sweep(2, [1, 3], EnumerationLimits())
+        assert certs[0].status == "Arithmetic"
+        assert certs[1].status == "Inconclusive"
+        assert certs[1].reason.startswith("error: RuntimeError: ")
+
     def test_worker_pool(self):
         certs = table_sweep(3, [1, 2], EnumerationLimits(), workers=2)
         assert [(c.spec.a, c.status) for c in certs] == \
@@ -289,6 +312,19 @@ class TestOfflineVerification:
         payload["words"]["A"] = "y2^-2"
         ok, problems = verify_certificate(payload)
         assert not ok
+
+    def test_detects_closure_that_is_not_CaxCa(self, cert_table_32,
+                                                monkeypatch):
+        import moebius_arith.certifier as certifier
+        from types import SimpleNamespace
+        cert, _ = cert_table_32
+        monkeypatch.setattr(
+            certifier, "generator_image_closure",
+            lambda a, b, n: SimpleNamespace(order=a * a, is_abelian=False,
+                                            exponent=a))
+        ok, problems = verify_certificate(cert.to_json_dict())
+        assert not ok
+        assert problems == ["closure mod a^2 is not C_a x C_a"]
 
     def test_detects_bogus_witness(self, cert_table_32):
         cert, _ = cert_table_32

@@ -12,6 +12,9 @@ from moebius_arith.coset_enum import (
     EnumerationLimits,
     _Engine,
     _cyclic_reduce_letters,
+    _enumeration_letters,
+    _labelled_relator_search,
+    _run_pure,
     _verify_table,
     find_relator,
     todd_coxeter,
@@ -531,8 +534,8 @@ class TestFindRelator:
         assert find_relator(pres, wa, wb, table, bound=300) is None
 
     def test_augmented_fallback(self, monkeypatch):
-        # with the collision search finding nothing, the word-labelled
-        # re-enumeration is what supplies the relator
+        # with the collision search finding nothing, the labelled run is
+        # what supplies the relator
         from moebius_arith import coset_enum
         from moebius_arith.exact import make_moebius_generators
         pres, wa, wb, table = self._setup(3, 2)
@@ -543,3 +546,63 @@ class TestFindRelator:
         ma, mb = make_moebius_generators(3, 2)
         assert evaluate_word(rel, {"A": ma, "B": mb}) == IDENT
         assert rel.weight <= 300
+
+
+class TestLabelledRun:
+    def _setup(self, a, b):
+        from moebius_arith.certifier import MoebiusSpec, express_generators
+        pres = build_presentation(b)
+        return pres, express_generators(MoebiusSpec(a, b), pres)
+
+    @pytest.mark.parametrize("a, b", [(3, 2), (5, 3), (4, 11)])
+    def test_labels_never_steer_the_walk(self, a, b):
+        # the same table bytes, rows, peak and definitions with and
+        # without labels
+        pres, words = self._setup(a, b)
+        width, relators, subgroup = _enumeration_letters(pres, words)
+        limits = EnumerationLimits(max_cosets=200_000)
+        plain = _run_pure(_Engine(width, relators, subgroup, limits))
+        labelled = _Engine(width, relators, subgroup, limits,
+                           symbols=("A", "B"))
+        run = _run_pure(labelled)
+        assert plain[4] is None and run[4] is None
+        assert run[0].tobytes() == plain[0].tobytes()
+        assert run[1:] == plain[1:]
+        assert len(labelled.labels) == len(run[0])
+
+    @pytest.mark.parametrize("a, b", [(3, 2), (4, 3)])
+    def test_every_labelled_word_is_a_relator(self, a, b):
+        from moebius_arith.exact import make_moebius_generators
+        pres, words = self._setup(a, b)
+        found = _labelled_relator_search(pres, words, ("A", "B"), 200_000)
+        assert found
+        asg = dict(zip("AB", make_moebius_generators(a, b)))
+        for w in found:
+            assert not w.is_empty()
+            assert evaluate_word(w, asg) == IDENT
+
+    def test_overflow_yields_no_candidates(self):
+        pres, words = self._setup(3, 2)
+        assert _labelled_relator_search(pres, words, ("A", "B"), 50) == []
+
+    @pytest.mark.parametrize("a, b, witness, candidates", [
+        (3, 2, "A^-1 B A^-1 B^8 A^-1 B A^-2 B A^-1 B^2 A^-2 B A^-1 B^4", 71),
+        (4, 3, "A^-1 B A^-1 B^-3 A^3 B^-1 A B^9 A B^-1 A B^3 A^-3 B A^-1 "
+               "B^-9", 443),
+    ], ids=["3/2", "4/3"])
+    def test_fallback_witness(self, monkeypatch, a, b, witness, candidates):
+        # the collision search finds nothing here; the labelled run's
+        # lightest verified candidate, first among equal weights, is pinned
+        from moebius_arith import coset_enum
+        search = coset_enum._labelled_relator_search
+        found = []
+
+        def recording(*args, **kwargs):
+            found.append(search(*args, **kwargs))
+            return found[-1]
+        monkeypatch.setattr(coset_enum, "_labelled_relator_search", recording)
+        pres, (wa, wb) = self._setup(a, b)
+        table = todd_coxeter(pres, [wa, wb], EnumerationLimits()).table
+        rel = find_relator(pres, wa, wb, table, bound=300)
+        assert str(rel) == witness
+        assert [len(c) for c in found] == [candidates]

@@ -217,6 +217,12 @@ class TestWords:
         w = word([("B", 1), ("A", 2), ("B", 3)])
         assert w.cyclically_reduced().syllables == (("B", 4), ("A", 2))
         assert w.cyclically_reduced().rotated_to("A").syllables[0][0] == "A"
+        # a long conjugate u r u^-1 trims down to r, merging one end pair
+        u = word([("A", 2), ("B", -1)] * 500)
+        r = word([("A", 1), ("B", 3), ("A", 4)])
+        assert (u * r * u.inv()).cyclically_reduced().syllables == (
+            ("A", 5), ("B", 3))
+        assert (u * r * u.inv()).weight == 2 * u.weight + r.weight
 
     def test_format_parse_round_trip(self):
         rng = random.Random(5)
