@@ -17,8 +17,13 @@ non-freeness of the group.  Overflowed or failed runs yield Inconclusive
 certificates that carry no claim whatsoever about infinite index.
 
 Certificates serialize to JSON and are re-checkable offline by
-`verify_certificate`, which recomputes every arithmetic claim from the
-certificate content alone (no enumeration).
+`verify_certificate`, from the certificate content alone (no enumeration).
+It recomputes the level a^2 and the index formula (check 1, against the
+recorded index), re-evaluates the words for A and B in a freshly built
+presentation, recomputes the closure mod a^2 (check 2) and evaluates the
+relator witness.  Checks 3 and 4 are not recomputed: check 3 needs the
+coset table, which the certificate does not carry, and surjectivity mod p
+is only required to be recorded as passed.  Nor is finite index re-proved.
 """
 
 from __future__ import annotations

@@ -14,11 +14,15 @@ walk if it re-opens the table.  A strategy is only the step taken at each
 coset: HLT (default) scans every relator there with fill, then defines the
 open entries; Felsch defines each open entry and propagates its deductions
 against the relators' cyclic conjugates before the next one.  A completed
-table then goes through an exhaustive verification pass: every generator
-column a permutation, every relator closing at every coset, every
-subgroup generator closing at coset 0.  Failure to finish within the coset
-budget is reported as an Overflow outcome, which is an explicitly
-inconclusive result, never evidence of infinite index.
+table then goes through an exhaustive verification pass with five checks:
+every column a permutation, every inverse column inverting its generator
+column, every coset reachable from coset 0, every relator closing at every
+coset, and every subgroup generator closing at coset 0.  The inverse,
+reachability and relator checks work on whole columns at once, by
+composing columns and by mapping frontier sets through them, not coset by
+coset.  Failure to finish within the coset budget is reported as an
+Overflow outcome, which is an explicitly inconclusive result, never
+evidence of infinite index.
 
 `_Engine` below is the executable specification.  Both strategies run in
 its C port (`_fast`, source `_tc.c`) whenever that compiles and loads,
@@ -48,6 +52,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import _fast
@@ -718,39 +723,52 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
                   subgroup: Sequence[tuple[int, ...]]) -> None:
     """Exhaustive invariant check on a completed table, column by column:
     a column is the permutation i -> tab[i*w + col], and tracing a word
-    over every coset at once is composing its letters' columns."""
+    over every coset at once is composing its letters' columns.
+
+    `getters[c](seq)[i] == seq[cols[c][i]]`, so applying the getters of a
+    word's letters right to left to the last letter's column gives, at i,
+    the coset that the word reaches from i."""
     n = table.n
     w = table.width
     tab = table._tab
     cols = [tab[c:n * w:w].tolist() for c in range(w)]
-    ident = list(range(n))
+    ident = tuple(range(n))
     points = set(ident)
     for col in cols:
         # n entries covering all n points: a permutation
         if set(col) != points:
             raise RuntimeError("generator column is not a permutation")
-    for c, col in enumerate(cols):
-        if list(map(cols[c ^ 1].__getitem__, col)) != ident:
+    if n == 1:
+        # every column is (0,): the checks below hold trivially, and
+        # itemgetter with one index would return a scalar, not a tuple
+        return
+    # built only now that every entry is known to be a valid index
+    getters = [itemgetter(*col) for col in cols]
+    for c in range(w):
+        if getters[c](cols[c ^ 1]) != ident:
             raise RuntimeError(
                 "inverse column does not invert its generator column")
-    reached = bytearray(n)
-    reached[0] = 1
-    frontier = [0]
-    for i in frontier:
-        # generator columns suffice: the columns are permutations and
-        # each odd column inverts its even one, so the generators' orbit
-        # is the group's
-        for e in tab[i * w:(i + 1) * w:2]:
-            if not reached[e]:
-                reached[e] = 1
-                frontier.append(e)
-    if len(frontier) != n:
+    # generator columns suffice: the columns are permutations and each odd
+    # column inverts its even one, so the generators' orbit is the group's
+    gen_cols = cols[::2]
+    reached = {0}
+    frontier = {0}
+    while frontier:
+        new = set()
+        for col in gen_cols:
+            new.update(map(col.__getitem__, frontier))
+        new -= reached
+        reached |= new
+        frontier = new
+    if len(reached) != n:
         raise RuntimeError("some coset is not reachable from coset 0")
     for rel in relators:
-        cur = ident
-        for letter in rel:
-            cur = list(map(cols[letter].__getitem__, cur))
-        if cur != ident:
+        if not rel:
+            continue  # the empty word closes everywhere
+        seq = cols[rel[-1]]
+        for letter in reversed(rel[:-1]):
+            seq = getters[letter](seq)
+        if tuple(seq) != ident:
             raise RuntimeError("relator does not close at every coset")
     for sub in subgroup:
         cur = 0

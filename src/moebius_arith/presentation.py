@@ -87,7 +87,9 @@ def _normalize_point(u: int, v: int, p: int) -> tuple[int, int]:
 
 def _act(m: UniModularMatrix, pt: tuple[int, int], p: int) -> tuple[int, int]:
     u, v = pt
-    a, b, c, d = int(m.e11), int(m.e12), int(m.e21), int(m.e22)
+    a, b, c, d, den = m._key
+    if den != 1:
+        raise ValueError("only an integral matrix acts on P^1(F_p)")
     return _normalize_point(a * u + b * v, c * u + d * v, p)
 
 

@@ -6,6 +6,7 @@ from array import array
 
 import pytest
 
+from moebius_arith.certifier import MoebiusSpec, express_generators
 from moebius_arith.congruence import ResidueMatrix, subgroup_closure
 from moebius_arith.coset_enum import (
     CosetTable,
@@ -281,6 +282,115 @@ class TestTableInvariants:
                      progress=lambda d, l: calls.append((d, l)),
                      progress_every=10)
         assert calls and all(d % 10 == 0 for d, _ in calls)
+
+
+def reference_verify(table, pres, subgroup_words):
+    """Slow reference for `_verify_table`: the message fragment of the
+    first check that fails, in the verifier's order, or None.  Relators
+    are traced from every coset one letter at a time."""
+    n, w, tab = table.n, table.width, table._tab
+    cols = [[tab[i * w + c] for i in range(n)] for c in range(w)]
+    if any(sorted(col) != list(range(n)) for col in cols):
+        return "not a permutation"
+    if any(cols[c ^ 1][cols[c][i]] != i for c in range(w) for i in range(n)):
+        return "inverse column"
+    seen = {0}
+    queue = [0]
+    for i in queue:
+        for c in range(w):
+            if cols[c][i] not in seen:
+                seen.add(cols[c][i])
+                queue.append(cols[c][i])
+    if len(seen) != n:
+        return "not reachable"
+    if any(table.trace(i, rel) != i
+           for rel in pres.relators for i in range(n)):
+        return "relator does not close"
+    if any(table.trace(0, g) != 0 for g in subgroup_words):
+        return "does not fix coset 0"
+    return None
+
+
+def consistent_transposition(tab, w, n, rng):
+    """Swap the targets of two cosets in one generator column and repair
+    its inverse column, so both stay mutually inverse permutations."""
+    c = 2 * rng.randrange(w // 2)
+    i, j = rng.randrange(n), rng.randrange(n)
+    ti, tj = tab[i * w + c], tab[j * w + c]
+    tab[i * w + c], tab[j * w + c] = tj, ti
+    tab[tj * w + c + 1], tab[ti * w + c + 1] = i, j
+
+
+def relabelled(tab, w, n, perm):
+    """The table with coset i renamed perm[i]."""
+    out = array("i", [0]) * len(tab)
+    for i in range(n):
+        for c in range(w):
+            out[perm[i] * w + c] = perm[tab[i * w + c]]
+    return out
+
+
+class TestVerifyDifferential:
+    """`_verify_table` against `reference_verify` on perturbed certifier
+    tables: it must raise exactly when the reference finds a fault, and
+    with the same check's message."""
+
+    @pytest.mark.parametrize("a,b", [(3, 2), (5, 3)])
+    def test_perturbed_tables(self, a, b):
+        pres = build_presentation(b)
+        subs = list(express_generators(MoebiusSpec(a, b), pres))
+        table = todd_coxeter(pres, subs, EnumerationLimits()).table
+        _, relators, subgroup = _enumeration_letters(pres, subs)
+        n, w = table.n, table.width
+        rng = random.Random(1000 * a + b)
+        seen = set()
+        for trial in range(120):
+            tab = array("i", table._tab)
+            if trial < 100:
+                for _ in range(rng.choice((1, 2))):
+                    consistent_transposition(tab, w, n, rng)
+            else:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                if trial % 2:
+                    # coset 0 kept: a valid table under new names
+                    perm[perm.index(0)] = perm[0]
+                    perm[0] = 0
+                tab = relabelled(tab, w, n, perm)
+            perturbed = CosetTable(table.generators, tab, n)
+            expected = reference_verify(perturbed, pres, subs)
+            seen.add(expected)
+            if expected is None:
+                _verify_table(perturbed, relators, subgroup)
+            else:
+                with pytest.raises(RuntimeError, match=expected):
+                    _verify_table(perturbed, relators, subgroup)
+        assert {None, "relator does not close", "does not fix coset 0"} <= seen
+
+    def test_one_coset_table(self):
+        pres = fake_presentation(["a", "b"], ["a^2", "a b a^-1 b^-1"])
+        _, relators, subgroup = _enumeration_letters(
+            pres, [parse_word("a"), parse_word("b^3")])
+        table = CosetTable(pres.generators, array("i", [0] * 4), 1)
+        _verify_table(table, relators, subgroup)
+        for bad in (1, -1):
+            corrupt = CosetTable(pres.generators,
+                                 array("i", [0, 0, bad, 0]), 1)
+            with pytest.raises(RuntimeError, match="not a permutation"):
+                _verify_table(corrupt, relators, subgroup)
+
+    def test_empty_relator_closes(self):
+        # a = (1 2), b = (0 1 2) as in the relator test above
+        pres = fake_presentation(["a", "b"], ["a^2", "b^3", "a"])
+        table = CosetTable(pres.generators, array("i", [
+            0, 0, 1, 2,
+            2, 2, 2, 0,
+            1, 1, 0, 1]), 3)
+        _, relators, _ = _enumeration_letters(pres, [])
+        _verify_table(table, [()], [])
+        _verify_table(table, [(), *relators[:2], ()], [()])
+        with pytest.raises(RuntimeError, match="relator does not close"):
+            _verify_table(table, [(), *relators], [])
 
 
 class TestLetterReduction:

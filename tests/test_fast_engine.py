@@ -11,6 +11,8 @@ compiler is available.
 
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -235,6 +237,14 @@ class TestLoader:
         # the two strategies did different work
         assert fast[0].resources["defined_cosets"] != \
             fast[1].resources["defined_cosets"]
+
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        command = shlex.split(os.environ.get("CC", "cc"))
+        if shutil.which(command[0]) is None:
+            pytest.skip("no C compiler")
+        subprocess.run([*command, *_fast.FLAGS, "-Wall", "-Wextra", "-Werror",
+                        "-o", str(tmp_path / "_tc.so"), _fast.SOURCE],
+                       check=True, capture_output=True, timeout=300)
 
     def test_library_cached_by_key(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -1,6 +1,7 @@
 """Amalgam presentations of SL(2, Z[1/b]) and their serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from moebius_arith.exact import (
 )
 from moebius_arith.modular_words import ST_ASSIGNMENT
 from moebius_arith.presentation import (
+    _act,
     _schreier_pairs,
     build_presentation,
     presentation_to_json,
@@ -44,6 +46,11 @@ class TestSchreierGenerators:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             _schreier_pairs(4)
+
+    def test_act_needs_an_integral_matrix(self):
+        assert _act(UniModularMatrix(1, 1, 0, 1), (0, 1), 5) == (1, 1)
+        with pytest.raises(ValueError, match="integral"):
+            _act(UniModularMatrix(1, Fraction(1, 2), 0, 1), (0, 1), 5)
 
     def test_p2_evaluations_have_even_lower_left(self):
         for w, _ in _schreier_pairs(2):
