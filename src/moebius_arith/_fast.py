@@ -1,11 +1,16 @@
-"""Compiled coset enumeration: loader and wrapper for the C kernel in `_tc.c`.
+"""Compiled coset enumeration: loader and wrappers for the C kernel in `_tc.c`.
 
 `_tc.c` ports the unlabelled `coset_enum._Engine` step for step, HLT and
 Felsch alike, so a run yields a byte-identical table and the same
 definition count, peak and overflow reason.  The engine's labelled mode,
 which `find_relator` uses, stays pure Python.  The pure engine stays the
-specification and the fallback; `todd_coxeter` verifies every kernel table
-exactly as it verifies its own.
+specification and the fallback.
+
+The kernel's last section, `tc_verify` (wrapped by `verify`), is the
+exhaustive table check that `todd_coxeter` runs on every kernel table.  It
+ports `coset_enum._verify_table`, not the enumerator: it calls none of the
+enumerator's functions, makes the same five checks in the same order and
+raises the same messages.  `_verify_table` checks the pure engine's tables.
 
 The kernel is compiled on the first enumeration, not at import, with the
 system C compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The
@@ -100,6 +105,8 @@ def kernel():
         lib.tc_enumerate.restype = ctypes.c_int
         lib.tc_free.argtypes = [ctypes.POINTER(ctypes.c_int32)]
         lib.tc_free.restype = None
+        lib.tc_verify.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, i64]
+        lib.tc_verify.restype = ctypes.c_int
         _kernel = lib
     return _kernel
 
@@ -175,3 +182,45 @@ def run(width: int, relators, subgroup, strategy: str, max_cosets: int,
     finally:
         lib.tc_free(table)
     return flat, rows, peak, defined, None
+
+
+# tc_verify's codes besides _OK and k in 1..5, which names the first of its
+# five checks to fail
+_BAD_ARGUMENT, _VERIFY_NO_MEMORY = 6, 7
+
+
+def verify(table, relators, subgroup) -> None:
+    """Exhaustive check of a completed `coset_enum.CosetTable` in the
+    kernel's `tc_verify`, which shares no code with its enumerator.
+
+    Makes the five checks of `coset_enum._verify_table` in its order and
+    raises `RuntimeError` with its message at the first that fails;
+    `MemoryError` if the kernel cannot allocate its scratch buffers, and
+    `ValueError` for a table without rows or shorter than its rows, or a
+    letter outside `range(table.width)`.  Call it only once `kernel()`
+    has loaded, as `todd_coxeter` does after a kernel run.
+    """
+    from .coset_enum import _VERIFY_MESSAGES
+
+    n, width, tab = table.n, table.width, table._tab
+    if n < 1:
+        raise ValueError("a coset table has at least one row")
+    if len(tab) < n * width:
+        raise ValueError(f"{n} rows of {width} need {n * width} entries, "
+                         f"got {len(tab)}")
+    try:
+        rel_flat, rel_off = _flatten(relators)
+        sub_flat, sub_off = _flatten(subgroup)
+    except OverflowError:
+        # beyond int32, so certainly outside range(width)
+        raise ValueError(f"a word has a letter outside range({width})")
+    code = kernel().tc_verify(
+        n, width, tab.buffer_info()[0], rel_flat.buffer_info()[0],
+        rel_off.buffer_info()[0], len(rel_off) - 1, sub_flat.buffer_info()[0],
+        sub_off.buffer_info()[0], len(sub_off) - 1)
+    if code == _BAD_ARGUMENT:
+        raise ValueError(f"a word has a letter outside range({width})")
+    if code == _VERIFY_NO_MEMORY:
+        raise MemoryError("coset table check allocation failed")
+    if code != _OK:
+        raise RuntimeError(_VERIFY_MESSAGES[code - 1])

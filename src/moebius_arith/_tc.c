@@ -8,6 +8,10 @@
    table and identical counters; the pure engine is the specification, so
    change both together.
 
+   The last section, tc_verify, checks a completed table exhaustively.  It
+   shares no code with the enumerator: it is the port of
+   coset_enum._verify_table, not of anything in _Engine.
+
    Cosets are int32 ids (max_cosets < 2^31), rows are indexed in int64.
    libc only; _fast.py compiles this file on first use.  */
 
@@ -533,4 +537,146 @@ int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
 void tc_free(int32_t *table)
 {
     free(table);
+}
+
+/* -- table check --------------------------------------------------------------
+
+   An exhaustive check of a completed table, kept apart from the enumerator
+   above: it calls none of its functions and shares none of its state, so a
+   fault in the enumeration cannot hide itself here.  tc_verify makes the
+   five checks of coset_enum._verify_table in the same order and returns
+   the code of the first that fails.  Every table entry and letter is
+   checked to lie in range before it is used as an index.  */
+
+enum {
+    TV_OK = 0, TV_NOT_PERMUTATION, TV_NOT_INVERSE, TV_UNREACHABLE,
+    TV_RELATOR_OPEN, TV_SUBGROUP_MOVED, TV_BAD_ARGUMENT, TV_NO_MEMORY
+};
+
+static int tv_letters_in_range(int64_t w, const int32_t *flat,
+                               const int64_t *off, int64_t nwords)
+{
+    for (int64_t k = off[0]; k < off[nwords]; k++)
+        if (flat[k] < 0 || flat[k] >= w)
+            return 0;
+    return 1;
+}
+
+/* n entries per column, each in [0, n), no two equal */
+static int tv_permutations(int64_t n, int64_t w, const int32_t *tab,
+                           unsigned char *seen)
+{
+    for (int64_t c = 0; c < w; c++) {
+        for (int64_t i = 0; i < n; i++)
+            seen[i] = 0;
+        for (int64_t i = 0; i < n; i++) {
+            int32_t t = tab[i * w + c];
+            if (t < 0 || t >= n || seen[t])
+                return 0;
+            seen[t] = 1;
+        }
+    }
+    return 1;
+}
+
+/* from here on every entry is known to be a valid row */
+static int tv_inverses(int64_t n, int64_t w, const int32_t *tab)
+{
+    for (int64_t c = 0; c < w; c++)
+        for (int64_t i = 0; i < n; i++)
+            if (tab[(int64_t)tab[i * w + c] * w + (c ^ 1)] != i)
+                return 0;
+    return 1;
+}
+
+/* breadth first from coset 0 along the generator columns, which suffice
+   once each inverse column inverts its generator's; `queue` holds n */
+static int tv_reachable(int64_t n, int64_t w, const int32_t *tab,
+                        unsigned char *seen, int32_t *queue)
+{
+    int64_t head = 0, tail = 1;
+    for (int64_t i = 0; i < n; i++)
+        seen[i] = 0;
+    seen[0] = 1;
+    queue[0] = 0;
+    while (head < tail) {
+        int64_t row = (int64_t)queue[head++] * w;
+        for (int64_t c = 0; c < w; c += 2) {
+            int32_t t = tab[row + c];
+            if (!seen[t]) {
+                seen[t] = 1;
+                queue[tail++] = t;
+            }
+        }
+    }
+    return tail == n;
+}
+
+/* each relator read from every coset at once, letter by letter: `at[i]`
+   is the coset that the letters read so far lead to from coset i */
+static int tv_relators_close(int64_t n, int64_t w, const int32_t *tab,
+                             const int32_t *rel, const int64_t *rel_off,
+                             int64_t nrel, int32_t *at)
+{
+    for (int64_t r = 0; r < nrel; r++) {
+        const int32_t *word = rel + rel_off[r];
+        int64_t len = rel_off[r + 1] - rel_off[r];
+        if (len == 0)
+            continue;   /* the empty word closes everywhere */
+        for (int64_t i = 0; i < n; i++)
+            at[i] = tab[i * w + word[0]];
+        for (int64_t k = 1; k < len; k++)
+            for (int64_t i = 0; i < n; i++)
+                at[i] = tab[(int64_t)at[i] * w + word[k]];
+        for (int64_t i = 0; i < n; i++)
+            if (at[i] != i)
+                return 0;
+    }
+    return 1;
+}
+
+static int tv_subgroup_fixes_0(int64_t w, const int32_t *tab,
+                               const int32_t *sub, const int64_t *sub_off,
+                               int64_t nsub)
+{
+    for (int64_t s = 0; s < nsub; s++) {
+        int32_t at = 0;
+        for (int64_t k = sub_off[s]; k < sub_off[s + 1]; k++)
+            at = tab[(int64_t)at * w + sub[k]];
+        if (at != 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* `tab` holds n rows of w entries; relators and subgroup words are
+   flattened as for tc_enumerate, and may be empty.  TV_BAD_ARGUMENT: n < 1,
+   or a letter outside [0, w). */
+int tc_verify(int64_t n, int64_t w, const int32_t *tab,
+              const int32_t *rel, const int64_t *rel_off, int64_t nrel,
+              const int32_t *sub, const int64_t *sub_off, int64_t nsub)
+{
+    if (n < 1 || !tv_letters_in_range(w, rel, rel_off, nrel)
+            || !tv_letters_in_range(w, sub, sub_off, nsub))
+        return TV_BAD_ARGUMENT;
+    unsigned char *seen = malloc((size_t)n);
+    int32_t *buf = malloc((size_t)n * sizeof(int32_t));
+    int rc;
+    if (!seen || !buf)
+        rc = TV_NO_MEMORY;
+    else if (!tv_permutations(n, w, tab, seen))
+        rc = TV_NOT_PERMUTATION;
+    else if (!tv_inverses(n, w, tab))
+        rc = TV_NOT_INVERSE;
+    else if (!tv_reachable(n, w, tab, seen, buf))
+        rc = TV_UNREACHABLE;
+    else if (!tv_relators_close(n, w, tab, rel, rel_off, nrel, buf))
+        rc = TV_RELATOR_OPEN;
+    else if (!tv_subgroup_fixes_0(w, tab, sub, sub_off, nsub))
+        rc = TV_SUBGROUP_MOVED;
+    else
+        rc = TV_OK;
+    free(seen);
+    free(buf);
+    return rc;
 }

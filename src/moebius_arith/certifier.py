@@ -153,6 +153,18 @@ class Certificate:
         )
 
 
+# build_presentation depends on b only through its primes, so each prime
+# set is built once per process
+_PRESENTATIONS: dict[tuple[int, ...], Presentation] = {}
+
+
+def _presentation(b: int) -> Presentation:
+    key = tuple(prime_factors(b))
+    if key not in _PRESENTATIONS:
+        _PRESENTATIONS[key] = build_presentation(b)
+    return _PRESENTATIONS[key]
+
+
 # -- words for the generators --------------------------------------------------
 
 def _unit_word(p: int, e: int) -> GroupWord:
@@ -279,7 +291,7 @@ def certify_with_table(spec: MoebiusSpec,
     t0 = time.monotonic()
     a, b = spec.a, spec.b
     ld = level_data(a, b)
-    pres = build_presentation(b)
+    pres = _presentation(b)
     wa, wb = express_generators(spec, pres)
     outcome = todd_coxeter(pres, [wa, wb], limits, progress=progress)
     resources = _resources(t0, limits, outcome)

@@ -17,18 +17,21 @@ against the relators' cyclic conjugates before the next one.  A completed
 table then goes through an exhaustive verification pass with five checks:
 every column a permutation, every inverse column inverting its generator
 column, every coset reachable from coset 0, every relator closing at every
-coset, and every subgroup generator closing at coset 0.  The inverse,
-reachability and relator checks work on whole columns at once, by
-composing columns and by mapping frontier sets through them, not coset by
-coset.  Failure to finish within the coset budget is reported as an
-Overflow outcome, which is an explicitly inconclusive result, never
-evidence of infinite index.
+coset, and every subgroup generator closing at coset 0.  Failure to
+finish within the coset budget is reported as an Overflow outcome, which
+is an explicitly inconclusive result, never evidence of infinite index.
 
 `_Engine` below is the executable specification.  Both strategies run in
 its C port (`_fast`, source `_tc.c`) whenever that compiles and loads,
 which gives the same table bytes and counters; otherwise `_Engine` runs.
-Either way the table goes through the same verification pass, and the
-outcome names the engine that ran.
+The verification pass follows the engine: the kernel's tables are checked
+in C by `_fast.verify`, `_Engine`'s by `_verify_table` here.  Each checker
+shares no code with the enumerator it checks, both make the five checks
+in the same order and raise the same messages (`_VERIFY_MESSAGES`), and
+the outcome's `engine` names the pair that ran.  `_verify_table` works on
+whole columns at once, by composing columns and by mapping frontier sets
+through them, not coset by coset; it is also the reference the kernel's
+checker is tested against.
 
 `_Engine` also has a labelled mode, the modified Todd-Coxeter of Holt, Eick
 & O'Brien (Handbook of Computational Group Theory, ch. 5): every table
@@ -662,7 +665,9 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     Both strategies run in the C kernel (`_fast`) whenever it can be
     built and loaded, else in the pure engine; both produce the same table
     and counters, and `engine` on the outcome says which one ran.  Every
-    completed table goes through the same exhaustive verification.
+    completed table goes through the same five exhaustive checks, in the
+    kernel's checker (`_fast.verify`) after a kernel run and in
+    `_verify_table` after a pure one; a failed check raises RuntimeError.
     `progress(defined, live)` is called every `progress_every`
     definitions; an exception it raises aborts the run and propagates.
     """
@@ -688,7 +693,10 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
                                   defined_total=defined, reason=reason,
                                   engine=engine)
     table = CosetTable(pres.generators, flat, n)
-    _verify_table(table, relators, subgroup)
+    if engine == "c":
+        _fast.verify(table, relators, subgroup)
+    else:
+        _verify_table(table, relators, subgroup)
     return EnumerationOutcome(completed=True, index=n, table=table,
                               peak_cosets=peak, defined_total=defined,
                               engine=engine)
@@ -719,6 +727,17 @@ def _run_pure(engine: _Engine):
             engine.defined_total, None)
 
 
+# the message of each of the table check's five checks, in their order;
+# `_verify_table` and `_fast.verify` both raise these
+_VERIFY_MESSAGES = (
+    "generator column is not a permutation",
+    "inverse column does not invert its generator column",
+    "some coset is not reachable from coset 0",
+    "relator does not close at every coset",
+    "subgroup generator does not fix coset 0",
+)
+
+
 def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
                   subgroup: Sequence[tuple[int, ...]]) -> None:
     """Exhaustive invariant check on a completed table, column by column:
@@ -737,7 +756,7 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
     for col in cols:
         # n entries covering all n points: a permutation
         if set(col) != points:
-            raise RuntimeError("generator column is not a permutation")
+            raise RuntimeError(_VERIFY_MESSAGES[0])
     if n == 1:
         # every column is (0,): the checks below hold trivially, and
         # itemgetter with one index would return a scalar, not a tuple
@@ -746,8 +765,7 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
     getters = [itemgetter(*col) for col in cols]
     for c in range(w):
         if getters[c](cols[c ^ 1]) != ident:
-            raise RuntimeError(
-                "inverse column does not invert its generator column")
+            raise RuntimeError(_VERIFY_MESSAGES[1])
     # generator columns suffice: the columns are permutations and each odd
     # column inverts its even one, so the generators' orbit is the group's
     gen_cols = cols[::2]
@@ -761,7 +779,7 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
         reached |= new
         frontier = new
     if len(reached) != n:
-        raise RuntimeError("some coset is not reachable from coset 0")
+        raise RuntimeError(_VERIFY_MESSAGES[2])
     for rel in relators:
         if not rel:
             continue  # the empty word closes everywhere
@@ -769,13 +787,13 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
         for letter in reversed(rel[:-1]):
             seq = getters[letter](seq)
         if tuple(seq) != ident:
-            raise RuntimeError("relator does not close at every coset")
+            raise RuntimeError(_VERIFY_MESSAGES[3])
     for sub in subgroup:
         cur = 0
         for letter in sub:
             cur = tab[cur * w + letter]
         if cur != 0:
-            raise RuntimeError("subgroup generator does not fix coset 0")
+            raise RuntimeError(_VERIFY_MESSAGES[4])
 
 
 def word_stabilizes_one(table: CosetTable, w: GroupWord) -> bool:

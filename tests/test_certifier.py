@@ -108,6 +108,21 @@ class TestCertify:
         for name, w in gamma_level_words(MoebiusSpec(3, 2), pres):
             assert word_stabilizes_one(table, w), name
 
+    def test_presentation_built_once_per_prime_set(self, monkeypatch):
+        # 2 and 4 have the same primes, so 5/4 reuses the build for 3/2
+        import moebius_arith.certifier as certifier
+        builds = []
+
+        def build(b):
+            builds.append(b)
+            return build_presentation(b)
+
+        monkeypatch.setattr(certifier, "_PRESENTATIONS", {})
+        monkeypatch.setattr(certifier, "build_presentation", build)
+        assert certify(MoebiusSpec(3, 2)).status == "Arithmetic"
+        assert certify(MoebiusSpec(5, 4)).status == "Arithmetic"
+        assert builds == [2]
+
     def test_overflow_is_inconclusive(self):
         cert = certify(MoebiusSpec(5, 2),
                        EnumerationLimits(max_cosets=100_000))

@@ -3,15 +3,18 @@ overflow contract, relator recovery."""
 
 import random
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
+from moebius_arith import _fast
 from moebius_arith.certifier import MoebiusSpec, express_generators
 from moebius_arith.congruence import ResidueMatrix, subgroup_closure
 from moebius_arith.coset_enum import (
     CosetTable,
     EnumerationLimits,
     _Engine,
+    _VERIFY_MESSAGES,
     _cyclic_reduce_letters,
     _enumeration_letters,
     _labelled_relator_search,
@@ -333,14 +336,32 @@ def relabelled(tab, w, n, perm):
 class TestVerifyDifferential:
     """`_verify_table` against `reference_verify` on perturbed certifier
     tables: it must raise exactly when the reference finds a fault, and
-    with the same check's message."""
+    with the same check's message.  `TestKernelVerifyDifferential` repeats
+    every test on the kernel's checker."""
 
-    @pytest.mark.parametrize("a,b", [(3, 2), (5, 3)])
-    def test_perturbed_tables(self, a, b):
+    check = staticmethod(_verify_table)
+
+    def assert_verdict(self, table, relators, subgroup, expected):
+        """The check passes if `expected` is None, else raises in full the
+        message of the check that `expected`, a fragment, names."""
+        if expected is None:
+            self.check(table, relators, subgroup)
+            return
+        [message] = [m for m in _VERIFY_MESSAGES if expected in m]
+        with pytest.raises(RuntimeError) as info:
+            self.check(table, relators, subgroup)
+        assert str(info.value) == message
+
+    def _moebius_table(self, a, b):
         pres = build_presentation(b)
         subs = list(express_generators(MoebiusSpec(a, b), pres))
         table = todd_coxeter(pres, subs, EnumerationLimits()).table
         _, relators, subgroup = _enumeration_letters(pres, subs)
+        return pres, subs, table, relators, subgroup
+
+    @pytest.mark.parametrize("a,b", [(3, 2), (5, 3)])
+    def test_perturbed_tables(self, a, b):
+        pres, subs, table, relators, subgroup = self._moebius_table(a, b)
         n, w = table.n, table.width
         rng = random.Random(1000 * a + b)
         seen = set()
@@ -360,24 +381,52 @@ class TestVerifyDifferential:
             perturbed = CosetTable(table.generators, tab, n)
             expected = reference_verify(perturbed, pres, subs)
             seen.add(expected)
-            if expected is None:
-                _verify_table(perturbed, relators, subgroup)
-            else:
-                with pytest.raises(RuntimeError, match=expected):
-                    _verify_table(perturbed, relators, subgroup)
+            self.assert_verdict(perturbed, relators, subgroup, expected)
         assert {None, "relator does not close", "does not fix coset 0"} <= seen
+
+    def test_single_entry_faults(self):
+        # one entry off either end of the range, or repeating another
+        # row's target, at the first, a middle and the last row of every
+        # column
+        pres, subs, table, relators, subgroup = self._moebius_table(3, 2)
+        n, w = table.n, table.width
+        for row in (0, n // 2, n - 1):
+            for col in range(w):
+                repeated = table._tab[(row + 1) % n * w + col]
+                for bad in (-1, n, 2 ** 31 - 1, repeated):
+                    tab = array("i", table._tab)
+                    tab[row * w + col] = bad
+                    corrupt = CosetTable(table.generators, tab, n)
+                    assert reference_verify(corrupt, pres, subs) == \
+                        "not a permutation"
+                    self.assert_verdict(corrupt, relators, subgroup,
+                                        "not a permutation")
+
+    def test_inverse_and_reachability_faults(self):
+        # the two checks that no perturbation above reaches
+        pres, subs, table, relators, subgroup = self._moebius_table(3, 2)
+        tab, w = array("i", table._tab), table.width
+        tab[0 * w + 1], tab[1 * w + 1] = tab[1 * w + 1], tab[0 * w + 1]
+        corrupt = CosetTable(table.generators, tab, table.n)
+        assert reference_verify(corrupt, pres, subs) == "inverse column"
+        self.assert_verdict(corrupt, relators, subgroup, "inverse column")
+        # two fixed points of every generator
+        pres = fake_presentation(["a"], ["a"])
+        split = CosetTable(pres.generators, array("i", [0, 0, 1, 1]), 2)
+        assert reference_verify(split, pres, []) == "not reachable"
+        self.assert_verdict(split, [(0,)], [], "not reachable")
 
     def test_one_coset_table(self):
         pres = fake_presentation(["a", "b"], ["a^2", "a b a^-1 b^-1"])
         _, relators, subgroup = _enumeration_letters(
             pres, [parse_word("a"), parse_word("b^3")])
         table = CosetTable(pres.generators, array("i", [0] * 4), 1)
-        _verify_table(table, relators, subgroup)
+        self.check(table, relators, subgroup)
         for bad in (1, -1):
             corrupt = CosetTable(pres.generators,
                                  array("i", [0, 0, bad, 0]), 1)
-            with pytest.raises(RuntimeError, match="not a permutation"):
-                _verify_table(corrupt, relators, subgroup)
+            self.assert_verdict(corrupt, relators, subgroup,
+                                "not a permutation")
 
     def test_empty_relator_closes(self):
         # a = (1 2), b = (0 1 2) as in the relator test above
@@ -387,10 +436,43 @@ class TestVerifyDifferential:
             2, 2, 2, 0,
             1, 1, 0, 1]), 3)
         _, relators, _ = _enumeration_letters(pres, [])
-        _verify_table(table, [()], [])
-        _verify_table(table, [(), *relators[:2], ()], [()])
-        with pytest.raises(RuntimeError, match="relator does not close"):
-            _verify_table(table, [(), *relators], [])
+        self.check(table, [()], [])
+        self.check(table, [(), *relators[:2], ()], [()])
+        self.assert_verdict(table, [(), *relators], [],
+                            "relator does not close")
+
+
+@pytest.mark.skipif(_fast.kernel() is None,
+                    reason="the C kernel could not be built")
+class TestKernelVerifyDifferential(TestVerifyDifferential):
+    check = staticmethod(_fast.verify)
+
+    def test_letter_out_of_range(self):
+        pres = fake_presentation(["a", "b"], ["a^2", "b^3", "a"])
+        table = CosetTable(pres.generators, array("i", [
+            0, 0, 1, 2,
+            2, 2, 2, 0,
+            1, 1, 0, 1]), 3)
+        for bad in (-1, 4, 2 ** 31 - 1, 2 ** 40):
+            with pytest.raises(ValueError, match="range\\(4\\)"):
+                self.check(table, [(0, bad)], [])
+            with pytest.raises(ValueError, match="range\\(4\\)"):
+                self.check(table, [], [(bad,)])
+
+    def test_allocation_failure_is_memory_error(self, monkeypatch):
+        # the kernel's scratch allocation cannot be made to fail here, so a
+        # stand-in kernel returns that code to the wrapper
+        monkeypatch.setattr(_fast, "kernel", lambda: SimpleNamespace(
+            tc_verify=lambda *args: _fast._VERIFY_NO_MEMORY))
+        table = CosetTable(("a",), array("i", [0, 0]), 1)
+        with pytest.raises(MemoryError):
+            self.check(table, [], [])
+
+    def test_table_shorter_than_its_rows(self):
+        pres = fake_presentation(["a"], ["a"])
+        for flat, n in ((array("i", [0]), 1), (array("i"), 0)):
+            with pytest.raises(ValueError):
+                self.check(CosetTable(pres.generators, flat, n), [], [])
 
 
 class TestLetterReduction:

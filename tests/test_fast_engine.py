@@ -18,7 +18,8 @@ import sys
 
 import pytest
 
-from moebius_arith import _fast
+import moebius_arith
+from moebius_arith import _fast, coset_enum
 from moebius_arith.certifier import MoebiusSpec, certify, express_generators
 from moebius_arith.coset_enum import EnumerationLimits, todd_coxeter
 from moebius_arith.exact import GroupWord, parse_word
@@ -260,4 +261,32 @@ class TestLoader:
                 "assert 'ctypes' not in sys.modules; "
                 "assert moebius_arith._fast._kernel is "
                 "moebius_arith._fast._UNSET")
-        subprocess.run([sys.executable, "-c", code], check=True)
+        # the package as imported here, whether or not PYTHONPATH names it
+        src = os.path.dirname(os.path.dirname(moebius_arith.__file__))
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_checker_follows_engine(self, monkeypatch, tmp_path):
+        # the kernel's tables are checked by the kernel's checker, the pure
+        # engine's by _verify_table, each exactly once
+        calls = []
+
+        def recording(name, fn):
+            def record(*args):
+                calls.append(name)
+                return fn(*args)
+            return record
+
+        monkeypatch.setattr(_fast, "verify", recording("c", _fast.verify))
+        monkeypatch.setattr(coset_enum, "_verify_table",
+                            recording("pure", coset_enum._verify_table))
+        pres, subs = moebius(5, 3)
+        assert todd_coxeter(pres, subs).engine == "c"
+        assert calls == ["c"]
+        calls.clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setattr(_fast, "_kernel", _fast._UNSET)
+        assert todd_coxeter(pres, subs).engine == "pure"
+        assert calls == ["pure"]

@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,29 @@ def test_no_raise_assertion_error(path):
              and "AssertionError" in {n.id for n in ast.walk(node.exc)
                                       if isinstance(n, ast.Name)}]
     assert lines == [], f"{path.name}: raise AssertionError on lines {lines}"
+
+
+# every function of the enumerator half of _tc.c
+ENUMERATOR_FUNCTIONS = (
+    "rep", "merge", "coincide", "define", "scan", "scan_word", "lookahead",
+    "compact", "closing_pass", "run", "recover", "drain_deductions",
+    "push_deduction", "hlt_step", "felsch_step")
+
+
+def test_kernel_table_check_shares_no_code_with_enumerator():
+    # tc_verify and its helpers form the last section of _tc.c; a checker
+    # that reused the enumerator's code could share its faults
+    source = (SOURCES[0].parent / "_tc.c").read_text()
+    section = source[source.index("/* -- table check"):]
+    assert "Engine" not in section
+    code = re.sub(r"/\*.*?\*/", " ", section, flags=re.S)
+    assert re.search(r"^int tc_verify\(", code, flags=re.M)
+    names = set(re.findall(r"\b[A-Za-z_]\w*\b", code))
+    assert names.isdisjoint(ENUMERATOR_FUNCTIONS), \
+        sorted(names.intersection(ENUMERATOR_FUNCTIONS))
+    # and it calls nothing defined outside the section but libc
+    called = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", code))
+    defined = set(re.findall(r"^\w[\w ]*?\b([A-Za-z_]\w*)\(", code,
+                             flags=re.M))
+    keywords = {"if", "for", "while", "return", "sizeof"}
+    assert called - defined - keywords <= {"malloc", "free"}
