@@ -19,11 +19,12 @@ certificates that carry no claim whatsoever about infinite index.
 Certificates serialize to JSON and are re-checkable offline by
 `verify_certificate`, from the certificate content alone (no enumeration).
 It recomputes the level a^2 and the index formula (check 1, against the
-recorded index), re-evaluates the words for A and B in a freshly built
-presentation, recomputes the closure mod a^2 (check 2) and evaluates the
-relator witness.  Checks 3 and 4 are not recomputed: check 3 needs the
-coset table, which the certificate does not carry, and surjectivity mod p
-is only required to be recorded as passed.  Nor is finite index re-proved.
+recorded index), re-evaluates the words for A and B in the presentation
+for b's primes (built once per process, its assignment read-only),
+recomputes the closure mod a^2 (check 2) and evaluates the relator
+witness.  Checks 3 and 4 are not recomputed: check 3 needs the coset
+table, which the certificate does not carry, and surjectivity mod p is
+only required to be recorded as passed.  Nor is finite index re-proved.
 """
 
 from __future__ import annotations
@@ -440,11 +441,12 @@ def table_sweep(b: int, a_values: Iterable[int],
 def verify_certificate(payload) -> tuple[bool, list[str]]:
     """Re-check a certificate from its JSON content alone.
 
-    Re-evaluates the generator words against a freshly built presentation,
-    recomputes the index formula and the mod-a^2 closure structure, and
-    validates the relator witness by exact evaluation.  No enumeration is
-    re-run; an Inconclusive certificate carries no claim and only gets a
-    structural check.
+    Re-evaluates the generator words against the presentation `certify`
+    uses for b's primes (built once per process, with a read-only
+    assignment), recomputes the index formula and the mod-a^2 closure
+    structure, and validates the relator witness by exact evaluation.  No
+    enumeration is re-run; an Inconclusive certificate carries no claim and
+    only gets a structural check.
 
     Finite index is not re-proved.  An Arithmetic certificate's index is
     compared with the formula a*|SL(2, Z_a)|, but the certificate carries
@@ -478,7 +480,7 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
     if missing:
         problems.append(f"certificate lacks the cross-checks {', '.join(missing)}")
     try:
-        pres = build_presentation(b)
+        pres = _presentation(b)
         mat_a, mat_b = cert.spec.matrices()
         if evaluate_word(parse_word(cert.word_a), pres.assignment) != mat_a:
             problems.append("word for A does not evaluate to A(a/b)")

@@ -44,8 +44,10 @@ one.  Labelled mode is pure Python; the kernel ports the unlabelled engine.
 short-word search, falling back to a labelled run whose relator traces,
 read off the closed table, are words in the subgroup generators.  The
 search's ball of short words is integer arithmetic over one fixed
-denominator, with each product's determinant checked; its candidates are
-verified lightest first by exact evaluation.
+denominator, each word its parent sheared by one unipotent step, with
+every step's and every word's determinant checked; its candidates are
+verified lightest first by exact evaluation, each rotated to start with
+A only when it is evaluated.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import _fast
-from .exact import GroupWord, UniModularMatrix, evaluate_word
+from .exact import GroupWord, UniModularMatrix, evaluate_word, word
 from .presentation import Presentation
 
 UNDEF = -1
@@ -838,10 +840,12 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
         cand = cand.cyclically_reduced()
         weight = cand.weight
         if 0 < weight <= bound:
-            reduced.append((weight, i, cand.rotated_to("A")))
+            reduced.append((weight, i, cand))
     reduced.sort(key=lambda entry: entry[:2])
     asg = {"A": mat_a, "B": mat_b}
+    # rotating costs a word per candidate, so only the evaluated ones pay
     for _, _, cand in reduced:
+        cand = cand.rotated_to("A")
         if evaluate_word(cand, asg).is_identity():
             return cand
     return None
@@ -857,8 +861,12 @@ class _SyllableBall:
     Evaluations are integer 4-tuples over one fixed denominator `den`: with
     L the lcm of the entry denominators of the step powers A^e, B^e, an
     element at layer k has entries with denominators dividing L^k, so
-    `den = L^depth` makes every `nums[i] = den * M_i` integral.  A child is
-    (N * (L*S)) // L, an exact division, and every product is checked
+    `den = L^depth` makes every `nums[i] = den * M_i` integral.  A and B are
+    unipotent, so each scaled step L*S is [[L, x], [0, L]] or [[L, 0],
+    [x, L]] (checked once per step, determinant first), and a child is a
+    shear of its parent N: under A, (n11, n12 + n11*x//L, n21, n22 +
+    n21*x//L), under B the transpose.  That is (N * (L*S)) // L entry for
+    entry, since (a + n*L) // L == n + a // L, and every child is checked
     against det N = den^2.  Equal tuples are equal matrices.
     """
 
@@ -869,12 +877,24 @@ class _SyllableBall:
                   for sym, mat in (("A", mat_a), ("B", mat_b))}
         l = lcm(*(x.denominator for pows in powers.values()
                   for _, p in pows for x in (p.e11, p.e12, p.e21, p.e22)))
-        # per symbol: the syllables, their sizes and the integer L*S
-        steps = {sym: ([(sym, e) for e, _ in pows], [abs(e) for e, _ in pows],
-                       [tuple(x.numerator * (l // x.denominator)
-                              for x in (p.e11, p.e12, p.e21, p.e22))
-                        for _, p in pows])
-                 for sym, pows in powers.items()}
+        # per symbol: the syllables, their sizes and the off-diagonal
+        # entry x of the integer step L*S
+        steps = {}
+        for sym, pows in powers.items():
+            xs = []
+            for _, p in pows:
+                s11, s12, s21, s22 = (x.numerator * (l // x.denominator)
+                                      for x in (p.e11, p.e12, p.e21, p.e22))
+                if s11 * s22 - s12 * s21 != l * l:
+                    raise ValueError(
+                        "syllable ball step has determinant != 1")
+                x, zero = (s12, s21) if sym == "A" else (s21, s12)
+                if s11 != l or s22 != l or zero != 0:
+                    raise ValueError(f"syllable ball step {sym}^e is not "
+                                     "unipotent of its generator's shape")
+                xs.append(x)
+            steps[sym] = ([(sym, e) for e, _ in pows],
+                          [abs(e) for e, _ in pows], xs)
         den = l ** depth
         dd = den * den
         self.den = den
@@ -900,12 +920,13 @@ class _SyllableBall:
                 for sym in ("A", "B"):
                     if sym == last:
                         continue
-                    syls, sizes, scaled = steps[sym]
-                    children = [((n11 * s11 + n12 * s21) // l,
-                                 (n11 * s12 + n12 * s22) // l,
-                                 (n21 * s11 + n22 * s21) // l,
-                                 (n21 * s12 + n22 * s22) // l)
-                                for s11, s12, s21, s22 in scaled]
+                    syls, sizes, xs = steps[sym]
+                    if sym == "A":
+                        children = [(n11, n12 + n11 * x // l,
+                                     n21, n22 + n21 * x // l) for x in xs]
+                    else:
+                        children = [(n11 + n12 * x // l, n12,
+                                     n21 + n22 * x // l, n22) for x in xs]
                     for c11, c12, c21, c22 in children:
                         if c11 * c22 - c12 * c21 != dd:
                             raise ValueError(
@@ -966,7 +987,10 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
     for i, key in enumerate(nums):
         first = seen.setdefault(key, i)
         if first != i:
-            rel = ball.word(i) * ball.word(first).inv()
+            # u v^-1, freely reduced in one pass
+            inv_first = [(sym, -e) for sym, e in
+                         reversed(ball.syllables_of(first))]
+            rel = word(ball.syllables_of(i) + inv_first)
             if not rel.is_empty():
                 out.append(rel)
     if out:

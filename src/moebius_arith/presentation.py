@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .congruence import is_prime
 from .exact import (
@@ -72,7 +74,7 @@ class AmalgamPiece:
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[GroupWord, ...]
-    assignment: dict[str, UniModularMatrix]
+    assignment: Mapping[str, UniModularMatrix]
     pieces: tuple[AmalgamPiece, ...] = ()
 
 
@@ -168,7 +170,8 @@ def build_presentation(b: int) -> Presentation:
     """Presentation of SL(2, Z[1/b]) for prime-power b; depends on b only
     through its primes.  With two or more distinct primes the relators are
     sound but present the pushout SL(2,Z[1/p]) *_{SL(2,Z)} SL(2,Z[1/q]),
-    which only surjects onto SL(2, Z[1/b]) (see the module docstring)."""
+    which only surjects onto SL(2, Z[1/b]) (see the module docstring).
+    The assignment is a read-only mapping, so one build can be shared."""
     if b <= 1:
         raise ValueError(f"base must exceed 1, got {b}")
     primes = prime_factors(b)
@@ -192,7 +195,7 @@ def build_presentation(b: int) -> Presentation:
     pres = Presentation(
         generators=tuple(generators),
         relators=tuple(relators),
-        assignment=assignment,
+        assignment=MappingProxyType(assignment),
         pieces=tuple(pieces),
     )
     if not verify_presentation_soundness(pres):

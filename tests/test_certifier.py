@@ -328,6 +328,42 @@ class TestOfflineVerification:
         ok, problems = verify_certificate(payload)
         assert not ok
 
+    def test_presentation_shared_across_verifies(self, cert_table_32,
+                                                  monkeypatch):
+        # two verifies over one prime set build one presentation
+        import moebius_arith.certifier as certifier
+        builds = []
+
+        def build(b):
+            builds.append(b)
+            return build_presentation(b)
+
+        monkeypatch.setattr(certifier, "_PRESENTATIONS", {})
+        monkeypatch.setattr(certifier, "build_presentation", build)
+        cert, _ = cert_table_32
+        for _ in range(2):
+            ok, problems = verify_certificate(cert.to_json_dict())
+            assert ok, problems
+        assert builds == [2]
+
+    def test_shared_presentation_catches_altered_word(self, cert_table_32):
+        # s^2 = -I, so the altered word evaluates to -A(a/b)
+        cert, _ = cert_table_32
+        assert verify_certificate(cert.to_json_dict())[0]
+        payload = cert.to_json_dict()
+        payload["words"]["A"] += " s^2"
+        ok, problems = verify_certificate(payload)
+        assert not ok
+        assert problems == ["word for A does not evaluate to A(a/b)"]
+
+    def test_shared_presentation_is_read_only(self):
+        import moebius_arith.certifier as certifier
+        pres = certifier._presentation(2)
+        with pytest.raises(TypeError):
+            pres.assignment["s"] = pres.assignment["t"]
+        with pytest.raises(TypeError):
+            del pres.assignment["s"]
+
     def test_detects_closure_that_is_not_CaxCa(self, cert_table_32,
                                                 monkeypatch):
         import moebius_arith.certifier as certifier

@@ -712,6 +712,106 @@ class TestFindRelator:
         with pytest.raises(ValueError, match="determinant"):
             _SyllableBall(ma, mb, _SYLLABLE_DEPTH, 12)
 
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (4, 11)])
+    def test_ball_child_is_parent_times_step(self, a, b):
+        # the ball builds children as shears; every element must equal
+        # its parent times its step by the generic integer product
+        from math import lcm
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
+        from moebius_arith.exact import make_moebius_generators
+        ma, mb = make_moebius_generators(a, b)
+        erange = max(12, b + 2)
+        ball = _SyllableBall(ma, mb, _SYLLABLE_DEPTH, erange)
+        powers = {(sym, e): mat.pow(e) for sym, mat in (("A", ma), ("B", mb))
+                  for e in range(-erange, erange + 1) if e}
+        l = lcm(*(x.denominator for p in powers.values()
+                  for x in (p.e11, p.e12, p.e21, p.e22)))
+        assert ball.den == l ** _SYLLABLE_DEPTH
+        # l is a common denominator, so each L*S is integral
+        scaled = {key: tuple(int(x * l) for x in (p.e11, p.e12, p.e21, p.e22))
+                  for key, p in powers.items()}
+        root = (ball.den, 0, 0, ball.den)
+        for i, num in enumerate(ball.nums):
+            parent = ball.parents[i]
+            n11, n12, n21, n22 = root if parent < 0 else ball.nums[parent]
+            s11, s12, s21, s22 = scaled[ball.syllables[i]]
+            product = (n11 * s11 + n12 * s21, n11 * s12 + n12 * s22,
+                       n21 * s11 + n22 * s21, n21 * s12 + n22 * s22)
+            assert all(x % l == 0 for x in product)
+            assert num == tuple(x // l for x in product), i
+
+    @pytest.mark.parametrize("shape", ["diagonal", "transposed"])
+    def test_ball_rejects_step_that_is_not_unipotent(self, monkeypatch,
+                                                     shape):
+        # determinant 1, so only the per-step shape check can catch it; a
+        # transposed step read as a shear of A would shear by 0 and every
+        # child's determinant check would pass
+        from fractions import Fraction
+        from types import SimpleNamespace
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
+        from moebius_arith.exact import make_moebius_generators
+        ma, mb = make_moebius_generators(1, 2)
+
+        def power(self, e):
+            if shape == "diagonal":
+                return SimpleNamespace(e11=Fraction(2), e12=Fraction(0),
+                                       e21=Fraction(0), e22=Fraction(1, 2))
+            return SimpleNamespace(e11=Fraction(1), e12=Fraction(0),
+                                   e21=Fraction(e, 2), e22=Fraction(1))
+        monkeypatch.setattr(UniModularMatrix, "pow", power)
+        with pytest.raises(ValueError, match="not unipotent"):
+            _SyllableBall(ma, mb, _SYLLABLE_DEPTH, 12)
+
+    @pytest.mark.parametrize("a, b, bound, digest", [
+        (1, 2, 40,
+         "83e521e570e86c8e651d3ce667f635e061736c18803fe39060e37f54e34f0a8a"),
+        (1, 3, 40,
+         "b76e125739aac03027e7ff9cc13879c26c4a99cbf08fb26545ec5dee8051716e"),
+        (2, 3, 40,
+         "8c9e1728aa2937976beee076696a2f369e1e8f4988568a3b1d910b286cf1248d"),
+        (4, 11, 300,
+         "2729ed868a3d344d42c96d65ec539532b0f8379aa2fa53f515f58e401aae7105"),
+    ], ids=["1/2", "1/3", "2/3", "4/11"])
+    def test_candidate_list_pinned(self, monkeypatch, a, b, bound, digest):
+        # the collision search's candidates, in content and order, as
+        # the SHA-256 of their spellings one per line
+        import hashlib
+        from moebius_arith import coset_enum
+        search = coset_enum._collision_relator_search
+        found = []
+
+        def recording(*args):
+            found.append(search(*args))
+            return found[-1]
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            recording)
+        pres, wa, wb, table = self._setup(a, b)
+        find_relator(pres, wa, wb, table, bound=bound)
+        text = "\n".join(map(str, found[0]))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_only_evaluated_candidates_are_rotated(self, monkeypatch):
+        # a lighter candidate that is not a relator comes first and must be
+        # skipped; the real relator is returned rotated to start with A,
+        # and the heavier one after it is never rotated
+        from moebius_arith import coset_enum
+        bogus = parse_word("B^3 A")
+        real = parse_word("B^-2 A^-1 B^2 A^-2 B^-1 A^2")
+        heavier = real ** 2
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            lambda *args: [heavier, real, bogus])
+        rotate = GroupWord.rotated_to
+        rotated = []
+
+        def counting(self, sym):
+            rotated.append(self)
+            return rotate(self, sym)
+        monkeypatch.setattr(GroupWord, "rotated_to", counting)
+        pres, wa, wb, table = self._setup(1, 2)
+        rel = find_relator(pres, wa, wb, table, bound=40)
+        assert str(rel) == "A^-1 B^2 A^-2 B^-1 A^2 B^-2"
+        assert rotated == [bogus, real]
+
     def test_none_is_not_a_proof_of_freeness(self, monkeypatch):
         # None means only that the searches found nothing: past
         # _AUGMENTED_MAX_INDEX the fallback does not run, and 3/2 then
