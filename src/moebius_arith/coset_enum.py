@@ -987,7 +987,7 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
     for i, key in enumerate(nums):
         first = seen.setdefault(key, i)
         if first != i:
-            # u v^-1, freely reduced in one pass
+            # word(i) * word(first)^-1, freely reduced in one pass
             inv_first = [(sym, -e) for sym, e in
                          reversed(ball.syllables_of(first))]
             rel = word(ball.syllables_of(i) + inv_first)
