@@ -26,14 +26,13 @@ next progress report or when the run ends.
 from __future__ import annotations
 
 import os
-import time
 from array import array
 
 # read by the certifier benchmark to label its environment; there is no
 # numba engine
 HAS_NUMBA = False
 
-# coset ids are int32 in the kernel
+# coset ids are int32 in both engines; `EnumerationLimits` enforces it
 MAX_COSETS = 2 ** 31 - 1
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_tc.c")
@@ -100,7 +99,7 @@ def kernel():
         lib.progress_type = ctypes.CFUNCTYPE(ctypes.c_int, i64, i64)
         lib.tc_enumerate.argtypes = [
             i64, ptr, ptr, i64, ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr,
-            i64, ctypes.c_int, ctypes.c_double, lib.progress_type, i64,
+            i64, ctypes.c_double, lib.progress_type, i64,
             ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)), ptr]
         lib.tc_enumerate.restype = ctypes.c_int
         lib.tc_free.argtypes = [ctypes.POINTER(ctypes.c_int32)]
@@ -119,11 +118,12 @@ def _flatten(words) -> tuple[array, array]:
     return flat, off
 
 
-def run(width: int, relators, subgroup, strategy: str, max_cosets: int,
-        time_limit_s, progress, progress_every: int):
-    """Enumeration in the kernel under `strategy` ("hlt" or "felsch");
-    relators and subgroup words are letter tuples as
-    `coset_enum.todd_coxeter` prepares them.
+def run(width: int, relators, subgroup, limits, progress,
+        progress_every: int):
+    """Enumeration in the kernel within `limits`, a
+    `coset_enum.EnumerationLimits`, under its strategy; relators and
+    subgroup words are letter tuples as `coset_enum.todd_coxeter` prepares
+    them.
 
     Returns None when the kernel is unavailable, else (table, rows, peak,
     defined, reason): the compacted flat table and reason None on
@@ -142,8 +142,8 @@ def run(width: int, relators, subgroup, strategy: str, max_cosets: int,
     sub_flat, sub_off = _flatten(subgroup)
     # Felsch's rotations, flattened bucket after bucket; those leading with
     # letter x are words rot_first[x] .. rot_first[x + 1] - 1
-    buckets = (_rotation_buckets(relators, width) if strategy == "felsch"
-               else [[]] * width)
+    buckets = (_rotation_buckets(relators, width)
+               if limits.strategy == "felsch" else [[]] * width)
     rot_flat, rot_off = _flatten(wrd for bucket in buckets for wrd in bucket)
     rot_first = array("q", [0])
     for bucket in buckets:
@@ -161,14 +161,13 @@ def run(width: int, relators, subgroup, strategy: str, max_cosets: int,
     callback = lib.progress_type(report) if progress else lib.progress_type()
     table = ctypes.POINTER(ctypes.c_int32)()
     counts = (ctypes.c_int64 * 3)()
-    deadline = time.monotonic() + time_limit_s if time_limit_s else 0.0
     code = lib.tc_enumerate(
         width, rel_flat.buffer_info()[0], rel_off.buffer_info()[0],
         len(rel_off) - 1, sub_flat.buffer_info()[0], sub_off.buffer_info()[0],
-        len(sub_off) - 1, _STRATEGIES[strategy], rot_flat.buffer_info()[0],
-        rot_off.buffer_info()[0], rot_first.buffer_info()[0], max_cosets,
-        bool(time_limit_s), deadline, callback, progress_every,
-        ctypes.byref(table), counts)
+        len(sub_off) - 1, _STRATEGIES[limits.strategy],
+        rot_flat.buffer_info()[0], rot_off.buffer_info()[0],
+        rot_first.buffer_info()[0], limits.max_cosets, limits.deadline(),
+        callback, progress_every, ctypes.byref(table), counts)
     rows, peak, defined = counts
     if code == _ABORTED:
         raise raised[0]

@@ -4,9 +4,10 @@
    Every function below mirrors the method of the same name in the pure
    engine, step for step: the same seeding, definition order, coincidence
    queue, deduction stack, lookahead, compaction policy, table-full
-   recovery and peak accounting.  A run therefore produces a byte-identical
-   table and identical counters; the pure engine is the specification, so
-   change both together.
+   recovery and peak accounting (peak is the allocation high-water mark,
+   counted at compaction and at the end).  A run therefore produces a
+   byte-identical table and identical counters; the pure engine is the
+   specification, so change both together.
 
    The last section, tc_verify, checks a completed table exhaustively.  It
    shares no code with the enumerator: it is the port of
@@ -53,8 +54,7 @@ struct Engine {
     const int64_t *rot_first;
     int (*step)(Engine *e, int32_t alpha);
     int64_t max_cosets;
-    int has_deadline;
-    double deadline;
+    double deadline;     /* monotonic() seconds; INFINITY for no limit */
     tc_progress progress;
     int64_t progress_every;
     int32_t *tab;
@@ -188,8 +188,7 @@ static int define(Engine *e, int32_t alpha, int64_t x)
     const int64_t w = e->w;
     if (e->n >= e->max_cosets)
         return TC_MAX_COSETS;
-    if (e->has_deadline && e->defined % DEADLINE_EVERY == 0
-            && monotonic() > e->deadline)
+    if (e->defined % DEADLINE_EVERY == 0 && monotonic() > e->deadline)
         return TC_TIME_LIMIT;
     if (e->n == e->cap && grow(e) != TC_OK)
         return TC_NO_MEMORY;
@@ -202,8 +201,6 @@ static int define(Engine *e, int32_t alpha, int64_t x)
     row[x ^ 1] = alpha;
     e->live++;
     e->defined++;
-    if (e->live > e->peak)
-        e->peak = e->live;
     if (e->deduce && push_deduction(e, alpha, x) != TC_OK)
         return TC_NO_MEMORY;
     if (e->progress && e->defined % e->progress_every == 0
@@ -285,7 +282,7 @@ static int64_t compact(Engine *e, int64_t mark)
     int32_t *p = e->p, *tab = e->tab, *newid = e->queue;
     int64_t nid = 0, new_mark = 0, pos = 0;
     if (old_n > e->peak)
-        e->peak = old_n;        /* peak is the allocation high-water mark */
+        e->peak = old_n;
     for (int64_t old = 0; old < old_n; old++) {
         if (p[old] == old) {
             newid[old] = (int32_t)nid;
@@ -426,8 +423,6 @@ static int felsch_step(Engine *e, int32_t alpha)
    progress */
 static int recover(Engine *e, int64_t *alpha)
 {
-    if (e->n > e->peak)
-        e->peak = e->n;
     int rc = lookahead(e);
     if (rc != TC_OK)
         return rc;
@@ -483,7 +478,8 @@ static int run(Engine *e)
 /* -- entry points ------------------------------------------------------------ */
 
 /* Enumerate with `strategy` (TC_HLT or TC_FELSCH; Felsch reads the
-   rotations, HLT ignores them); `counts` receives (rows, peak, defined).
+   rotations, HLT ignores them) until `deadline`, a monotonic() reading
+   (INFINITY for no limit); `counts` receives (rows, peak, defined).
    On TC_OK `*table` is the compacted table of counts[0] rows, owned by the
    caller (release it with tc_free); on any other code nothing is handed
    over.  Relators must be nonempty and cyclically reduced, as coset_enum
@@ -492,7 +488,7 @@ int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
                  int64_t nrel, const int32_t *sub, const int64_t *sub_off,
                  int64_t nsub, int strategy, const int32_t *rot,
                  const int64_t *rot_off, const int64_t *rot_first,
-                 int64_t max_cosets, int has_deadline, double deadline,
+                 int64_t max_cosets, double deadline,
                  tc_progress progress, int64_t progress_every,
                  int32_t **table, int64_t *counts)
 {
@@ -502,8 +498,7 @@ int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
         .rot = rot, .rot_off = rot_off, .rot_first = rot_first,
         .step = strategy == TC_FELSCH ? felsch_step : hlt_step,
         .deduce = strategy == TC_FELSCH,
-        .max_cosets = max_cosets, .has_deadline = has_deadline,
-        .deadline = deadline, .progress = progress,
+        .max_cosets = max_cosets, .deadline = deadline, .progress = progress,
         .progress_every = progress_every,
         .n = 1, .live = 1, .defined = 1, .peak = 1,
     };

@@ -240,22 +240,19 @@ def gamma_level_words(spec: MoebiusSpec, pres: Presentation) \
 
     The three matrices lie in the level-a^2 principal congruence subgroup;
     that they generate it is not claimed."""
-    a, b = spec.a, spec.b
-    mat_a, mat_b = spec.matrices()
-    # A(a*m) = A(a^2/b); exponent scaling keeps this short
-    wa2 = a_generator_word(a * a, b)
-    s_word = word([("s", 1)])
-    wb2 = s_word * wa2.inv() * s_word.inv()
+    # A(am) = A(a^2/b) and B(am) are the generators of G(a^2/b)
+    spec_am = MoebiusSpec(spec.a * spec.a, spec.b)
+    try:
+        wa2, wb2 = express_generators(spec_am, pres)
+    except RuntimeError as exc:
+        raise RuntimeError("congruence generator word mismatch") from exc
     # B^x with x = [[-1,1],[0,1]] = diag(-1,1) * A(-1): the diagonal part
     # inverts a lower unitriangular, so B^x = A(-1)^-1 B^-1 A(-1)
     u_word = word([("s", 1), ("t", 1), ("s", -1)])      # evaluates to A(-1)
     wbx = u_word.inv() * wb2.inv() * u_word
-    expect_a2 = mat_a.pow(a)
-    expect_b2 = mat_b.pow(a)
-    expect_bx = conjugate_by_x(expect_b2)
-    for wrd, expect in ((wa2, expect_a2), (wb2, expect_b2), (wbx, expect_bx)):
-        if evaluate_word(wrd, pres.assignment) != expect:
-            raise RuntimeError("congruence generator word mismatch")
+    if evaluate_word(wbx, pres.assignment) != \
+            conjugate_by_x(spec_am.matrices()[1]):
+        raise RuntimeError("congruence generator word mismatch")
     return [("A(am)", wa2), ("B(am)", wb2), ("B(am)^x", wbx)]
 
 
@@ -381,7 +378,8 @@ def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
                       cert: Certificate,
                       table: Optional[CosetTable] = None,
                       pres: Optional[Presentation] = None) -> str:
-    """Membership verdict for g relative to G(a/b) under a certificate.
+    """Membership verdict for g relative to G(a/b) under a certificate
+    for that spec; a certificate for another spec raises ValueError.
 
     NotInClosure is always conclusive (g is not even in the arithmetic
     closure, hence not in G).  With an Arithmetic certificate G is its
@@ -390,6 +388,8 @@ def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
     closure test needs neither `table` nor `pres`; both are accepted so
     that callers holding them can pass them along, and are not used.
     """
+    if cert.spec != spec:
+        raise ValueError(f"certificate is for {cert.spec}, not {spec}")
     if not set(g.denominator_primes()) <= set(prime_factors(spec.b)):
         raise ValueError(
             f"matrix is not in SL(2, Z[1/{spec.b}]): denominators {g}")

@@ -83,18 +83,23 @@ def _default_max_cosets() -> int:
 
 
 def _limits(args) -> EnumerationLimits:
-    max_cosets = args.max_cosets if args.max_cosets else _default_max_cosets()
-    return EnumerationLimits(max_cosets=max_cosets,
-                             strategy=args.strategy,
-                             time_limit_s=args.time_limit)
+    max_cosets = (args.max_cosets if args.max_cosets is not None
+                  else _default_max_cosets())
+    try:
+        return EnumerationLimits(max_cosets=max_cosets,
+                                 strategy=args.strategy,
+                                 time_limit_s=args.time_limit)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _add_limit_flags(sub):
     sub.add_argument("--max-cosets", type=int, default=None,
-                     help="coset budget (default 10^7 or MOEBIUS_MAX_COSETS)")
+                     help="coset budget, 1 to 2^31-1 (default 10^7 or "
+                          "MOEBIUS_MAX_COSETS)")
     sub.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     sub.add_argument("--time-limit", type=float, default=1800.0,
-                     help="wall clock budget per enumeration, seconds")
+                     help="wall clock budget per enumeration, seconds > 0")
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 

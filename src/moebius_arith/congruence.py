@@ -95,11 +95,8 @@ class ResidueMatrix:
 
     __mul__ = mul
 
-    def key(self):
-        """Compact hash key: four residues packed into one 64-bit int when
-        n < 2^16, tuple fallback otherwise."""
-        if self.n < 65536:
-            return self.a | (self.b << 16) | (self.c << 32) | (self.d << 48)
+    def key(self) -> tuple[int, int, int, int]:
+        """Hash key: the four residues."""
         return (self.a, self.b, self.c, self.d)
 
     def order(self) -> int:
@@ -169,9 +166,6 @@ class SubgroupImage:
 
 def _from_key(n: int, k) -> ResidueMatrix:
     """Inverse of ResidueMatrix.key."""
-    if n < 65536:
-        return ResidueMatrix(n, k & 0xFFFF, (k >> 16) & 0xFFFF,
-                             (k >> 32) & 0xFFFF, k >> 48)
     return ResidueMatrix(n, *k)
 
 
@@ -180,16 +174,15 @@ def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
     """Breadth-first closure of `gens` under multiplication in SL(2, Z_n).
 
     The group is finite, so closing under right multiplication by the
-    generators alone suffices.  The search runs on plain residue 4-tuples
-    and `ResidueMatrix.key` values; every new product is checked to have
-    determinant 1 mod n.  Raises ClosureOverflowError past `cap`.
+    generators alone suffices.  The search runs on plain residue 4-tuples,
+    which are the `ResidueMatrix.key` values; every new product is checked
+    to have determinant 1 mod n.  Raises ClosureOverflowError past `cap`.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for g in gens:
         if g.n != n:
             raise ValueError("generator modulus mismatch")
-    packed = n < 65536
     one = 1 % n
     steps = [(g.a, g.b, g.c, g.d) for g in gens]
     ident = (one, 0, 0, one)
@@ -203,8 +196,7 @@ def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
                 pb = (a * gb + b * gd) % n
                 pc = (c * ga + d * gc) % n
                 pd = (c * gb + d * gd) % n
-                k = (pa | pb << 16 | pc << 32 | pd << 48 if packed
-                     else (pa, pb, pc, pd))
+                k = (pa, pb, pc, pd)
                 if k not in seen:
                     # a product already seen was checked when first found
                     if (pa * pd - pb * pc) % n != one:
@@ -213,7 +205,7 @@ def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
                     if len(seen) > cap:
                         raise ClosureOverflowError(
                             f"closure mod {n} exceeded cap {cap}")
-                    nxt.append((pa, pb, pc, pd))
+                    nxt.append(k)
         frontier = nxt
     abelian = all(g * h == h * g for i, g in enumerate(gens)
                   for h in gens[i + 1:])

@@ -52,6 +52,7 @@ A only when it is evaluated.
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from dataclasses import dataclass
@@ -84,6 +85,10 @@ _AUGMENTED_MAX_INDEX = 50_000
 
 @dataclass(frozen=True)
 class EnumerationLimits:
+    """Budgets of one enumeration.  Both engines hold coset ids as int32,
+    so `max_cosets` lies in 1..2^31-1; `time_limit_s` is None for no limit
+    or a positive number of seconds."""
+
     max_cosets: int = DEFAULT_MAX_COSETS
     strategy: str = "hlt"            # "hlt" | "felsch"
     time_limit_s: Optional[float] = None
@@ -91,8 +96,19 @@ class EnumerationLimits:
     def __post_init__(self):
         if self.max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
+        if self.max_cosets > _fast.MAX_COSETS:
+            raise ValueError(f"max_cosets must be <= {_fast.MAX_COSETS}")
+        if self.time_limit_s is not None and not self.time_limit_s > 0:
+            raise ValueError("time_limit_s must be None or > 0")
         if self.strategy not in ("hlt", "felsch"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+
+    def deadline(self) -> float:
+        """The `time.monotonic()` reading at which a run starting now
+        stops; math.inf without a time limit."""
+        if self.time_limit_s is None:
+            return math.inf
+        return time.monotonic() + self.time_limit_s
 
 
 class CosetTable:
@@ -125,7 +141,7 @@ class EnumerationOutcome:
     completed: bool
     index: Optional[int] = None
     table: Optional[CosetTable] = None
-    peak_cosets: int = 0
+    peak_cosets: int = 0             # allocation high-water mark (rows)
     defined_total: int = 0
     reason: Optional[str] = None     # set on overflow: "max_cosets" | "time_limit"
     engine: str = "pure"             # "c" (the _fast kernel) | "pure"
@@ -254,12 +270,13 @@ class _Engine:
         self.relators = [r for r in relators if r]
         self.subgroup = list(subgroup)
         self.max_cosets = limits.max_cosets
-        self.deadline = (time.monotonic() + limits.time_limit_s
-                         if limits.time_limit_s else None)
+        self.deadline = limits.deadline()
         self.tab = array("i", [UNDEF] * width)
         self.p = array("i", [0])
         self.live = 1
         self.defined_total = 1
+        # the allocation high-water mark: rows are only added in _define
+        # and live <= rows, so it is counted at compaction and at the end
         self.peak = 1
         self.progress = progress
         self.progress_every = progress_every
@@ -374,8 +391,7 @@ class _Engine:
         ncosets = len(self.p)
         if ncosets >= self.max_cosets:
             raise _TableFull
-        if self.deadline is not None and self.defined_total % 4096 == 0 \
-                and time.monotonic() > self.deadline:
+        if self.defined_total % 4096 == 0 and time.monotonic() > self.deadline:
             raise _TimeLimit
         beta = ncosets
         self.tab.extend(self._blank_row)
@@ -388,8 +404,6 @@ class _Engine:
             self.coset_labels.append(None)
         self.live += 1
         self.defined_total += 1
-        if self.live > self.peak:
-            self.peak = self.live
         if self.deductions is not None:
             self.deductions.append((alpha, x))
         if self.progress and self.defined_total % self.progress_every == 0:
@@ -482,7 +496,7 @@ class _Engine:
         w = self.w
         old_n = len(p)
         if old_n > self.peak:
-            self.peak = old_n      # peak is the allocation high-water mark
+            self.peak = old_n
         newid = array("i", [UNDEF]) * old_n
         nid = 0
         new_mark = 0
@@ -609,7 +623,6 @@ class _Engine:
         """Lookahead plus compaction after the table filled, which also
         empties the deduction stack; overflow if the space recovered is too
         small to make progress."""
-        self.peak = max(self.peak, len(self.p))
         self._lookahead()
         new_alpha = self._compact(alpha)
         if len(self.p) >= self.max_cosets * 0.98:
@@ -678,11 +691,8 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     if progress is not None and progress_every < 1:
         raise ValueError("progress_every must be >= 1")
     width, relators, subgroup = _enumeration_letters(pres, subgroup_gens)
-    run = None
-    if limits.max_cosets <= _fast.MAX_COSETS:
-        run = _fast.run(width, relators, subgroup, limits.strategy,
-                        limits.max_cosets, limits.time_limit_s, progress,
-                        progress_every)
+    run = _fast.run(width, relators, subgroup, limits, progress,
+                    progress_every)
     engine = "c"
     if run is None:
         engine = "pure"
@@ -725,8 +735,7 @@ def _run_pure(engine: _Engine):
         return (None, len(engine.p), max(engine.peak, len(engine.p)),
                 engine.defined_total, reason)
     engine._compact(0)
-    return (engine.tab, engine.live, max(engine.peak, engine.live),
-            engine.defined_total, None)
+    return engine.tab, engine.live, engine.peak, engine.defined_total, None
 
 
 # the message of each of the table check's five checks, in their order;

@@ -168,8 +168,6 @@ class UniModularMatrix:
                 return _make(den, k * n12, 0, den, den)
             if n12 == 0:
                 return _make(den, 0, k * n21, den, den)
-        if self._key == _NEG_IDENTITY._key:
-            return _IDENTITY if k % 2 == 0 else _NEG_IDENTITY
         base = self
         acc = _IDENTITY
         while k:
@@ -203,7 +201,6 @@ class UniModularMatrix:
 
 
 _IDENTITY = _make(1, 0, 0, 1, 1)
-_NEG_IDENTITY = _make(-1, 0, 0, -1, 1)
 
 
 def make_moebius_generators(a: int, b: int) -> tuple[UniModularMatrix, UniModularMatrix]:

@@ -198,6 +198,15 @@ class TestMembershipReport:
         g = spec.matrices()[0]
         assert membership_report(spec, g, cert) == "Unknown"
 
+    def test_rejects_certificate_for_another_spec(self, cert_table_32):
+        # 3/2's Arithmetic certificate says nothing about G(5/2), whose
+        # own certificate at the default budget is Inconclusive
+        cert, _ = cert_table_32
+        spec = MoebiusSpec(5, 2)
+        ma, mb = spec.matrices()
+        with pytest.raises(ValueError, match="certificate is for 3/2, not 5/2"):
+            membership_report(spec, ma * mb, cert)
+
     def test_rejects_foreign_denominators(self, cert_table_32):
         cert, _ = cert_table_32
         g = parse_matrix("[[1,1/3],[0,1]]")
@@ -376,6 +385,32 @@ class TestOfflineVerification:
         ok, problems = verify_certificate(cert.to_json_dict())
         assert not ok
         assert problems == ["closure mod a^2 is not C_a x C_a"]
+
+    def test_detects_wrong_level(self, cert_table_32):
+        cert, _ = cert_table_32
+        payload = cert.to_json_dict()
+        payload["level"] = 3
+        ok, problems = verify_certificate(payload)
+        assert not ok
+        assert problems == ["level 3 != 9"]
+
+    def test_detects_inconclusive_with_wrong_index(self):
+        cert = certify(MoebiusSpec(5, 2),
+                       EnumerationLimits(max_cosets=50_000))
+        assert cert.status == "Inconclusive" and cert.index is None
+        payload = cert.to_json_dict()
+        payload["index"] = 7
+        ok, problems = verify_certificate(payload)
+        assert not ok
+        assert problems == ["inconclusive certificate carries a wrong index"]
+
+    def test_detects_empty_witness(self, cert_table_32):
+        cert, _ = cert_table_32
+        payload = cert.to_json_dict()
+        payload["witness"] = "1"
+        ok, problems = verify_certificate(payload)
+        assert not ok
+        assert problems == ["empty relator witness"]
 
     def test_detects_bogus_witness(self, cert_table_32):
         cert, _ = cert_table_32

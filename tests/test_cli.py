@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from moebius_arith.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -112,6 +114,13 @@ class TestRelator:
         code = run(["relator", "1/2", "--bound", "1"] + FAST)
         assert code == EXIT_INCONCLUSIVE
         assert "NotFound" in capsys.readouterr().out
+
+    def test_overflow_is_not_found(self, capsys):
+        code = run(["relator", "5/2", "--max-cosets", "50000",
+                    "--time-limit", "60"])
+        assert code == EXIT_INCONCLUSIVE
+        assert capsys.readouterr().out == \
+            "NotFound (enumeration did not complete)\n"
 
     def test_json(self, capsys):
         code = run(["relator", "2/3", "--json"] + FAST)
@@ -229,6 +238,26 @@ class TestEnvironment:
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("MOEBIUS_MAX_COSETS", "lots")
         assert run(["certify", "3/2"]) == EXIT_USAGE
+
+    def test_zero_env_budget_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("MOEBIUS_MAX_COSETS", "0")
+        assert run(["certify", "3/2"]) == EXIT_USAGE
+        assert "max_cosets must be >= 1" in capsys.readouterr().err
+
+    # every budget EnumerationLimits refuses is a usage error naming the
+    # bound; --max-cosets 0 no longer falls back to the default
+    @pytest.mark.parametrize("flags,reason", [
+        (["--max-cosets", "0"], "max_cosets must be >= 1"),
+        (["--max-cosets", "-1"], "max_cosets must be >= 1"),
+        (["--max-cosets", str(2 ** 31)], "max_cosets must be <= 2147483647"),
+        (["--time-limit", "0"], "time_limit_s must be None or > 0"),
+        (["--time-limit", "-1"], "time_limit_s must be None or > 0"),
+    ], ids=["max-cosets=0", "max-cosets=-1", "max-cosets=2^31",
+            "time-limit=0", "time-limit=-1"])
+    def test_out_of_range_budget_is_a_usage_error(self, flags, reason,
+                                                  capsys):
+        assert run(["certify", "3/2"] + flags) == EXIT_USAGE
+        assert reason in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE

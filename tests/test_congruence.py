@@ -187,6 +187,12 @@ class TestClosureParity:
                 m = random_residue(rng, n)
                 assert _from_key(n, m.key()) == m
 
+    def test_keys_are_residue_tuples(self):
+        # one key form for every modulus
+        for n in (7, 65_537):
+            key = ResidueMatrix(n, 1, 1, 0, 1).key()
+            assert type(key) is tuple and key == (1, 1, 0, 1)
+
     def test_tuple_keys_past_16_bits(self):
         # n >= 2^16 keys elements by residue tuples
         n = 65_537

@@ -1,6 +1,7 @@
 """Todd-Coxeter enumeration: small-group oracle corpus, table invariants,
 overflow contract, relator recovery."""
 
+import math
 import random
 from array import array
 from types import SimpleNamespace
@@ -525,6 +526,27 @@ class TestOverflow:
             EnumerationLimits(max_cosets=0)
         with pytest.raises(ValueError):
             EnumerationLimits(strategy="magic")
+
+    def test_budget_fits_int32(self):
+        # both engines hold coset ids as int32
+        assert EnumerationLimits(max_cosets=2 ** 31 - 1).max_cosets \
+            == 2 ** 31 - 1
+        with pytest.raises(ValueError, match="max_cosets must be <= "
+                                             "2147483647"):
+            EnumerationLimits(max_cosets=2 ** 31)
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            EnumerationLimits(max_cosets=-1)
+
+    @pytest.mark.parametrize("seconds", [0, -1])
+    def test_time_limit_must_be_positive(self, seconds):
+        with pytest.raises(ValueError, match="time_limit_s must be None or > 0"):
+            EnumerationLimits(time_limit_s=seconds)
+
+    def test_no_time_limit_is_an_infinite_deadline(self):
+        assert EnumerationLimits().deadline() == math.inf
+        engine = _Engine(2, [], [], EnumerationLimits())
+        assert engine.deadline == math.inf
+        assert EnumerationLimits(time_limit_s=60).deadline() < math.inf
 
     def test_malformed_subgroup_word(self):
         pres = fake_presentation(["a"], ["a^2"])

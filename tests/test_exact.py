@@ -175,6 +175,11 @@ class TestMatrices:
                 assert m.pow(-k) == acc.inv()
                 acc = acc * m
 
+    def test_pow_of_minus_identity(self):
+        neg = -IDENT
+        for k in range(-5, 6):
+            assert neg.pow(k) == (IDENT if k % 2 == 0 else neg)
+
 
 class TestWords:
     def test_free_reduction(self):

@@ -148,11 +148,13 @@ class TestEquivalence:
             reasons.add(out.reason)
         assert reasons == {None, "max_cosets"}
 
-    def test_budget_beyond_int32_runs_pure(self):
+    def test_largest_budget_runs_in_kernel(self):
+        # EnumerationLimits caps budgets at int32, so no budget picks the
+        # engine
         pres = fake_presentation(["g"], ["g^4"])
         out = todd_coxeter(pres, [], EnumerationLimits(
-            max_cosets=2 ** 31, strategy=self.strategy))
-        assert out.engine == "pure" and out.index == 4
+            max_cosets=_fast.MAX_COSETS, strategy=self.strategy))
+        assert out.engine == "c" and out.index == 4
 
 
 class TestFelschEquivalence(TestEquivalence):
@@ -163,6 +165,14 @@ class TestFelschEquivalence(TestEquivalence):
     @pytest.mark.parametrize("a,b,budget", [(7, 5, 3_500)], ids=["7/5@3500"])
     def test_identical_through_recovery(self, a, b, budget, monkeypatch):
         super().test_identical_through_recovery(a, b, budget, monkeypatch)
+
+    # the budgets at which HLT completes only through recovery
+    @pytest.mark.parametrize("a,b,budget", [(7, 4, 120_000), (5, 3, 12_000)],
+                             ids=["7/4@120000", "5/3@12000"])
+    def test_identical_at_hlt_recovery_budgets(self, a, b, budget,
+                                               monkeypatch):
+        out = self.identical(monkeypatch, *moebius(a, b), max_cosets=budget)
+        assert out.completed and out.peak_cosets < budget
 
 
 class TestRunControl:
