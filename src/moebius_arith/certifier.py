@@ -283,7 +283,10 @@ def certify_with_table(spec: MoebiusSpec,
                        find_witness: bool = False,
                        witness_bound: int = 300,
                        progress=None) -> tuple[Certificate, Optional[CosetTable]]:
-    """Full pipeline; also returns the coset table of a completed run."""
+    """Full pipeline; also returns the coset table of a completed run.
+    Raises ValueError for find_witness with witness_bound < 1."""
+    if find_witness and witness_bound < 1:
+        raise ValueError("witness_bound must be >= 1")
     if limits is None:
         limits = EnumerationLimits(time_limit_s=1800.0)
     t0 = time.monotonic()
@@ -422,7 +425,9 @@ def table_sweep(b: int, a_values: Iterable[int],
                 find_witness: bool = False) -> list[Certificate]:
     """One certificate per numerator, in input order; an entry that raises
     is recorded as an Inconclusive certificate whose reason starts with
-    "error:", never raised."""
+    "error:", never raised.  Raises ValueError for workers < 1."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if limits is None:
         limits = EnumerationLimits(time_limit_s=1800.0)
     todo = [(a, b, limits, find_witness) for a in a_values]

@@ -72,6 +72,18 @@ def _parse_rational(text: str) -> MoebiusSpec:
         raise _UsageError(str(exc)) from None
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _default_max_cosets() -> int:
     env = os.environ.get("MOEBIUS_MAX_COSETS")
     if env:
@@ -160,7 +172,7 @@ def run(argv) -> int:
     p_certify.add_argument("rational", help="a/b")
     p_certify.add_argument("--witness", action="store_true",
                            help="also search for a relator witness")
-    p_certify.add_argument("--witness-bound", type=int, default=300)
+    p_certify.add_argument("--witness-bound", type=_count, default=300)
     p_certify.add_argument("--out", default=None,
                            help="write the certificate JSON to a file")
     _add_limit_flags(p_certify)
@@ -172,14 +184,14 @@ def run(argv) -> int:
 
     p_relator = subs.add_parser("relator", help="search for a relator in A, B")
     p_relator.add_argument("rational", help="a/b")
-    p_relator.add_argument("--bound", type=int, default=300,
+    p_relator.add_argument("--bound", type=_count, default=300,
                            help="maximum total exponent of the relator")
     _add_limit_flags(p_relator)
 
     p_sweep = subs.add_parser("sweep", help="certify a <= amax for fixed b")
     p_sweep.add_argument("b", type=int)
-    p_sweep.add_argument("--amax", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--amax", type=_count, required=True)
+    p_sweep.add_argument("--jobs", type=_count, default=1)
     _add_limit_flags(p_sweep)
 
     p_verify = subs.add_parser("verify", help="re-check a certificate file")

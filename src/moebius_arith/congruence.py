@@ -35,17 +35,14 @@ from .exact import (
 # desk-scale memory for anything larger.
 DEFAULT_CLOSURE_CAP = 2_000_000
 
-# Companion of the conjugator x = [[-1,1],[0,1]] used for the third closure
-# generator (convention B^x = x^-1 B x).  x itself has determinant -1, but
-# x = diag(-1,1) * A(-1) and conjugation by diag(-1,1) is an off-diagonal
-# sign flip, so B^x is computed without leaving SL(2).
-MAT_CONJ_UNIPOTENT = UniModularMatrix.from_rows([[1, -1], [0, 1]])
-
 
 def conjugate_by_x(m: UniModularMatrix) -> UniModularMatrix:
-    """x^-1 * m * x for x = [[-1,1],[0,1]] (an involution of GL(2, Z))."""
-    flipped = UniModularMatrix(m.e11, -m.e12, -m.e21, m.e22)
-    return MAT_CONJ_UNIPOTENT.inv() * flipped * MAT_CONJ_UNIPOTENT
+    """x^-1 * m * x for x = [[-1,1],[0,1]] (an involution of GL(2, Z)),
+    the convention B^x of the third closure generator.  x has determinant
+    -1, but the conjugate keeps m's: x [[p,q],[r,s]] x = [[p-r, s-p+r-q],
+    [-r, r+s]]."""
+    p, q, r, s = m.e11, m.e12, m.e21, m.e22
+    return UniModularMatrix(p - r, s - p + r - q, -r, r + s)
 
 
 class ClosureOverflowError(RuntimeError):
@@ -53,14 +50,7 @@ class ClosureOverflowError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,10 @@ one.  Labelled mode is pure Python; the kernel ports the unlabelled engine.
 short-word search, falling back to a labelled run whose relator traces,
 read off the closed table, are words in the subgroup generators.  The
 search's ball of short words is integer arithmetic over one fixed
-denominator, each word its parent sheared by one unipotent step, with
-every step's and every word's determinant checked; its candidates are
-verified lightest first by exact evaluation, each rotated to start with
-A only when it is evaluated.
+denominator, each word its parent sheared by a step A(m)^e = A(e*m) or
+B(m)^e = B(e*m) read off the translation length m, with every word's
+determinant checked; its candidates are verified lightest first by exact
+evaluation, each rotated to start with A only when it is evaluated.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -834,10 +833,21 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     candidates are verified by evaluation lightest first (first found among
     equal weights), and the first that evaluates to the identity is
     returned.
+
+    Raises ValueError when `bound` < 1, or unless word_a and word_b
+    evaluate to exactly A(m) = [[1,m],[0,1]] and B(m) = [[1,0],[m,1]] for
+    one rational m, as `express_generators` spells them: the search reads
+    every step off m.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     mat_a = evaluate_word(word_a, pres.assignment)
     mat_b = evaluate_word(word_b, pres.assignment)
     m = mat_a.e12  # the translation length a/b
+    if (mat_a != UniModularMatrix(1, m, 0, 1)
+            or mat_b != UniModularMatrix(1, 0, m, 1)):
+        raise ValueError("word_a and word_b must evaluate to [[1,m],[0,1]] "
+                         "and [[1,0],[m,1]] for one m")
     candidates = _collision_relator_search(mat_a, mat_b, m, bound)
     if not candidates and table.n <= _AUGMENTED_MAX_INDEX:
         # intermediate blowup scales with the presentation, not the index
@@ -861,49 +871,33 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
 
 
 class _SyllableBall:
-    """All alternating words in A, B with at most `depth` syllables and
-    exponents in [-erange, erange], in breadth-first order, stored as
-    parallel lists: evaluation, weight, and the parent element (-1 for
-    the empty word) with the last syllable.  Only the few elements a
-    collision reads get their word rebuilt (`word`).
+    """All alternating words in A = A(m), B = B(m) with at most `depth`
+    syllables and exponents in [-erange, erange], in breadth-first order,
+    stored as parallel lists: evaluation, weight, and the parent element
+    (-1 for the empty word) with the last syllable.  A word's spelling is
+    read off its parent links (`syllables_of`) only for the few elements a
+    collision reads.
 
     Evaluations are integer 4-tuples over one fixed denominator `den`: with
-    L the lcm of the entry denominators of the step powers A^e, B^e, an
-    element at layer k has entries with denominators dividing L^k, so
-    `den = L^depth` makes every `nums[i] = den * M_i` integral.  A and B are
-    unipotent, so each scaled step L*S is [[L, x], [0, L]] or [[L, 0],
-    [x, L]] (checked once per step, determinant first), and a child is a
-    shear of its parent N: under A, (n11, n12 + n11*x//L, n21, n22 +
-    n21*x//L), under B the transpose.  That is (N * (L*S)) // L entry for
-    entry, since (a + n*L) // L == n + a // L, and every child is checked
-    against det N = den^2.  Equal tuples are equal matrices.
+    L = den(m), every step A(m)^e = A(e*m), B(m)^e = B(e*m) has entries with
+    denominators dividing L, so an element at layer k has entries with
+    denominators dividing L^k and `den = L^depth` makes every
+    `nums[i] = den * M_i` integral.  The integer step L*A(e*m) is [[L, x],
+    [0, L]] and L*B(e*m) is [[L, 0], [x, L]], with x = e * num(m), and a
+    child is a shear of its parent N: under A, (n11, n12 + n11*x//L, n21,
+    n22 + n21*x//L), under B the transpose.  That is (N * (L*S)) // L entry
+    for entry, since (a + n*L) // L == n + a // L, and every child is
+    checked against det N = den^2.  Equal tuples are equal matrices.
     """
 
-    def __init__(self, mat_a: UniModularMatrix, mat_b: UniModularMatrix,
-                 depth: int, erange: int):
-        powers = {sym: [(e, mat.pow(e)) for e in range(-erange, erange + 1)
-                        if e]
-                  for sym, mat in (("A", mat_a), ("B", mat_b))}
-        l = lcm(*(x.denominator for pows in powers.values()
-                  for _, p in pows for x in (p.e11, p.e12, p.e21, p.e22)))
+    def __init__(self, m: Fraction, depth: int, erange: int):
+        l = m.denominator
+        exps = [e for e in range(-erange, erange + 1) if e]
         # per symbol: the syllables, their sizes and the off-diagonal
         # entry x of the integer step L*S
-        steps = {}
-        for sym, pows in powers.items():
-            xs = []
-            for _, p in pows:
-                s11, s12, s21, s22 = (x.numerator * (l // x.denominator)
-                                      for x in (p.e11, p.e12, p.e21, p.e22))
-                if s11 * s22 - s12 * s21 != l * l:
-                    raise ValueError(
-                        "syllable ball step has determinant != 1")
-                x, zero = (s12, s21) if sym == "A" else (s21, s12)
-                if s11 != l or s22 != l or zero != 0:
-                    raise ValueError(f"syllable ball step {sym}^e is not "
-                                     "unipotent of its generator's shape")
-                xs.append(x)
-            steps[sym] = ([(sym, e) for e, _ in pows],
-                          [abs(e) for e, _ in pows], xs)
+        steps = {sym: ([(sym, e) for e in exps], [abs(e) for e in exps],
+                       [e * m.numerator for e in exps])
+                 for sym in ("A", "B")}
         den = l ** depth
         dd = den * den
         self.den = den
@@ -911,12 +905,10 @@ class _SyllableBall:
         self.weights: list[int] = []
         self.parents: list[int] = []
         self.syllables: list[tuple[str, int]] = []
-        # spellings of the interior layers' elements (a prefix of the list)
-        self._spelled: list[tuple] = []
         nums, weights = self.nums, self.weights
         parents, syllables = self.parents, self.syllables
         layer = range(-1, 0)
-        for layer_no in range(depth):
+        for _ in range(depth):
             start = len(nums)
             for parent in layer:
                 if parent < 0:
@@ -946,23 +938,15 @@ class _SyllableBall:
                     syllables.extend(syls)
                 if len(nums) > _BALL_CAP:
                     return
-            if layer_no < depth - 1:
-                spelled = self._spelled
-                for i in range(start, len(nums)):
-                    parent = parents[i]
-                    prefix = spelled[parent] if parent >= 0 else ()
-                    spelled.append((*prefix, syllables[i]))
             layer = range(start, len(nums))
 
     def syllables_of(self, i: int) -> list[tuple[str, int]]:
-        if i < len(self._spelled):
-            return list(self._spelled[i])
-        parent = self.parents[i]
-        prefix = self._spelled[parent] if parent >= 0 else ()
-        return [*prefix, self.syllables[i]]
-
-    def word(self, i: int) -> GroupWord:
-        return GroupWord(tuple(self.syllables_of(i)))
+        out = []
+        while i >= 0:
+            out.append(self.syllables[i])
+            i = self.parents[i]
+        out.reverse()
+        return out
 
     def matrix(self, i: int) -> UniModularMatrix:
         return UniModularMatrix(*(Fraction(x, self.den) for x in self.nums[i]))
@@ -984,8 +968,7 @@ def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
 
 def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                               m, bound: int) -> list[GroupWord]:
-    erange = max(12, int(1 / m) + 2 if 0 < m < 1 else 12, m.denominator + 2)
-    ball = _SyllableBall(mat_a, mat_b, _SYLLABLE_DEPTH, erange)
+    ball = _SyllableBall(m, _SYLLABLE_DEPTH, max(12, m.denominator + 2))
     nums, weights = ball.nums, ball.weights
     mnum, mden = m.numerator, m.denominator
     out: list[GroupWord] = []
@@ -1064,8 +1047,11 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
                     gk = conj_mat.pow(k)
                     if gk * u_mat * gk.inv() != ball.matrix(v):
                         continue
-                    rel = (GroupWord(((sym, k),)) * ball.word(u)
-                           * GroupWord(((sym, -k),)) * ball.word(v).inv())
+                    # sym^k u sym^-k v^-1, freely reduced in one pass
+                    inv_v = [(s, -e) for s, e in
+                             reversed(ball.syllables_of(v))]
+                    rel = word([(sym, k), *ball.syllables_of(u), (sym, -k),
+                                *inv_v])
                     if not rel.is_empty():
                         out.append(rel)
             if out:

@@ -140,6 +140,18 @@ class TestCertify:
         ma, mb = make_moebius_generators(1, 2)
         assert evaluate_word(w, {"A": ma, "B": mb}).is_identity()
 
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_witness_bound_below_one_refused_before_enumerating(
+            self, monkeypatch, bound):
+        import moebius_arith.certifier as certifier
+        runs = []
+        monkeypatch.setattr(certifier, "todd_coxeter",
+                            lambda *args, **kw: runs.append(args))
+        with pytest.raises(ValueError, match="witness_bound must be >= 1"):
+            certify_with_table(MoebiusSpec(1, 2), find_witness=True,
+                               witness_bound=bound)
+        assert runs == []
+
     def test_certificate_invariants_enforced(self):
         with pytest.raises(ValueError):
             Certificate(spec=MoebiusSpec(3, 2), status="Arithmetic",
@@ -288,6 +300,13 @@ class TestSweep:
         assert certs[0].status == "Arithmetic"
         assert certs[1].status == "Inconclusive"
         assert certs[1].reason.startswith("error: RuntimeError: ")
+
+    # one numerator used to run serially whatever the worker count
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("a_values", [[1], [1, 3]], ids=["one", "two"])
+    def test_workers_below_one_refused(self, workers, a_values):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            table_sweep(2, a_values, EnumerationLimits(), workers=workers)
 
     def test_worker_pool(self):
         certs = table_sweep(3, [1, 2], EnumerationLimits(), workers=2)

@@ -259,6 +259,20 @@ class TestEnvironment:
         assert run(["certify", "3/2"] + flags) == EXIT_USAGE
         assert reason in capsys.readouterr().err
 
+    # a count below 1 is a usage error naming its flag, before any work
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "3", "--amax", "2", "--jobs", "0"], "--jobs"),
+        (["sweep", "3", "--amax", "2", "--jobs", "-1"], "--jobs"),
+        (["sweep", "3", "--amax", "0"], "--amax"),
+        (["relator", "1/2", "--bound", "0"], "--bound"),
+        (["certify", "1/2", "--witness", "--witness-bound", "-5"],
+         "--witness-bound"),
+    ], ids=["jobs=0", "jobs=-1", "amax=0", "bound=0", "witness-bound=-5"])
+    def test_count_below_one_is_a_usage_error(self, argv, flag, capsys):
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1" in err
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
 
