@@ -122,8 +122,8 @@ def run(width: int, relators, subgroup, limits, progress,
         progress_every: int):
     """Enumeration in the kernel within `limits`, a
     `coset_enum.EnumerationLimits`, under its strategy; relators and
-    subgroup words are letter tuples as `coset_enum.todd_coxeter` prepares
-    them.
+    subgroup words are letter tuples as `coset_enum._enumeration_letters`
+    prepares them, the relators nonempty and cyclically reduced.
 
     Returns None when the kernel is unavailable, else (table, rows, peak,
     defined, reason): the compacted flat table and reason None on
@@ -137,7 +137,6 @@ def run(width: int, relators, subgroup, limits, progress,
 
     from .coset_enum import _rotation_buckets
 
-    relators = [r for r in relators if r]
     rel_flat, rel_off = _flatten(relators)
     sub_flat, sub_off = _flatten(subgroup)
     # Felsch's rotations, flattened bucket after bucket; those leading with

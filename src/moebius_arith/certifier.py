@@ -12,6 +12,10 @@ subgroup, and cross-validates a completed run on four independent fronts:
      0 of the table,
   4. the generators must surject onto SL(2, Z_p) for primes p away from ab.
 
+With `witness_bound` set, a completed run also searches for a relator in
+A and B (`find_relator`), checks one found by exact evaluation and records
+it, or records the bound under `resources["witness_not_found_within"]`.
+
 A certificate with status Arithmetic witnesses finite index, hence
 non-freeness of the group.  Overflowed or failed runs yield Inconclusive
 certificates that carry no claim whatsoever about infinite index.
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Optional
 
 from .congruence import (
@@ -53,6 +56,7 @@ from .coset_enum import (
 from .exact import (
     GroupWord,
     UniModularMatrix,
+    check_moebius_parameters,
     evaluate_word,
     format_word,
     make_moebius_generators,
@@ -71,6 +75,10 @@ ARITHMETIC_CHECKS = (
     "surjects_outside_level_primes",
 )
 
+# the budgets of a certifier run given none
+DEFAULT_LIMITS = EnumerationLimits(time_limit_s=1800.0)
+
+
 class IndexMismatchError(RuntimeError):
     """Completed enumeration disagreeing with the index formula.
 
@@ -85,8 +93,7 @@ class MoebiusSpec:
     b: int
 
     def __post_init__(self):
-        if self.a < 1 or self.b <= 1 or gcd(self.a, self.b) != 1:
-            raise ValueError(f"invalid Moebius parameters ({self.a}, {self.b})")
+        check_moebius_parameters(self.a, self.b)
 
     def matrices(self) -> tuple[UniModularMatrix, UniModularMatrix]:
         return make_moebius_generators(self.a, self.b)
@@ -269,26 +276,23 @@ def _first_primes_coprime_to(n: int, count: int) -> list[int]:
 
 
 def certify(spec: MoebiusSpec,
-            limits: Optional[EnumerationLimits] = None,
-            find_witness: bool = False,
-            witness_bound: int = 300,
+            limits: EnumerationLimits = DEFAULT_LIMITS, *,
+            witness_bound: Optional[int] = None,
             progress=None) -> Certificate:
-    cert, _table = certify_with_table(spec, limits, find_witness,
-                                      witness_bound, progress)
-    return cert
+    return certify_with_table(spec, limits, witness_bound=witness_bound,
+                              progress=progress)[0]
 
 
 def certify_with_table(spec: MoebiusSpec,
-                       limits: Optional[EnumerationLimits] = None,
-                       find_witness: bool = False,
-                       witness_bound: int = 300,
+                       limits: EnumerationLimits = DEFAULT_LIMITS, *,
+                       witness_bound: Optional[int] = None,
                        progress=None) -> tuple[Certificate, Optional[CosetTable]]:
     """Full pipeline; also returns the coset table of a completed run.
-    Raises ValueError for find_witness with witness_bound < 1."""
-    if find_witness and witness_bound < 1:
+    `witness_bound` None searches for no relator witness, else for one of
+    at most that total exponent; below 1 it raises ValueError before
+    enumerating."""
+    if witness_bound is not None and witness_bound < 1:
         raise ValueError("witness_bound must be >= 1")
-    if limits is None:
-        limits = EnumerationLimits(time_limit_s=1800.0)
     t0 = time.monotonic()
     a, b = spec.a, spec.b
     ld = level_data(a, b)
@@ -321,9 +325,11 @@ def certify_with_table(spec: MoebiusSpec,
     checks.append(("surjects_outside_level_primes", ok))
 
     witness_s = None
-    if find_witness:
+    if witness_bound is not None:
         wit = find_relator(pres, wa, wb, table, bound=witness_bound)
-        if wit is not None:
+        if wit is None:
+            resources["witness_not_found_within"] = witness_bound
+        else:
             mat_a, mat_b = spec.matrices()
             valid = evaluate_word(wit, {"A": mat_a, "B": mat_b}).is_identity()
             checks.append(("relator_witness_validates", valid))
@@ -406,10 +412,10 @@ def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
 # -- sweeps --------------------------------------------------------------------
 
 def _sweep_entry(args) -> Certificate:
-    a, b, limits, find_witness = args
+    a, b, limits = args
     spec = MoebiusSpec(a, b)
     try:
-        return certify(spec, limits, find_witness=find_witness)
+        return certify(spec, limits)
     except Exception as exc:                      # recorded, never raised
         # "error:" keeps faults such as IndexMismatchError apart from the
         # budget reasons "max_cosets" and "time_limit"
@@ -420,20 +426,17 @@ def _sweep_entry(args) -> Certificate:
 
 
 def table_sweep(b: int, a_values: Iterable[int],
-                limits: Optional[EnumerationLimits] = None,
-                workers: int = 1,
-                find_witness: bool = False) -> list[Certificate]:
+                limits: EnumerationLimits = DEFAULT_LIMITS,
+                workers: int = 1) -> list[Certificate]:
     """One certificate per numerator, in input order; an entry that raises
     is recorded as an Inconclusive certificate whose reason starts with
-    "error:", never raised.  Raises ValueError for workers < 1."""
+    "error:", never raised.  Raises ValueError for workers < 1 or, before
+    any work, for a bad numerator."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if limits is None:
-        limits = EnumerationLimits(time_limit_s=1800.0)
-    todo = [(a, b, limits, find_witness) for a in a_values]
-    for a, _, _, _ in todo:
-        if gcd(a, b) != 1:
-            raise ValueError(f"numerator {a} is not coprime to {b}")
+    todo = [(a, b, limits) for a in a_values]
+    for a, _, _ in todo:
+        check_moebius_parameters(a, b)
     if workers == 1 or len(todo) <= 1:
         return [_sweep_entry(t) for t in todo]
     from concurrent.futures import ProcessPoolExecutor

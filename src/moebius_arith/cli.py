@@ -18,6 +18,7 @@ from collections import Counter
 from math import gcd
 
 from .certifier import (
+    DEFAULT_LIMITS,
     Certificate,
     MoebiusSpec,
     certify,
@@ -26,7 +27,8 @@ from .certifier import (
     table_sweep,
     verify_certificate,
 )
-from .coset_enum import DEFAULT_MAX_COSETS, EnumerationLimits
+from .coset_enum import (DEFAULT_MAX_COSETS, DEFAULT_WITNESS_BOUND,
+                         EnumerationLimits)
 from .exact import parse_matrix, parse_word
 from .presentation import (
     build_presentation,
@@ -44,6 +46,10 @@ INDEX_NOT_REPROVED = (
     "note: finite index is not re-proved: the index was compared with the "
     "formula a*|SL(2,Z_a)|, but the certificate carries no coset table or "
     "proof")
+
+# `certify --witness` prints this on stderr when the search finds none
+WITNESS_NOT_FOUND = ("note: no relator witness found within total exponent "
+                     "{}; this is not evidence of freeness")
 
 # `present` prints this on stderr when b has two or more distinct primes
 PUSHOUT_NOTE = (
@@ -110,7 +116,8 @@ def _add_limit_flags(sub):
                      help="coset budget, 1 to 2^31-1 (default 10^7 or "
                           "MOEBIUS_MAX_COSETS)")
     sub.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
-    sub.add_argument("--time-limit", type=float, default=1800.0,
+    sub.add_argument("--time-limit", type=float,
+                     default=DEFAULT_LIMITS.time_limit_s,
                      help="wall clock budget per enumeration, seconds > 0")
     sub.add_argument("--json", action="store_true", help="JSON output")
 
@@ -172,7 +179,8 @@ def run(argv) -> int:
     p_certify.add_argument("rational", help="a/b")
     p_certify.add_argument("--witness", action="store_true",
                            help="also search for a relator witness")
-    p_certify.add_argument("--witness-bound", type=_count, default=300)
+    p_certify.add_argument("--witness-bound", type=_count,
+                           default=DEFAULT_WITNESS_BOUND)
     p_certify.add_argument("--out", default=None,
                            help="write the certificate JSON to a file")
     _add_limit_flags(p_certify)
@@ -184,7 +192,8 @@ def run(argv) -> int:
 
     p_relator = subs.add_parser("relator", help="search for a relator in A, B")
     p_relator.add_argument("rational", help="a/b")
-    p_relator.add_argument("--bound", type=_count, default=300,
+    p_relator.add_argument("--bound", type=_count,
+                           default=DEFAULT_WITNESS_BOUND,
                            help="maximum total exponent of the relator")
     _add_limit_flags(p_relator)
 
@@ -232,14 +241,17 @@ def _dispatch(args) -> int:
 
     if args.command == "certify":
         spec = _parse_rational(args.rational)
-        cert, _ = certify_with_table(spec, _limits(args),
-                                     find_witness=args.witness,
-                                     witness_bound=args.witness_bound)
+        cert = certify(spec, _limits(args),
+                       witness_bound=args.witness_bound if args.witness
+                       else None)
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(cert.to_json_dict(), fh, indent=2)
                 fh.write("\n")
         _print_certificate(cert, args.json)
+        if "witness_not_found_within" in cert.resources:
+            print(WITNESS_NOT_FOUND.format(args.witness_bound),
+                  file=sys.stderr)
         return EXIT_OK if cert.status == "Arithmetic" else EXIT_INCONCLUSIVE
 
     if args.command == "member":
@@ -257,7 +269,6 @@ def _dispatch(args) -> int:
     if args.command == "relator":
         spec = _parse_rational(args.rational)
         cert, table = certify_with_table(spec, _limits(args),
-                                         find_witness=True,
                                          witness_bound=args.bound)
         if table is None:
             print("NotFound (enumeration did not complete)")

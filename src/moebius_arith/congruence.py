@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .exact import (
     UniModularMatrix,
+    check_moebius_parameters,
     make_moebius_generators,
     prime_factors,
 )
@@ -73,7 +74,7 @@ class ResidueMatrix:
     def identity(n: int) -> "ResidueMatrix":
         return ResidueMatrix(n, 1 % n, 0, 0, 1 % n)
 
-    def mul(self, other: "ResidueMatrix") -> "ResidueMatrix":
+    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
         n = self.n
         return ResidueMatrix(
             n,
@@ -82,8 +83,6 @@ class ResidueMatrix:
             (self.c * other.a + self.d * other.c) % n,
             (self.c * other.b + self.d * other.d) % n,
         )
-
-    __mul__ = mul
 
     def key(self) -> tuple[int, int, int, int]:
         """Hash key: the four residues."""
@@ -134,7 +133,6 @@ def sl2_order(n: int) -> int:
 class SubgroupImage:
     """Closure of a generator set inside SL(2, Z_n)."""
 
-    modulus: int
     order: int
     elements: frozenset  # of key() values
     is_abelian: bool = False
@@ -142,21 +140,15 @@ class SubgroupImage:
 
     @cached_property
     def exponent(self) -> int:
-        """lcm of the element orders, computed when first read: from the
-        generators alone when the closure is abelian, else over every
-        element."""
-        if self.is_abelian:
-            return lcm(*(g.order() for g in self.generators))
-        n = self.modulus
-        return lcm(*(_from_key(n, k).order() for k in self.elements))
+        """lcm of the element orders of an abelian closure, which is the
+        lcm of its generators' orders; computed when first read.  Raises
+        ValueError on a non-abelian closure."""
+        if not self.is_abelian:
+            raise ValueError("exponent is only computed for an abelian closure")
+        return lcm(*(g.order() for g in self.generators))
 
     def contains(self, m: ResidueMatrix) -> bool:
         return m.key() in self.elements
-
-
-def _from_key(n: int, k) -> ResidueMatrix:
-    """Inverse of ResidueMatrix.key."""
-    return ResidueMatrix(n, *k)
 
 
 def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
@@ -202,7 +194,7 @@ def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
     if sl2_order(n) % len(seen):
         raise RuntimeError(f"closure of order {len(seen)} mod {n} "
                            "violates Lagrange")
-    return SubgroupImage(modulus=n, order=len(seen),
+    return SubgroupImage(order=len(seen),
                          elements=frozenset(seen),
                          is_abelian=abelian, generators=tuple(gens))
 
@@ -300,8 +292,7 @@ class LevelData:
 
 
 def level_data(a: int, b: int) -> LevelData:
-    if a < 1 or b <= 1 or gcd(a, b) != 1:
-        raise ValueError(f"invalid Moebius parameters ({a}, {b})")
+    check_moebius_parameters(a, b)
     return LevelData(
         a=a,
         level=a * a,
@@ -317,8 +308,7 @@ def member_of_closure(g: UniModularMatrix, a: int, b: int) -> bool:
     be S-arithmetic.  Matrices whose denominators are not coprime to a
     cannot lie in SL(2, Z[1/b]) at all and report False.
     """
-    if a < 1 or b <= 1 or gcd(a, b) != 1:
-        raise ValueError(f"invalid Moebius parameters ({a}, {b})")
+    check_moebius_parameters(a, b)
     if a == 1:
         return True
     n = a * a

@@ -67,6 +67,10 @@ from .presentation import Presentation
 UNDEF = -1
 
 DEFAULT_MAX_COSETS = 10_000_000
+# definitions between two `progress` reports
+DEFAULT_PROGRESS_EVERY = 100_000
+# `find_relator`'s limit on a relator's total of absolute exponents
+DEFAULT_WITNESS_BOUND = 300
 
 # dead-row fraction that triggers compaction
 _COMPACT_FRACTION = 0.25
@@ -263,10 +267,10 @@ class _Engine:
     def __init__(self, width: int, relators: Sequence[tuple[int, ...]],
                  subgroup: Sequence[tuple[int, ...]], limits: EnumerationLimits,
                  progress: Optional[Callable[[int, int], None]] = None,
-                 progress_every: int = 100_000,
+                 progress_every: int = DEFAULT_PROGRESS_EVERY,
                  symbols: Optional[Sequence[str]] = None):
         self.w = width
-        self.relators = [r for r in relators if r]
+        self.relators = list(relators)
         self.subgroup = list(subgroup)
         self.max_cosets = limits.max_cosets
         self.deadline = limits.deadline()
@@ -666,9 +670,10 @@ def _rotation_buckets(relators, width: int) -> list[list[tuple[int, ...]]]:
 
 
 def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
-                 limits: Optional[EnumerationLimits] = None,
+                 limits: EnumerationLimits = EnumerationLimits(),
                  progress: Optional[Callable[[int, int], None]] = None,
-                 progress_every: int = 100_000) -> EnumerationOutcome:
+                 progress_every: int = DEFAULT_PROGRESS_EVERY
+                 ) -> EnumerationOutcome:
     """Enumerate cosets of the subgroup generated by `subgroup_gens` words
     in the finitely presented group.
 
@@ -685,8 +690,6 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     `progress(defined, live)` is called every `progress_every`
     definitions; an exception it raises aborts the run and propagates.
     """
-    if limits is None:
-        limits = EnumerationLimits()
     if progress is not None and progress_every < 1:
         raise ValueError("progress_every must be >= 1")
     width, relators, subgroup = _enumeration_letters(pres, subgroup_gens)
@@ -716,10 +719,11 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
 def _enumeration_letters(pres: Presentation,
                          subgroup_gens: Sequence[GroupWord]):
     """(width, relators, subgroup) as column letters; the relators are
-    cyclically reduced."""
+    cyclically reduced, and empty ones, which close everywhere, dropped."""
     col_of = {g: 2 * i for i, g in enumerate(pres.generators)}
     relators = [_cyclic_reduce_letters(word_to_letters(r, col_of))
                 for r in pres.relators]
+    relators = [rel for rel in relators if rel]
     subgroup = [tuple(word_to_letters(g, col_of)) for g in subgroup_gens]
     return 2 * len(pres.generators), relators, subgroup
 
@@ -762,10 +766,9 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
     tab = table._tab
     cols = [tab[c:n * w:w].tolist() for c in range(w)]
     ident = tuple(range(n))
-    points = set(ident)
     for col in cols:
-        # n entries covering all n points: a permutation
-        if set(col) != points:
+        # in range; the inverse checks below then make it a permutation
+        if min(col) < 0 or max(col) >= n:
             raise RuntimeError(_VERIFY_MESSAGES[0])
     if n == 1:
         # every column is (0,): the checks below hold trivially, and
@@ -775,6 +778,9 @@ def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
     getters = [itemgetter(*col) for col in cols]
     for c in range(w):
         if getters[c](cols[c ^ 1]) != ident:
+            # a column repeating an entry fails the first check instead
+            if any(len(set(col)) != n for col in cols):
+                raise RuntimeError(_VERIFY_MESSAGES[0])
             raise RuntimeError(_VERIFY_MESSAGES[1])
     # generator columns suffice: the columns are permutations and each odd
     # column inverts its even one, so the generators' orbit is the group's
@@ -815,7 +821,8 @@ def word_stabilizes_one(table: CosetTable, w: GroupWord) -> bool:
 # -- relator recovery ---------------------------------------------------------
 
 def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
-                 table: CosetTable, bound: int = 300) -> Optional[GroupWord]:
+                 table: CosetTable, bound: int = DEFAULT_WITNESS_BOUND
+                 ) -> Optional[GroupWord]:
     """A nonempty relator of the subgroup generated by word_a, word_b, as a
     freely reduced word over the symbols A and B, or None when the search
     below finds none within `bound`.  None is not a proof that no relator

@@ -133,9 +133,6 @@ class UniModularMatrix:
         (a, b), (c, d) = rows
         return UniModularMatrix(a, b, c, d)
 
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return ((self.e11, self.e12), (self.e21, self.e22))
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "UniModularMatrix") -> "UniModularMatrix":
@@ -180,10 +177,6 @@ class UniModularMatrix:
 
     __pow__ = pow
 
-    def trace(self) -> Fraction:
-        n11, _, _, n22, den = self._key
-        return Fraction(n11 + n22, den)
-
     # -- predicates --------------------------------------------------------
 
     def is_identity(self) -> bool:
@@ -203,17 +196,21 @@ class UniModularMatrix:
 _IDENTITY = _make(1, 0, 0, 1, 1)
 
 
-def make_moebius_generators(a: int, b: int) -> tuple[UniModularMatrix, UniModularMatrix]:
-    """The parabolic pair A(a/b) = [[1,a/b],[0,1]], B(a/b) = [[1,0],[a/b,1]].
-
-    Requires a > 0, b > 1 and gcd(a, b) = 1.
-    """
+def check_moebius_parameters(a: int, b: int) -> None:
+    """Raise ValueError unless a > 0, b > 1 and gcd(a, b) = 1: the one
+    check of Moebius parameters, which every entry point taking them calls."""
     if a <= 0:
         raise ValueError(f"numerator must be positive, got {a}")
     if b <= 1:
         raise ValueError(f"denominator must exceed 1, got {b}")
     if gcd(a, b) != 1:
         raise ValueError(f"gcd({a}, {b}) != 1")
+
+
+def make_moebius_generators(a: int, b: int) -> tuple[UniModularMatrix, UniModularMatrix]:
+    """The parabolic pair A(a/b) = [[1,a/b],[0,1]], B(a/b) = [[1,0],[a/b,1]];
+    raises ValueError for parameters `check_moebius_parameters` refuses."""
+    check_moebius_parameters(a, b)
     return (_make(b, a, 0, b, b), _make(b, 0, a, b, b))
 
 
@@ -283,11 +280,6 @@ class GroupWord:
 
     def is_empty(self) -> bool:
         return not self.syllables
-
-    @property
-    def length(self) -> int:
-        """Number of syllables."""
-        return len(self.syllables)
 
     @property
     def weight(self) -> int:

@@ -64,8 +64,6 @@ class AmalgamPiece:
     """The per-prime data glued onto the {s, t} copy."""
 
     prime: int
-    x_symbol: str
-    y_symbol: str
     # (word over {x_p, y_p}, word over {s, t}) pairs with equal evaluation
     matching: tuple[tuple[GroupWord, GroupWord], ...]
 
@@ -190,8 +188,7 @@ def build_presentation(b: int) -> Presentation:
             st_word = decompose_st(value)
             matching.append((gen_word, st_word))
             relators.append(gen_word * st_word.inv())
-        pieces.append(AmalgamPiece(prime=p, x_symbol=xsym, y_symbol=ysym,
-                                   matching=tuple(matching)))
+        pieces.append(AmalgamPiece(prime=p, matching=tuple(matching)))
     pres = Presentation(
         generators=tuple(generators),
         relators=tuple(relators),

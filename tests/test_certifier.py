@@ -20,7 +20,11 @@ from moebius_arith.certifier import (
     verify_certificate,
 )
 from moebius_arith.congruence import ResidueMatrix, reduce_mod, sl2_order
-from moebius_arith.coset_enum import EnumerationLimits, word_stabilizes_one
+from moebius_arith.coset_enum import (
+    DEFAULT_WITNESS_BOUND,
+    EnumerationLimits,
+    word_stabilizes_one,
+)
 from moebius_arith.exact import (
     UniModularMatrix,
     evaluate_word,
@@ -83,7 +87,7 @@ class TestExpressGenerators:
         # words for A(k/b) stay short as k grows
         w1 = a_generator_word(1, 9)
         w5 = a_generator_word(5, 9)
-        assert w5.length == w1.length
+        assert len(w5.syllables) == len(w1.syllables)
 
 
 class TestCertify:
@@ -133,12 +137,28 @@ class TestCertify:
         assert cert.resources["peak_cosets"] <= 100_000
 
     def test_witness_requested(self):
-        cert = certify(MoebiusSpec(1, 2), find_witness=True)
+        cert = certify(MoebiusSpec(1, 2), witness_bound=DEFAULT_WITNESS_BOUND)
         assert cert.status == "Arithmetic"
         assert cert.witness is not None
         w = parse_word(cert.witness)
         ma, mb = make_moebius_generators(1, 2)
         assert evaluate_word(w, {"A": ma, "B": mb}).is_identity()
+        assert "witness_not_found_within" not in cert.resources
+
+    def test_no_witness_search_by_default(self):
+        cert = certify(MoebiusSpec(1, 2))
+        assert cert.witness is None
+        assert "witness_not_found_within" not in cert.resources
+        assert "relator_witness_validates" not in dict(cert.checks)
+
+    def test_witness_not_found_is_recorded(self):
+        # find_relator finds nothing within total exponent 1 on 1/2
+        cert, table = certify_with_table(MoebiusSpec(1, 2), witness_bound=1)
+        assert cert.status == "Arithmetic" and table is not None
+        assert cert.witness is None
+        assert cert.resources["witness_not_found_within"] == 1
+        assert "relator_witness_validates" not in dict(cert.checks)
+        assert verify_certificate(cert.to_json_dict()) == (True, [])
 
     @pytest.mark.parametrize("bound", [0, -5])
     def test_witness_bound_below_one_refused_before_enumerating(
@@ -148,8 +168,7 @@ class TestCertify:
         monkeypatch.setattr(certifier, "todd_coxeter",
                             lambda *args, **kw: runs.append(args))
         with pytest.raises(ValueError, match="witness_bound must be >= 1"):
-            certify_with_table(MoebiusSpec(1, 2), find_witness=True,
-                               witness_bound=bound)
+            certify_with_table(MoebiusSpec(1, 2), witness_bound=bound)
         assert runs == []
 
     def test_certificate_invariants_enforced(self):
@@ -180,12 +199,12 @@ class TestTorsionFreeness:
                 continue
             # in SL(2, Q), finite order means +-I or trace in {-1, 0, 1}
             assert g != -UniModularMatrix.identity()
-            assert g.trace() not in (-1, 0, 1)
+            assert g.e11 + g.e22 not in (-1, 0, 1)
 
     def test_whole_group_has_torsion(self):
         # a = 1 keeps all of SL(2, Z), e.g. the order-4 rotation
         s = parse_matrix("[[0,1],[-1,0]]")
-        assert s.trace() == 0
+        assert s.e11 + s.e22 == 0
         assert s.pow(2) != UniModularMatrix.identity()
         assert s.pow(4) == UniModularMatrix.identity()
 
@@ -253,6 +272,21 @@ class TestSweep:
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             table_sweep(2, [2], EnumerationLimits())
+
+    @pytest.mark.parametrize("a_values,match", [
+        ([1, 0], "numerator must be positive"),
+        ([1, -3], "numerator must be positive"),
+        ([1, 4], r"gcd\(4, 2\) != 1"),
+    ])
+    def test_bad_numerator_refused_before_any_work(self, monkeypatch,
+                                                   a_values, match):
+        import moebius_arith.certifier as certifier
+        runs = []
+        monkeypatch.setattr(certifier, "certify",
+                            lambda *args, **kw: runs.append(args))
+        with pytest.raises(ValueError, match=match):
+            table_sweep(2, a_values, EnumerationLimits())
+        assert runs == []
 
     def test_failures_recorded_not_raised(self):
         certs = table_sweep(2, [1, 5],

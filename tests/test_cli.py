@@ -11,6 +11,7 @@ from moebius_arith.cli import (
     EXIT_USAGE,
     INDEX_NOT_REPROVED,
     PUSHOUT_NOTE,
+    WITNESS_NOT_FOUND,
     run,
 )
 from moebius_arith.exact import evaluate_word, make_moebius_generators, parse_word
@@ -79,7 +80,20 @@ class TestCertify:
 
     def test_witness_flag(self, capsys):
         assert run(["certify", "1/2", "--witness"] + FAST) == EXIT_OK
-        assert "relator witness" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "relator witness" in captured.out
+        assert "note:" not in captured.err
+
+    def test_witness_not_found_noted(self, capsys):
+        args = ["certify", "1/2", "--witness", "--witness-bound", "1"] + FAST
+        assert run(args) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "status=Arithmetic" in captured.out
+        assert "relator witness" not in captured.out
+        assert captured.err == WITNESS_NOT_FOUND.format(1) + "\n"
+        # a search that was not asked for is not reported
+        assert run(["certify", "1/2", "--witness-bound", "1"] + FAST) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestMember:

@@ -9,7 +9,6 @@ import pytest
 from moebius_arith.congruence import (
     ClosureOverflowError,
     ResidueMatrix,
-    _from_key,
     conjugate_by_x,
     generator_image_closure,
     level_data,
@@ -112,9 +111,10 @@ class TestSubgroupClosure:
     def test_exponent_nonabelian(self):
         gens = [reduce_mod(m, 3) for m in make_moebius_generators(1, 2)]
         img = subgroup_closure(gens, 3)
-        assert img.order == 24
-        # SL(2,3) has elements of orders 1,2,3,4,6
-        assert img.exponent == 12
+        assert img.order == 24 and not img.is_abelian
+        # only an abelian closure's exponent is computed: its generators'
+        with pytest.raises(ValueError, match="abelian"):
+            img.exponent
 
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (7, 1)])
     def test_prime_power_level_structure(self, p, e):
@@ -179,13 +179,6 @@ class TestClosureParity:
             assert img.elements == frozenset(keys)
             assert img.order == len(keys)
             assert img.is_abelian == abelian
-
-    def test_key_round_trip(self):
-        rng = random.Random(61)
-        for n in (7, 49, 70_001):
-            for _ in range(20):
-                m = random_residue(rng, n)
-                assert _from_key(n, m.key()) == m
 
     def test_keys_are_residue_tuples(self):
         # one key form for every modulus
@@ -318,6 +311,11 @@ class TestLevelData:
         with pytest.raises(ValueError):
             level_data(2, 4)
 
+    @pytest.mark.parametrize("a,b", [(0, 2), (-1, 2), (1, 1), (2, 4)])
+    def test_rejects_bad_parameters(self, a, b):
+        with pytest.raises(ValueError):
+            level_data(a, b)
+
 
 class TestQuotientStructure:
     def test_verified_by_closure(self):
@@ -348,6 +346,11 @@ class TestMembership:
     def test_level_one_trivial(self):
         s = parse_matrix("[[0,1],[-1,0]]")
         assert member_of_closure(s, 1, 2)
+
+    @pytest.mark.parametrize("a,b", [(0, 2), (-1, 2), (1, 1), (2, 4)])
+    def test_rejects_bad_parameters(self, a, b):
+        with pytest.raises(ValueError):
+            member_of_closure(UniModularMatrix.identity(), a, b)
 
     def test_random_words_are_members(self):
         rng = random.Random(515)

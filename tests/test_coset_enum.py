@@ -799,6 +799,35 @@ class TestFindRelator:
         text = "\n".join(map(str, found[0]))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_ball_cap_stops_growth(self, monkeypatch):
+        # the cap is checked after each parent's children, so a capped
+        # ball ends within one parent's children past the cap, as a
+        # prefix of the uncapped ball
+        from moebius_arith import coset_enum
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
+        m, erange = Fraction(1, 2), 12
+        full = _SyllableBall(m, _SYLLABLE_DEPTH, erange)
+        cap = 1000
+        assert len(full.nums) > cap
+        monkeypatch.setattr(coset_enum, "_BALL_CAP", cap)
+        capped = _SyllableBall(m, _SYLLABLE_DEPTH, erange)
+        n = len(capped.nums)
+        # past the first layer a parent has one symbol's 2*erange children
+        assert cap < n <= cap + 2 * erange
+        for name in ("nums", "weights", "parents", "syllables"):
+            assert getattr(capped, name) == getattr(full, name)[:n], name
+
+    def test_pair_cap_stops_conjugation_search(self, monkeypatch):
+        # 4/11's candidates all come from conjugation collisions, so with
+        # no pair allowed the search returns none
+        from moebius_arith import coset_enum
+        from moebius_arith.exact import make_moebius_generators
+        ma, mb = make_moebius_generators(4, 11)
+        search = coset_enum._collision_relator_search
+        assert len(search(ma, mb, ma.e12, 300)) == 2
+        monkeypatch.setattr(coset_enum, "_PAIR_CAP", 0)
+        assert search(ma, mb, ma.e12, 300) == []
+
     def test_only_evaluated_candidates_are_rotated(self, monkeypatch):
         # a lighter candidate that is not a relator comes first and must be
         # skipped; the real relator is returned rotated to start with A,

@@ -10,6 +10,7 @@ import pytest
 from moebius_arith.exact import (
     GroupWord,
     UniModularMatrix,
+    check_moebius_parameters,
     evaluate_word,
     format_matrix,
     format_word,
@@ -44,6 +45,10 @@ def random_localized(rng, b, size=8):
         else:
             m = m * UniModularMatrix(1, 0, x, 1)
     return m
+
+
+def rows(m):
+    return ((m.e11, m.e12), (m.e21, m.e22))
 
 
 def reference_product(x, y):
@@ -90,6 +95,17 @@ class TestMatrices:
         with pytest.raises(ValueError):
             make_moebius_generators(a, b)
 
+    @pytest.mark.parametrize("a,b,reason", [
+        (0, 2, "numerator must be positive, got 0"),
+        (-1, 2, "numerator must be positive, got -1"),
+        (2, 1, "denominator must exceed 1, got 1"),
+        (2, 4, r"gcd\(2, 4\) != 1"),
+    ])
+    def test_moebius_parameter_reasons(self, a, b, reason):
+        # one check, with one reason per fault, behind every entry point
+        for check in (check_moebius_parameters, make_moebius_generators):
+            with pytest.raises(ValueError, match=reason):
+                check(a, b)
     def test_mul_inv_identity(self):
         a, _ = make_moebius_generators(1, 2)
         assert a * a.inv() == IDENT
@@ -98,9 +114,6 @@ class TestMatrices:
         a, _ = make_moebius_generators(1, 2)
         assert a.pow(2) == parse_matrix("[[1,1],[0,1]]")
         assert a.pow(-3) == parse_matrix("[[1,-3/2],[0,1]]")
-
-    def test_trace(self):
-        assert parse_matrix("[[0,1],[-1,0]]").trace() == 0
 
     def test_random_products_keep_determinant(self):
         rng = random.Random(99)
@@ -117,8 +130,8 @@ class TestMatrices:
         for _ in range(200):
             m = random_localized(rng, b)
             n = random_localized(rng, b)
-            assert (m * n).rows() == reference_product(m.rows(), n.rows())
-            assert m.inv().rows() == ((m.e22, -m.e12), (-m.e21, m.e11))
+            assert rows(m * n) == reference_product(rows(m), rows(n))
+            assert rows(m.inv()) == ((m.e22, -m.e12), (-m.e21, m.e11))
 
     def test_equal_and_hash_across_entry_forms(self):
         forms = [

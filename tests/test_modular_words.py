@@ -77,11 +77,11 @@ class TestDecompose:
             w = decompose_st(m)
             biggest = max(abs(int(e)) for e in
                           (m.e11, m.e12, m.e21, m.e22))
-            assert w.length <= C * (biggest.bit_length() + 1)
+            assert len(w.syllables) <= C * (biggest.bit_length() + 1)
 
     def test_large_entries(self):
         m = MAT_T.pow(10 ** 6) * MAT_S * MAT_T.pow(-997)
         w = decompose_st(m)
         assert evaluate_word(w, ST_ASSIGNMENT) == m
-        assert w.length < 40
+        assert len(w.syllables) < 40
 

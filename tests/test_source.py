@@ -56,3 +56,50 @@ def test_kernel_table_check_shares_no_code_with_enumerator():
                              flags=re.M))
     keywords = {"if", "for", "while", "return", "sizeof"}
     assert called - defined - keywords <= {"malloc", "free"}
+
+
+# -- the benchmark's use of the package ------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing():
+    """perfbench/tracing.py, loaded by path: the benchmark is not a
+    package and its own tests run apart from these."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_contract():
+    # the public names, members and call shapes the benchmark relies on;
+    # a signature change here would only show when the benchmark runs
+    import importlib
+    import inspect
+
+    from moebius_arith import _fast
+
+    tracing = _load_tracing()
+    for module, name, _span in tracing.TRACED:
+        mod = importlib.import_module(f"{tracing.PACKAGE}.{module}")
+        assert callable(getattr(mod, name, None)), f"{module}.{name}"
+    assert isinstance(_fast.HAS_NUMBA, bool)
+    used = set()
+    for path in BENCH.glob("*.py"):
+        used |= set(re.findall(r"\bpkg\.([A-Za-z]\w*)", path.read_text()))
+    assert used, "the benchmark reaches the package as `pkg`"
+    missing = sorted(n for n in used if not hasattr(moebius_arith, n))
+    assert missing == [], missing
+
+    spec, limits, g, cert, table, pres, wa, wb = (object(),) * 8
+    sig = inspect.signature
+    sig(moebius_arith.certify).bind(spec, limits)
+    sig(moebius_arith.certify_with_table).bind(spec, limits)
+    sig(moebius_arith.membership_report).bind(spec, g, cert, table, pres)
+    sig(moebius_arith.find_relator).bind(pres, wa, wb, table, bound=40)
+    sig(moebius_arith.EnumerationLimits).bind(
+        max_cosets=10, strategy="hlt", time_limit_s=1.0)
