@@ -19,13 +19,21 @@ library lands in `$XDG_CACHE_HOME/moebius_arith/` (else
 and the compile command.  It is written under a temporary name and renamed
 into place, so parallel processes never load a partial file.  If compiling
 or loading fails, `run` returns None and the caller runs the pure engine.
-The kernel does not poll for signals, so an interrupt takes effect at the
-next progress report or when the run ends.
+
+The kernel keeps no clock.  Every 4096 definitions it calls back into
+Python, to the poll that `coset_enum.todd_coxeter` builds, which keeps the
+time limit and calls `progress`.  SIGINT is held back in the calling
+thread while the kernel runs and let through at each poll, so its handler
+runs there: Ctrl-C stops the run at the next poll with KeyboardInterrupt.
+A table-full lookahead defines nothing, so it runs to its end first.  No
+exception crosses the callback: the poll records it, the run stops, and
+`run` raises it.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 from array import array
 
 # read by the certifier benchmark to label its environment; there is no
@@ -96,10 +104,10 @@ def kernel():
             _kernel = None
             return None
         i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        lib.progress_type = ctypes.CFUNCTYPE(ctypes.c_int, i64, i64)
+        lib.poll_type = ctypes.CFUNCTYPE(ctypes.c_int, i64, i64)
         lib.tc_enumerate.argtypes = [
             i64, ptr, ptr, i64, ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr,
-            i64, ctypes.c_double, lib.progress_type, i64,
+            i64, lib.poll_type,
             ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)), ptr]
         lib.tc_enumerate.restype = ctypes.c_int
         lib.tc_free.argtypes = [ctypes.POINTER(ctypes.c_int32)]
@@ -118,17 +126,19 @@ def _flatten(words) -> tuple[array, array]:
     return flat, off
 
 
-def run(width: int, relators, subgroup, limits, progress,
-        progress_every: int):
-    """Enumeration in the kernel within `limits`, a
-    `coset_enum.EnumerationLimits`, under its strategy; relators and
+def run(width: int, relators, subgroup, limits, poll):
+    """Enumeration in the kernel within the coset budget and under the
+    strategy of `limits`, a `coset_enum.EnumerationLimits`; relators and
     subgroup words are letter tuples as `coset_enum._enumeration_letters`
     prepares them, the relators nonempty and cyclically reduced.
+    `poll(defined, live)` is called every 4096 definitions and returns
+    True when the time limit has passed.
 
     Returns None when the kernel is unavailable, else (table, rows, peak,
     defined, reason): the compacted flat table and reason None on
     completion, no table and "max_cosets" or "time_limit" on overflow.
-    An exception raised by `progress` aborts the run and propagates.
+    An exception raised in the poll, by `poll` or by the SIGINT handler,
+    aborts the run and propagates.
     """
     lib = kernel()
     if lib is None:
@@ -149,27 +159,39 @@ def run(width: int, relators, subgroup, limits, progress,
         rot_first.append(rot_first[-1] + len(bucket))
     raised: list[BaseException] = []
 
-    def report(defined, live):
+    def kernel_poll(defined, live):
         try:
-            progress(defined, live)
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            return _TIME_LIMIT if poll(defined, live) else _OK
         except BaseException as exc:   # ctypes would print and drop it
             raised.append(exc)
-            return 1
-        return 0
+            return _ABORTED
 
-    callback = lib.progress_type(report) if progress else lib.progress_type()
     table = ctypes.POINTER(ctypes.c_int32)()
     counts = (ctypes.c_int64 * 3)()
-    code = lib.tc_enumerate(
-        width, rel_flat.buffer_info()[0], rel_off.buffer_info()[0],
-        len(rel_off) - 1, sub_flat.buffer_info()[0], sub_off.buffer_info()[0],
-        len(sub_off) - 1, _STRATEGIES[limits.strategy],
-        rot_flat.buffer_info()[0], rot_off.buffer_info()[0],
-        rot_first.buffer_info()[0], limits.max_cosets, limits.deadline(),
-        callback, progress_every, ctypes.byref(table), counts)
+    # SIGINT stays blocked in this thread while the kernel runs, except
+    # inside each poll, so its handler runs only there.  The mask is read
+    # before it is changed: a handler that raises as the mask changes
+    # would lose the old one.
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        code = lib.tc_enumerate(
+            width, rel_flat.buffer_info()[0], rel_off.buffer_info()[0],
+            len(rel_off) - 1, sub_flat.buffer_info()[0],
+            sub_off.buffer_info()[0], len(sub_off) - 1,
+            _STRATEGIES[limits.strategy], rot_flat.buffer_info()[0],
+            rot_off.buffer_info()[0], rot_first.buffer_info()[0],
+            limits.max_cosets, lib.poll_type(kernel_poll),
+            ctypes.byref(table), counts)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
     rows, peak, defined = counts
     if code == _ABORTED:
-        raise raised[0]
+        # with nothing recorded, ctypes dropped an exception raised as the
+        # poll was entered, as a signal handler's can be
+        raise raised[0] if raised else KeyboardInterrupt
     if code == _NO_MEMORY:
         raise MemoryError("coset enumeration allocation failed")
     if code != _OK:

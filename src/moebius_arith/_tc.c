@@ -14,17 +14,16 @@
    coset_enum._verify_table, not of anything in _Engine.
 
    Cosets are int32 ids (max_cosets < 2^31), rows are indexed in int64.
-   libc only; _fast.py compiles this file on first use.  */
-
-#define _POSIX_C_SOURCE 199309L
+   libc only; _fast.py compiles this file on first use.  The enumerator
+   keeps no clock: every POLL_EVERY definitions it calls the caller's poll,
+   which alone decides whether the run goes on.  */
 
 #include <stdint.h>
 #include <stdlib.h>
-#include <time.h>
 
 #define UNDEF (-1)
 #define COMPACT_MIN_ROWS 4096
-#define DEADLINE_EVERY 4096
+#define POLL_EVERY 4096
 #define FIRST_CAPACITY 1024
 #define STACK_FLOOR 4096
 
@@ -34,8 +33,9 @@ enum { TC_OK = 0, TC_MAX_COSETS, TC_TIME_LIMIT, TC_ABORTED, TC_NO_MEMORY };
 /* tc_enumerate's strategies */
 enum { TC_HLT = 0, TC_FELSCH };
 
-/* nonzero return aborts the run (the Python callback raised) */
-typedef int (*tc_progress)(int64_t defined, int64_t live);
+/* returns TC_OK to go on, else the code the run stops with (TC_TIME_LIMIT
+   or TC_ABORTED) */
+typedef int (*tc_poll)(int64_t defined, int64_t live);
 
 typedef struct Engine Engine;
 
@@ -54,9 +54,7 @@ struct Engine {
     const int64_t *rot_first;
     int (*step)(Engine *e, int32_t alpha);
     int64_t max_cosets;
-    double deadline;     /* monotonic() seconds; INFINITY for no limit */
-    tc_progress progress;
-    int64_t progress_every;
+    tc_poll poll;
     int32_t *tab;
     int32_t *p;
     int32_t *queue;      /* coincidence queue; compaction's renumbering */
@@ -71,13 +69,6 @@ struct Engine {
     int64_t nded;
     int64_t ded_cap;
 };
-
-static double monotonic(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
-}
 
 /* -- primitive operations ------------------------------------------------ */
 
@@ -188,8 +179,6 @@ static int define(Engine *e, int32_t alpha, int64_t x)
     const int64_t w = e->w;
     if (e->n >= e->max_cosets)
         return TC_MAX_COSETS;
-    if (e->defined % DEADLINE_EVERY == 0 && monotonic() > e->deadline)
-        return TC_TIME_LIMIT;
     if (e->n == e->cap && grow(e) != TC_OK)
         return TC_NO_MEMORY;
     int32_t beta = (int32_t)e->n++;
@@ -203,9 +192,8 @@ static int define(Engine *e, int32_t alpha, int64_t x)
     e->defined++;
     if (e->deduce && push_deduction(e, alpha, x) != TC_OK)
         return TC_NO_MEMORY;
-    if (e->progress && e->defined % e->progress_every == 0
-            && e->progress(e->defined, e->live))
-        return TC_ABORTED;
+    if (e->defined % POLL_EVERY == 0)
+        return e->poll(e->defined, e->live);
     return TC_OK;
 }
 
@@ -478,8 +466,8 @@ static int run(Engine *e)
 /* -- entry points ------------------------------------------------------------ */
 
 /* Enumerate with `strategy` (TC_HLT or TC_FELSCH; Felsch reads the
-   rotations, HLT ignores them) until `deadline`, a monotonic() reading
-   (INFINITY for no limit); `counts` receives (rows, peak, defined).
+   rotations, HLT ignores them) until done, out of cosets, or stopped by
+   `poll`; `counts` receives (rows, peak, defined).
    On TC_OK `*table` is the compacted table of counts[0] rows, owned by the
    caller (release it with tc_free); on any other code nothing is handed
    over.  Relators must be nonempty and cyclically reduced, as coset_enum
@@ -488,9 +476,8 @@ int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
                  int64_t nrel, const int32_t *sub, const int64_t *sub_off,
                  int64_t nsub, int strategy, const int32_t *rot,
                  const int64_t *rot_off, const int64_t *rot_first,
-                 int64_t max_cosets, double deadline,
-                 tc_progress progress, int64_t progress_every,
-                 int32_t **table, int64_t *counts)
+                 int64_t max_cosets, tc_poll poll, int32_t **table,
+                 int64_t *counts)
 {
     Engine e = {
         .w = w, .rel = rel, .rel_off = rel_off, .nrel = nrel,
@@ -498,8 +485,7 @@ int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
         .rot = rot, .rot_off = rot_off, .rot_first = rot_first,
         .step = strategy == TC_FELSCH ? felsch_step : hlt_step,
         .deduce = strategy == TC_FELSCH,
-        .max_cosets = max_cosets, .deadline = deadline, .progress = progress,
-        .progress_every = progress_every,
+        .max_cosets = max_cosets, .poll = poll,
         .n = 1, .live = 1, .defined = 1, .peak = 1,
     };
     int rc = TC_NO_MEMORY;

@@ -23,6 +23,7 @@ from .certifier import (
     MoebiusSpec,
     certify,
     certify_with_table,
+    check_ambient_matrix,
     membership_report,
     table_sweep,
     verify_certificate,
@@ -67,27 +68,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_rational(text: str) -> MoebiusSpec:
-    m = re.fullmatch(r"(\d+)/(\d+)", text.strip())
-    if not m:
-        raise _UsageError(f"expected a rational a/b, got {text!r}")
-    a, b = int(m.group(1)), int(m.group(2))
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), the ValueError it raises on bad input made a
+    usage error."""
     try:
-        return MoebiusSpec(a, b)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
-def _count(text: str) -> int:
-    """argparse type of the count flags: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _parse_rational(text: str) -> MoebiusSpec:
+    m = re.fullmatch(r"(\d+)/(\d+)", text.strip())
+    if not m:
+        raise _UsageError(f"expected a rational a/b, got {text!r}")
+    return _checked(MoebiusSpec, int(m.group(1)), int(m.group(2)))
+
+
+def _int_at_least(low: int):
+    """argparse type of an integer >= `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+# the count flags, and the base b of SL(2, Z[1/b])
+_count = _int_at_least(1)
+_base = _int_at_least(2)
 
 
 def _default_max_cosets() -> int:
@@ -103,12 +116,8 @@ def _default_max_cosets() -> int:
 def _limits(args) -> EnumerationLimits:
     max_cosets = (args.max_cosets if args.max_cosets is not None
                   else _default_max_cosets())
-    try:
-        return EnumerationLimits(max_cosets=max_cosets,
-                                 strategy=args.strategy,
-                                 time_limit_s=args.time_limit)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _checked(EnumerationLimits, max_cosets=max_cosets,
+                    strategy=args.strategy, time_limit_s=args.time_limit)
 
 
 def _add_limit_flags(sub):
@@ -171,7 +180,7 @@ def run(argv) -> int:
 
     p_present = subs.add_parser("present",
                                 help="print a presentation of SL(2, Z[1/b])")
-    p_present.add_argument("b", type=int)
+    p_present.add_argument("b", type=_base)
     p_present.add_argument("--json", action="store_true")
     p_present.add_argument("--out", default=None, help="write to a file")
 
@@ -198,7 +207,7 @@ def run(argv) -> int:
     _add_limit_flags(p_relator)
 
     p_sweep = subs.add_parser("sweep", help="certify a <= amax for fixed b")
-    p_sweep.add_argument("b", type=int)
+    p_sweep.add_argument("b", type=_base)
     p_sweep.add_argument("--amax", type=_count, required=True)
     p_sweep.add_argument("--jobs", type=_count, default=1)
     _add_limit_flags(p_sweep)
@@ -256,7 +265,8 @@ def _dispatch(args) -> int:
 
     if args.command == "member":
         spec = _parse_rational(args.rational)
-        g = parse_matrix(args.matrix)
+        g = _checked(parse_matrix, args.matrix)
+        _checked(check_ambient_matrix, spec, g)
         cert = certify(spec, _limits(args))
         verdict = membership_report(spec, g, cert)
         if args.json:
@@ -284,8 +294,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep":
-        if args.b <= 1:
-            raise _UsageError("b must exceed 1")
         a_values = [a for a in range(1, args.amax + 1) if gcd(a, args.b) == 1]
         certs = table_sweep(args.b, a_values, _limits(args),
                             workers=args.jobs)
@@ -304,19 +312,19 @@ def _dispatch(args) -> int:
         with open(args.certificate) as fh:
             payload = json.load(fh)
         ok, problems = verify_certificate(payload)
-        if payload.get("status") == "Arithmetic":
+        status = payload.get("status") if isinstance(payload, dict) else None
+        if status == "Arithmetic":
             print(INDEX_NOT_REPROVED, file=sys.stderr)
         if args.json:
             print(json.dumps({"valid": ok, "problems": problems,
-                              "status": payload.get("status")}))
+                              "status": status}))
         else:
             print("valid" if ok else "INVALID")
             for p in problems:
                 print(f"  - {p}")
         if not ok:
             return EXIT_ERROR
-        return (EXIT_OK if payload.get("status") == "Arithmetic"
-                else EXIT_INCONCLUSIVE)
+        return EXIT_OK if status == "Arithmetic" else EXIT_INCONCLUSIVE
 
     raise _UsageError(f"unknown command {args.command!r}")
 

@@ -67,8 +67,10 @@ from .presentation import Presentation
 UNDEF = -1
 
 DEFAULT_MAX_COSETS = 10_000_000
-# definitions between two `progress` reports
-DEFAULT_PROGRESS_EVERY = 100_000
+# definitions between two polls of a run, the same in both engines (the
+# kernel's POLL_EVERY), and between two `progress` reports
+_POLL_EVERY = 4096
+PROGRESS_EVERY = 16 * _POLL_EVERY
 # `find_relator`'s limit on a relator's total of absolute exponents
 DEFAULT_WITNESS_BOUND = 300
 
@@ -183,6 +185,22 @@ class _TimeLimit(Exception):
     pass
 
 
+def _poll(limits: EnumerationLimits,
+          progress: Optional[Callable[[int, int], None]] = None
+          ) -> Callable[[int, int], bool]:
+    """The check both engines make every `_POLL_EVERY` definitions, for a
+    run starting now: `poll(defined, live)` calls `progress` every
+    `PROGRESS_EVERY` definitions and returns True once the time limit of
+    `limits` has passed."""
+    deadline = limits.deadline()
+
+    def poll(defined: int, live: int) -> bool:
+        if progress is not None and defined % PROGRESS_EVERY == 0:
+            progress(defined, live)
+        return time.monotonic() > deadline
+    return poll
+
+
 # -- labels: lazy words in the subgroup symbols --------------------------------
 #
 # Labels are lazy word DAGs: concatenation and inversion are O(1) node
@@ -266,14 +284,13 @@ class _Engine:
 
     def __init__(self, width: int, relators: Sequence[tuple[int, ...]],
                  subgroup: Sequence[tuple[int, ...]], limits: EnumerationLimits,
-                 progress: Optional[Callable[[int, int], None]] = None,
-                 progress_every: int = DEFAULT_PROGRESS_EVERY,
+                 poll: Optional[Callable[[int, int], bool]] = None,
                  symbols: Optional[Sequence[str]] = None):
         self.w = width
         self.relators = list(relators)
         self.subgroup = list(subgroup)
         self.max_cosets = limits.max_cosets
-        self.deadline = limits.deadline()
+        self.poll = poll if poll is not None else _poll(limits)
         self.tab = array("i", [UNDEF] * width)
         self.p = array("i", [0])
         self.live = 1
@@ -281,8 +298,6 @@ class _Engine:
         # the allocation high-water mark: rows are only added in _define
         # and live <= rows, so it is counted at compaction and at the end
         self.peak = 1
-        self.progress = progress
-        self.progress_every = progress_every
         self._blank_row = array("i", [UNDEF] * width)
         # the strategy is only the per-coset step; Felsch also keeps a
         # deduction stack, drained against relator rotations
@@ -394,8 +409,6 @@ class _Engine:
         ncosets = len(self.p)
         if ncosets >= self.max_cosets:
             raise _TableFull
-        if self.defined_total % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _TimeLimit
         beta = ncosets
         self.tab.extend(self._blank_row)
         self.p.append(beta)
@@ -409,8 +422,9 @@ class _Engine:
         self.defined_total += 1
         if self.deductions is not None:
             self.deductions.append((alpha, x))
-        if self.progress and self.defined_total % self.progress_every == 0:
-            self.progress(self.defined_total, self.live)
+        if (self.defined_total % _POLL_EVERY == 0
+                and self.poll(self.defined_total, self.live)):
+            raise _TimeLimit
 
     def _scan(self, alpha: int, letters: tuple[int, ...], fill: bool,
               label=None) -> None:
@@ -671,8 +685,7 @@ def _rotation_buckets(relators, width: int) -> list[list[tuple[int, ...]]]:
 
 def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
                  limits: EnumerationLimits = EnumerationLimits(),
-                 progress: Optional[Callable[[int, int], None]] = None,
-                 progress_every: int = DEFAULT_PROGRESS_EVERY
+                 progress: Optional[Callable[[int, int], None]] = None
                  ) -> EnumerationOutcome:
     """Enumerate cosets of the subgroup generated by `subgroup_gens` words
     in the finitely presented group.
@@ -687,20 +700,21 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     completed table goes through the same five exhaustive checks, in the
     kernel's checker (`_fast.verify`) after a kernel run and in
     `_verify_table` after a pure one; a failed check raises RuntimeError.
-    `progress(defined, live)` is called every `progress_every`
-    definitions; an exception it raises aborts the run and propagates.
+
+    Both engines stop every 4096 definitions for one poll, built here,
+    which keeps the time limit and calls `progress(defined, live)` every
+    `PROGRESS_EVERY` definitions; an exception `progress` raises aborts
+    the run and propagates.  Ctrl-C raises KeyboardInterrupt in the pure
+    engine at once, and in the kernel at its next poll, where SIGINT is
+    let through (see `_fast`).
     """
-    if progress is not None and progress_every < 1:
-        raise ValueError("progress_every must be >= 1")
     width, relators, subgroup = _enumeration_letters(pres, subgroup_gens)
-    run = _fast.run(width, relators, subgroup, limits, progress,
-                    progress_every)
+    poll = _poll(limits, progress)
+    run = _fast.run(width, relators, subgroup, limits, poll)
     engine = "c"
     if run is None:
         engine = "pure"
-        run = _run_pure(_Engine(width, relators, subgroup, limits,
-                                progress=progress,
-                                progress_every=progress_every))
+        run = _run_pure(_Engine(width, relators, subgroup, limits, poll))
     flat, n, peak, defined, reason = run
     if reason is not None:
         return EnumerationOutcome(completed=False, peak_cosets=peak,

@@ -498,3 +498,10 @@ class TestOfflineVerification:
     def test_rejects_malformed(self):
         ok, problems = verify_certificate({"status": "Arithmetic"})
         assert not ok
+
+    def test_failed_cross_check_is_malformed(self, cert_table_32):
+        payload = cert_table_32[0].to_json_dict()
+        payload["checks"][0]["passed"] = False
+        assert verify_certificate(payload) == (False, [
+            "malformed certificate: Arithmetic certificate with failed "
+            "checks"])

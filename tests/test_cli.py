@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from moebius_arith import cli
 from moebius_arith.cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -48,7 +49,9 @@ class TestPresent:
         assert PUSHOUT_NOTE not in captured.out
 
     def test_bad_base(self, capsys):
-        assert run(["present", "1"]) == EXIT_ERROR
+        assert run(["present", "1"]) == EXIT_USAGE
+        assert "argument b: must be >= 2, got 1" in capsys.readouterr().err
+        assert run(["sweep", "1", "--amax", "2"]) == EXIT_USAGE
 
 
 class TestCertify:
@@ -113,8 +116,20 @@ class TestMember:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "NotInClosure"
 
-    def test_rejects_floats(self, capsys):
-        assert run(["member", "3/2", "[[0.5,1],[-1,0]]"] + FAST) == EXIT_ERROR
+    # a malformed matrix is a usage error, found before any enumeration
+    @pytest.fixture
+    def no_certify(self, monkeypatch):
+        def certify(*args, **kwargs):
+            raise AssertionError("certify ran")
+        monkeypatch.setattr(cli, "certify", certify)
+
+    def test_rejects_floats(self, capsys, no_certify):
+        assert run(["member", "3/2", "[[0.5,1],[0,1]]"] + FAST) == EXIT_USAGE
+        assert "floats are not accepted" in capsys.readouterr().err
+
+    def test_rejects_matrix_outside_ambient_group(self, capsys, no_certify):
+        assert run(["member", "3/2", "[[1,1/3],[0,1]]"] + FAST) == EXIT_USAGE
+        assert "not in SL(2, Z[1/2])" in capsys.readouterr().err
 
 
 class TestRelator:
@@ -231,6 +246,13 @@ class TestVerify:
         capsys.readouterr()
         assert run(["verify", str(path)]) == EXIT_INCONCLUSIVE
         assert capsys.readouterr().err == ""
+
+    def test_list_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "cert.json"
+        path.write_text("[1, 2]")
+        assert run(["verify", str(path)]) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID\n  - malformed certificate: ")
 
     def test_json_and_human_agree(self, tmp_path, capsys):
         path, _ = self._write_cert(tmp_path, ["3/2"])

@@ -13,6 +13,7 @@ from moebius_arith import _fast
 from moebius_arith.certifier import MoebiusSpec, express_generators
 from moebius_arith.congruence import ResidueMatrix, subgroup_closure
 from moebius_arith.coset_enum import (
+    PROGRESS_EVERY,
     CosetTable,
     EnumerationLimits,
     _Engine,
@@ -20,6 +21,7 @@ from moebius_arith.coset_enum import (
     _cyclic_reduce_letters,
     _enumeration_letters,
     _labelled_relator_search,
+    _poll,
     _run_pure,
     _verify_table,
     find_relator,
@@ -280,13 +282,14 @@ class TestTableInvariants:
             table.trace(0, parse_word("z"))
 
     def test_progress_hook(self):
-        pres = fake_presentation(["s", "t"], ["s^4", "s t s t s t s^-2",
-                                              "t^5"])
+        # the trivial subgroup of SL(2, Z) has infinite index
+        pres = fake_presentation(["s", "t"], ["s^4", "s t s t s t s^-2"])
         calls = []
-        todd_coxeter(pres, [], EnumerationLimits(),
-                     progress=lambda d, l: calls.append((d, l)),
-                     progress_every=10)
-        assert calls and all(d % 10 == 0 for d, _ in calls)
+        out = todd_coxeter(pres, [], EnumerationLimits(max_cosets=150_000),
+                           progress=lambda d, l: calls.append((d, l)))
+        assert out.reason == "max_cosets"
+        assert [d for d, _ in calls] == [PROGRESS_EVERY, 2 * PROGRESS_EVERY]
+        assert all(live <= defined for defined, live in calls)
 
 
 def reference_verify(table, pres, subgroup_words):
@@ -545,9 +548,8 @@ class TestOverflow:
 
     def test_no_time_limit_is_an_infinite_deadline(self):
         assert EnumerationLimits().deadline() == math.inf
-        engine = _Engine(2, [], [], EnumerationLimits())
-        assert engine.deadline == math.inf
         assert EnumerationLimits(time_limit_s=60).deadline() < math.inf
+        assert _poll(EnumerationLimits())(1, 1) is False
 
     def test_malformed_subgroup_word(self):
         pres = fake_presentation(["a"], ["a^2"])

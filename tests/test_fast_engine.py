@@ -9,12 +9,17 @@ loader patched to report no kernel, which is also what happens when no C
 compiler is available.
 """
 
+import ctypes
 import os
 import random
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +39,18 @@ pytestmark = pytest.mark.skipif(_fast.kernel() is None,
 # the prime-power specs the certifier benchmark certifies
 CERTIFY_SPECS = ((3, 2), (4, 3), (4, 5), (5, 3), (5, 4), (5, 7), (5, 8),
                  (5, 9), (7, 5), (7, 9), (7, 4))
+
+
+# SL(2, Z) = <s, t | s^4, (s t)^3 s^-2>
+MODULAR = fake_presentation(["s", "t"], ["s^4", "s t s t s t s^-2"])
+
+
+def package_env():
+    """The environment of a child Python that imports the package as it
+    is imported here, whether or not PYTHONPATH names it."""
+    src = os.path.dirname(os.path.dirname(moebius_arith.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def moebius(a, b):
@@ -189,16 +206,16 @@ class TestRunControl:
         assert out.reason == ref.reason == "time_limit"
 
     def test_progress_hook(self, monkeypatch):
-        pres, subs = moebius(5, 3)
-        limits = EnumerationLimits(strategy=self.strategy)
+        # the trivial subgroup of SL(2, Z) has infinite index, so this run
+        # defines past PROGRESS_EVERY, with coincidences, and overflows
+        limits = EnumerationLimits(max_cosets=80_000, strategy=self.strategy)
         calls, ref_calls = [], []
-        todd_coxeter(pres, subs, limits,
-                     progress=lambda d, l: calls.append((d, l)),
-                     progress_every=1000)
-        pure(monkeypatch, pres, subs, limits,
-             progress=lambda d, l: ref_calls.append((d, l)),
-             progress_every=1000)
-        assert calls and calls == ref_calls
+        todd_coxeter(MODULAR, [], limits,
+                     progress=lambda d, l: calls.append((d, l)))
+        pure(monkeypatch, MODULAR, [], limits,
+             progress=lambda d, l: ref_calls.append((d, l)))
+        assert [d for d, _ in calls] == [coset_enum.PROGRESS_EVERY]
+        assert calls == ref_calls
 
     def test_progress_exception_propagates(self):
         class Stop(Exception):
@@ -207,25 +224,169 @@ class TestRunControl:
         def stop(defined, live):
             raise Stop(defined)
 
-        pres, subs = moebius(5, 3)
-        limits = EnumerationLimits(strategy=self.strategy)
+        limits = EnumerationLimits(max_cosets=80_000, strategy=self.strategy)
         with pytest.raises(Stop) as info:
-            todd_coxeter(pres, subs, limits, progress=stop,
-                         progress_every=1000)
-        assert info.value.args == (1000,)
+            todd_coxeter(MODULAR, [], limits, progress=stop)
+        assert info.value.args == (coset_enum.PROGRESS_EVERY,)
         # the aborted run left nothing behind
-        assert todd_coxeter(pres, subs, limits).index == 600
-
-    def test_progress_every_validated(self):
-        pres, subs = moebius(3, 2)
-        with pytest.raises(ValueError):
-            todd_coxeter(pres, subs,
-                         EnumerationLimits(strategy=self.strategy),
-                         progress=print, progress_every=0)
+        assert todd_coxeter(*moebius(5, 3), limits).index == 600
 
 
 class TestFelschRunControl(TestRunControl):
     strategy = "felsch"
+
+
+# one kernel run of about 6 s: every relator holds in Z^2, so the trivial
+# subgroup has infinite index, and scanning 64 relators at each coset keeps
+# the table growing slowly; "ready" comes just before the run
+INTERRUPTED = """
+import signal, sys
+from moebius_arith.coset_enum import EnumerationLimits, todd_coxeter
+from moebius_arith.exact import UniModularMatrix, parse_word
+from moebius_arith.presentation import Presentation
+
+# a parent that ignores SIGINT passes that on to this process
+signal.signal(signal.SIGINT, signal.default_int_handler)
+pres = Presentation(
+    generators=("a", "b"),
+    relators=tuple(parse_word(f"a^{i} b^{j} a^-{i} b^-{j}")
+                   for i in range(1, 9) for j in range(1, 9)),
+    assignment=dict.fromkeys("ab", UniModularMatrix.identity()))
+progress = print if sys.argv[1] == "progress" else None
+todd_coxeter(pres, [], EnumerationLimits(max_cosets=10))   # loads the kernel
+print("ready", flush=True)
+todd_coxeter(pres, [], EnumerationLimits(time_limit_s=6), progress)
+"""
+
+
+@pytest.mark.parametrize("progress", ["progress", "no-progress"])
+def test_sigint_stops_kernel_run(progress):
+    child = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED, progress], env=package_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "ready\n"
+        time.sleep(1.0)
+        child.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        _, err = child.communicate(timeout=60)
+        latency = time.monotonic() - sent
+    finally:
+        child.kill()
+        child.wait()
+    assert "IndexError" not in err
+    assert err.rstrip().endswith("KeyboardInterrupt"), err
+    assert latency < 1.0
+
+
+def recording_kernel(code, calls=()):
+    """A stand-in for the kernel library whose `tc_enumerate` calls the
+    poll once for each (defined, live) of `calls`, stopping at the first
+    that does not return 0, and otherwise returns `code`; counts are
+    (rows, peak, defined) = (7, 8, 9)."""
+    poll_type = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
+
+    def tc_enumerate(*args):
+        poll, counts = args[12], args[14]
+        counts[:] = [7, 8, 9]
+        for defined, live in calls:
+            verdict = poll(defined, live)
+            if verdict:
+                return verdict
+        return code
+    return SimpleNamespace(poll_type=poll_type, tc_enumerate=tc_enumerate)
+
+
+class TestRunWrapper:
+    """`_fast.run` on each code `tc_enumerate` can return."""
+
+    def run(self, monkeypatch, lib, poll=lambda defined, live: False):
+        monkeypatch.setattr(_fast, "kernel", lambda: lib)
+        return _fast.run(2, [(0, 0)], [], EnumerationLimits(), poll)
+
+    @pytest.mark.parametrize("code,reason", [
+        (_fast._MAX_COSETS, "max_cosets"), (_fast._TIME_LIMIT, "time_limit")])
+    def test_overflow(self, code, reason, monkeypatch):
+        assert self.run(monkeypatch, recording_kernel(code)) == \
+            (None, 7, 8, 9, reason)
+
+    def test_no_memory(self, monkeypatch):
+        with pytest.raises(MemoryError):
+            self.run(monkeypatch, recording_kernel(_fast._NO_MEMORY))
+
+    def test_poll_decides_time_limit(self, monkeypatch):
+        polled = []
+
+        def poll(defined, live):
+            polled.append((defined, live))
+            return defined >= 8192
+
+        lib = recording_kernel(_fast._OK, [(4096, 10), (8192, 20), (12288, 5)])
+        assert self.run(monkeypatch, lib, poll)[4] == "time_limit"
+        assert polled == [(4096, 10), (8192, 20)]
+
+    def test_poll_exception_propagates(self, monkeypatch):
+        def poll(defined, live):
+            raise LookupError(defined)
+
+        lib = recording_kernel(_fast._OK, [(4096, 10)])
+        with pytest.raises(LookupError, match="4096"):
+            self.run(monkeypatch, lib, poll)
+
+    def test_abort_with_nothing_recorded(self, monkeypatch):
+        # ctypes drops an exception raised as a callback is entered, so
+        # the kernel can stop with nothing recorded
+        with pytest.raises(KeyboardInterrupt):
+            self.run(monkeypatch, recording_kernel(_fast._ABORTED))
+
+    class Interrupted(Exception):
+        pass
+
+    @pytest.fixture
+    def sigint_raises(self):
+        """SIGINT raises `Interrupted` in this test, not KeyboardInterrupt,
+        which would stop the test session."""
+        def handler(signum, frame):
+            raise self.Interrupted
+
+        old = signal.signal(signal.SIGINT, handler)
+        yield
+        signal.signal(signal.SIGINT, old)
+
+    def test_sigint_handler_runs_at_the_poll(self, monkeypatch,
+                                             sigint_raises):
+        # a SIGINT held back during the run reaches its handler at the
+        # next poll, and the run stops with whatever the handler raises
+        def poll(defined, live):
+            polled.append(defined)
+            if defined == 4096:
+                signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+                held.append(signal.SIGINT in signal.sigpending())
+            return False
+
+        polled, held = [], []
+        lib = recording_kernel(_fast._OK, [(4096, 1), (8192, 1), (12288, 1)])
+        with pytest.raises(self.Interrupted):
+            self.run(monkeypatch, lib, poll)
+        assert polled == [4096] and held == [True]
+
+    def test_sigint_blocked_by_caller_stays_blocked(self, monkeypatch,
+                                                    sigint_raises):
+        def poll(defined, live):
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+            return False
+
+        lib = recording_kernel(_fast._MAX_COSETS, [(4096, 1), (8192, 1)])
+        old = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            assert self.run(monkeypatch, lib, poll)[4] == "max_cosets"
+            assert signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK,
+                                                           ())
+            assert signal.SIGINT in signal.sigpending()
+        finally:
+            if signal.SIGINT in signal.sigpending():
+                signal.sigwait({signal.SIGINT})
+            signal.pthread_sigmask(signal.SIG_SETMASK, old)
 
 
 class TestLoader:
@@ -271,11 +432,8 @@ class TestLoader:
                 "assert 'ctypes' not in sys.modules; "
                 "assert moebius_arith._fast._kernel is "
                 "moebius_arith._fast._UNSET")
-        # the package as imported here, whether or not PYTHONPATH names it
-        src = os.path.dirname(os.path.dirname(moebius_arith.__file__))
-        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=package_env())
 
     def test_checker_follows_engine(self, monkeypatch, tmp_path):
         # the kernel's tables are checked by the kernel's checker, the pure

@@ -58,6 +58,55 @@ def test_kernel_table_check_shares_no_code_with_enumerator():
     assert called - defined - keywords <= {"malloc", "free"}
 
 
+# C parameter types and the kind of value each passes
+C_KINDS = {"int": "int32", "int64_t": "int64", "double": "double"}
+
+
+def _c_parameter_kinds(source, function):
+    """The kind of each parameter of `function` in `source`: int32, int64,
+    double, or pointer for a pointer or a function-pointer typedef."""
+    code = re.sub(r"/\*.*?\*/", " ", source, flags=re.S)
+    callbacks = set(re.findall(r"typedef\s+\w+\s*\(\s*\*\s*(\w+)\s*\)",
+                               code))
+    params = re.search(rf"^int {function}\((.*?)\)\s*\{{", code,
+                       flags=re.M | re.S).group(1)
+    kinds = []
+    for param in params.split(","):
+        ctype = param.replace("const ", "").split()[0]
+        if "*" in param or ctype in callbacks:
+            kinds.append("pointer")
+        else:
+            kinds.append(C_KINDS[ctype])
+    return kinds
+
+
+def _ctypes_kind(t):
+    import ctypes
+
+    if t is ctypes.c_double:
+        return "double"
+    if t in (ctypes.c_int, ctypes.c_int64):
+        return f"int{8 * ctypes.sizeof(t)}"
+    if t is ctypes.c_void_p or issubclass(t, (ctypes._Pointer,
+                                               ctypes._CFuncPtr)):
+        return "pointer"
+    return repr(t)
+
+
+@pytest.mark.parametrize("function", ["tc_enumerate", "tc_verify"])
+def test_kernel_argtypes_match_source(function):
+    # ctypes passes arguments as `argtypes` says; one that disagrees with
+    # the C parameter list corrupts memory without any error
+    from moebius_arith import _fast
+
+    lib = _fast.kernel()
+    if lib is None:
+        pytest.skip("the C kernel could not be built")
+    source = Path(_fast.SOURCE).read_text()
+    declared = [_ctypes_kind(t) for t in getattr(lib, function).argtypes]
+    assert declared == _c_parameter_kinds(source, function)
+
+
 # -- the benchmark's use of the package ------------------------------------------
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
