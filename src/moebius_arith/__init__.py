@@ -20,7 +20,6 @@ from .exact import (
     word,
 )
 from .congruence import (
-    ClosureOverflowError,
     LevelData,
     ResidueMatrix,
     SubgroupImage,
@@ -28,7 +27,6 @@ from .congruence import (
     member_of_closure,
     reduce_mod,
     sl2_order,
-    subgroup_closure,
     surjects_mod_p,
 )
 from .modular_words import decompose_st

@@ -20,14 +20,14 @@ and the compile command.  It is written under a temporary name and renamed
 into place, so parallel processes never load a partial file.  If compiling
 or loading fails, `run` returns None and the caller runs the pure engine.
 
-The kernel keeps no clock.  Every 4096 definitions it calls back into
-Python, to the poll that `coset_enum.todd_coxeter` builds, which keeps the
-time limit and calls `progress`.  SIGINT is held back in the calling
-thread while the kernel runs and let through at each poll, so its handler
-runs there: Ctrl-C stops the run at the next poll with KeyboardInterrupt.
-A table-full lookahead defines nothing, so it runs to its end first.  No
-exception crosses the callback: the poll records it, the run stops, and
-`run` raises it.
+The kernel keeps no clock.  Every 4096 definitions, and every 4096 live
+cosets a lookahead scans, it calls back into Python, to the poll that
+`coset_enum.todd_coxeter` builds, which keeps the time limit and calls
+`progress`.  SIGINT is held back in the calling thread while the kernel
+runs and let through at each poll, so its handler runs there: Ctrl-C
+stops the run at the next poll with KeyboardInterrupt, in a table-full
+lookahead as elsewhere.  No exception crosses the callback: the poll
+records it, the run stops, and `run` raises it.
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ def run(width: int, relators, subgroup, limits, poll):
     strategy of `limits`, a `coset_enum.EnumerationLimits`; relators and
     subgroup words are letter tuples as `coset_enum._enumeration_letters`
     prepares them, the relators nonempty and cyclically reduced.
-    `poll(defined, live)` is called every 4096 definitions and returns
-    True when the time limit has passed.
+    `poll(defined, live)` is called every 4096 definitions and every 4096
+    live cosets a lookahead scans, and returns True when the time limit
+    has passed.
 
     Returns None when the kernel is unavailable, else (table, rows, peak,
     defined, reason): the compacted flat table and reason None on

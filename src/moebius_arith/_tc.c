@@ -15,8 +15,9 @@
 
    Cosets are int32 ids (max_cosets < 2^31), rows are indexed in int64.
    libc only; _fast.py compiles this file on first use.  The enumerator
-   keeps no clock: every POLL_EVERY definitions it calls the caller's poll,
-   which alone decides whether the run goes on.  */
+   keeps no clock: every POLL_EVERY definitions, and every POLL_EVERY live
+   cosets a lookahead scans, it calls the caller's poll, which alone
+   decides whether the run goes on.  */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -247,6 +248,7 @@ static int scan_word(Engine *e, int32_t alpha, const int32_t *flat,
 static int lookahead(Engine *e)
 {
     const int64_t n = e->n;
+    int64_t scanned = 0;
     for (int64_t gamma = 0; gamma < n; gamma++) {
         if (e->p[gamma] != gamma)
             continue;
@@ -256,6 +258,11 @@ static int lookahead(Engine *e)
                 return rc;
             if (e->p[gamma] != gamma)
                 break;
+        }
+        if (++scanned % POLL_EVERY == 0) {
+            int rc = e->poll(e->defined, e->live);
+            if (rc != TC_OK)
+                return rc;
         }
     }
     return TC_OK;

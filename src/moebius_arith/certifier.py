@@ -457,8 +457,9 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
     uses for b's primes (built once per process, with a read-only
     assignment), recomputes the index formula and the mod-a^2 closure
     structure, and validates the relator witness by exact evaluation.  No
-    enumeration is re-run; an Inconclusive certificate carries no claim and
-    only gets a structural check.
+    enumeration is re-run.  An Inconclusive certificate claims no index, so
+    it only gets the structural checks and, if it records one, the witness
+    check.
 
     Finite index is not re-proved.  An Arithmetic certificate's index is
     compared with the formula a*|SL(2, Z_a)|, but the certificate carries
@@ -480,26 +481,25 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
     if cert.status == "Inconclusive":
         if cert.index is not None and cert.index != expected:
             problems.append("inconclusive certificate carries a wrong index")
-        return (not problems), problems
-
-    # Arithmetic claims
-    if cert.index != expected:
-        problems.append(f"index {cert.index} != {expected}")
-    recorded = {name for name, _ in cert.checks}
-    missing = [name for name in ARITHMETIC_CHECKS if name not in recorded]
-    if missing:
-        problems.append(f"certificate lacks the cross-checks {', '.join(missing)}")
-    try:
-        pres = _presentation(b)
-        mat_a, mat_b = cert.spec.matrices()
-        if evaluate_word(parse_word(cert.word_a), pres.assignment) != mat_a:
-            problems.append("word for A does not evaluate to A(a/b)")
-        if evaluate_word(parse_word(cert.word_b), pres.assignment) != mat_b:
-            problems.append("word for B does not evaluate to B(a/b)")
-    except Exception as exc:
-        problems.append(f"word evaluation failed: {exc}")
-    if not _closure_is_CaxCa(a, b):
-        problems.append("closure mod a^2 is not C_a x C_a")
+    else:   # the claims of an Arithmetic certificate
+        if cert.index != expected:
+            problems.append(f"index {cert.index} != {expected}")
+        recorded = {name for name, _ in cert.checks}
+        missing = [name for name in ARITHMETIC_CHECKS if name not in recorded]
+        if missing:
+            problems.append("certificate lacks the cross-checks "
+                            + ", ".join(missing))
+        try:
+            pres = _presentation(b)
+            mat_a, mat_b = cert.spec.matrices()
+            if evaluate_word(parse_word(cert.word_a), pres.assignment) != mat_a:
+                problems.append("word for A does not evaluate to A(a/b)")
+            if evaluate_word(parse_word(cert.word_b), pres.assignment) != mat_b:
+                problems.append("word for B does not evaluate to B(a/b)")
+        except Exception as exc:
+            problems.append(f"word evaluation failed: {exc}")
+        if not _closure_is_CaxCa(a, b):
+            problems.append("closure mod a^2 is not C_a x C_a")
     if cert.witness is not None:
         try:
             wit = parse_word(cert.witness)

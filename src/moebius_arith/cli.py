@@ -309,9 +309,19 @@ def _dispatch(args) -> int:
         return EXIT_ERROR if errored else EXIT_OK
 
     if args.command == "verify":
-        with open(args.certificate) as fh:
-            payload = json.load(fh)
-        ok, problems = verify_certificate(payload)
+        try:
+            with open(args.certificate, "rb") as fh:
+                content = fh.read()
+        except OSError as exc:
+            raise _UsageError(f"cannot read {args.certificate}: "
+                              f"{exc.strerror}") from None
+        try:
+            payload = json.loads(content)
+        except ValueError as exc:      # not JSON, or not text at all
+            payload = None
+            ok, problems = False, [f"malformed certificate: {exc}"]
+        else:
+            ok, problems = verify_certificate(payload)
         status = payload.get("status") if isinstance(payload, dict) else None
         if status == "Arithmetic":
             print(INDEX_NOT_REPROVED, file=sys.stderr)

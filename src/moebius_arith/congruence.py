@@ -3,18 +3,20 @@ closure of a Moebius group G(a/b) inside SL(2, Z[1/b]):
 
   * reduction of rational matrices mod n (denominators inverted mod n),
   * |SL(2, Z_n)| by the multiplicative formula n^3 * prod_{p|n} (1 - p^-2),
-  * breadth-first closures of generator images in SL(2, Z_n),
   * the exact order of a subgroup of SL(2, Z_n) by orbit-stabilizer on
     e1 = (1, 0)^T, without listing its elements (`subgroup_order`),
+  * the image of the generators mod n, known by that order: g lies in
+    <S> exactly when |<S, g>| = |<S>|,
   * level data: the closure of G(a/b) has level a^2 and index a*|SL(2,Z_a)|,
     with quotient mod a^2 isomorphic to C_a x C_a,
   * conjugation by x = [[-1,1],[0,1]], which gives B(am)^x, one of the
     three matrices that lie in the level-a^2 principal congruence subgroup,
   * the level-a^2 membership test.
 
-All group computations here are exact and finite; closures are materialized
-in full and overflow loudly past an element cap.  Surjectivity mod p needs
-only the order, O(p^2) work where the closure is O(p^3).
+All group computations here are exact and finite.  Every question about
+a subgroup mod n, its order, membership or surjectivity, is answered by
+`subgroup_order`, which never lists the subgroup's elements, so no modulus
+needs an element cap.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ from .exact import (
     prime_factors,
 )
 
-# Materialization cap: full materialization is guaranteed for moduli n <= 49,
-# desk-scale memory for anything larger.
-DEFAULT_CLOSURE_CAP = 2_000_000
-
-
 def conjugate_by_x(m: UniModularMatrix) -> UniModularMatrix:
     """x^-1 * m * x for x = [[-1,1],[0,1]] (an involution of GL(2, Z)),
     the convention B^x of the third closure generator.  x has determinant
@@ -44,10 +41,6 @@ def conjugate_by_x(m: UniModularMatrix) -> UniModularMatrix:
     [-r, r+s]]."""
     p, q, r, s = m.e11, m.e12, m.e21, m.e22
     return UniModularMatrix(p - r, s - p + r - q, -r, r + s)
-
-
-class ClosureOverflowError(RuntimeError):
-    """Raised when a subgroup closure exceeds its element cap."""
 
 
 def is_prime(n: int) -> bool:
@@ -70,10 +63,6 @@ class ResidueMatrix:
         if (self.a * self.d - self.b * self.c) % self.n != 1 % self.n:
             raise ValueError(f"determinant is not 1 mod {self.n}")
 
-    @staticmethod
-    def identity(n: int) -> "ResidueMatrix":
-        return ResidueMatrix(n, 1 % n, 0, 0, 1 % n)
-
     def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
         n = self.n
         return ResidueMatrix(
@@ -83,10 +72,6 @@ class ResidueMatrix:
             (self.c * other.a + self.d * other.c) % n,
             (self.c * other.b + self.d * other.d) % n,
         )
-
-    def key(self) -> tuple[int, int, int, int]:
-        """Hash key: the four residues."""
-        return (self.a, self.b, self.c, self.d)
 
     def order(self) -> int:
         ident = (1 % self.n, 0, 0, 1 % self.n)
@@ -127,76 +112,6 @@ def sl2_order(n: int) -> int:
     for p in prime_factors(n):
         r = r // (p * p) * (p * p - 1)
     return r
-
-
-@dataclass(frozen=True)
-class SubgroupImage:
-    """Closure of a generator set inside SL(2, Z_n)."""
-
-    order: int
-    elements: frozenset  # of key() values
-    is_abelian: bool = False
-    generators: tuple[ResidueMatrix, ...] = ()
-
-    @cached_property
-    def exponent(self) -> int:
-        """lcm of the element orders of an abelian closure, which is the
-        lcm of its generators' orders; computed when first read.  Raises
-        ValueError on a non-abelian closure."""
-        if not self.is_abelian:
-            raise ValueError("exponent is only computed for an abelian closure")
-        return lcm(*(g.order() for g in self.generators))
-
-    def contains(self, m: ResidueMatrix) -> bool:
-        return m.key() in self.elements
-
-
-def subgroup_closure(gens: Sequence[ResidueMatrix], n: int,
-                     cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupImage:
-    """Breadth-first closure of `gens` under multiplication in SL(2, Z_n).
-
-    The group is finite, so closing under right multiplication by the
-    generators alone suffices.  The search runs on plain residue 4-tuples,
-    which are the `ResidueMatrix.key` values; every new product is checked
-    to have determinant 1 mod n.  Raises ClosureOverflowError past `cap`.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    for g in gens:
-        if g.n != n:
-            raise ValueError("generator modulus mismatch")
-    one = 1 % n
-    steps = [(g.a, g.b, g.c, g.d) for g in gens]
-    ident = (one, 0, 0, one)
-    seen = {ResidueMatrix.identity(n).key()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a, b, c, d in frontier:
-            for ga, gb, gc, gd in steps:
-                pa = (a * ga + b * gc) % n
-                pb = (a * gb + b * gd) % n
-                pc = (c * ga + d * gc) % n
-                pd = (c * gb + d * gd) % n
-                k = (pa, pb, pc, pd)
-                if k not in seen:
-                    # a product already seen was checked when first found
-                    if (pa * pd - pb * pc) % n != one:
-                        raise ValueError(f"determinant is not 1 mod {n}")
-                    seen.add(k)
-                    if len(seen) > cap:
-                        raise ClosureOverflowError(
-                            f"closure mod {n} exceeded cap {cap}")
-                    nxt.append(k)
-        frontier = nxt
-    abelian = all(g * h == h * g for i, g in enumerate(gens)
-                  for h in gens[i + 1:])
-    if sl2_order(n) % len(seen):
-        raise RuntimeError(f"closure of order {len(seen)} mod {n} "
-                           "violates Lagrange")
-    return SubgroupImage(order=len(seen),
-                         elements=frozenset(seen),
-                         is_abelian=abelian, generators=tuple(gens))
 
 
 def subgroup_order(gens: Sequence[ResidueMatrix], n: int) -> int:
@@ -254,13 +169,41 @@ def subgroup_order(gens: Sequence[ResidueMatrix], n: int) -> int:
     return order
 
 
+@dataclass(frozen=True)
+class SubgroupImage:
+    """The subgroup of SL(2, Z_n) generated by `generators`, known by its
+    `order`; its elements are never listed."""
+
+    order: int
+    is_abelian: bool
+    generators: tuple[ResidueMatrix, ...]
+
+    @cached_property
+    def exponent(self) -> int:
+        """lcm of the element orders of an abelian subgroup, which is the
+        lcm of its generators' orders; computed when first read.  Raises
+        ValueError on a non-abelian subgroup."""
+        if not self.is_abelian:
+            raise ValueError("exponent is only computed for an abelian closure")
+        return lcm(*(g.order() for g in self.generators))
+
+    def contains(self, m: ResidueMatrix) -> bool:
+        """m lies in the subgroup exactly when adding it to the generators
+        leaves the order unchanged."""
+        return subgroup_order([*self.generators, m], m.n) == self.order
+
+
 def _generator_images(a: int, b: int, n: int) -> list[ResidueMatrix]:
     return [reduce_mod(m, n) for m in make_moebius_generators(a, b)]
 
 
 def generator_image_closure(a: int, b: int, n: int) -> SubgroupImage:
-    """Closure of {A(a/b) mod n, B(a/b) mod n} in SL(2, Z_n)."""
-    return subgroup_closure(_generator_images(a, b, n), n)
+    """The subgroup of SL(2, Z_n) generated by A(a/b) mod n and B(a/b)
+    mod n."""
+    img_a, img_b = _generator_images(a, b, n)
+    return SubgroupImage(order=subgroup_order([img_a, img_b], n),
+                         is_abelian=img_a * img_b == img_b * img_a,
+                         generators=(img_a, img_b))
 
 
 def surjects_mod_p(a: int, b: int, p: int) -> bool:

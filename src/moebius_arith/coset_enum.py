@@ -67,8 +67,9 @@ from .presentation import Presentation
 UNDEF = -1
 
 DEFAULT_MAX_COSETS = 10_000_000
-# definitions between two polls of a run, the same in both engines (the
-# kernel's POLL_EVERY), and between two `progress` reports
+# definitions, or live cosets scanned in a lookahead, between two polls of
+# a run, the same in both engines (the kernel's POLL_EVERY); definitions
+# between two `progress` reports
 _POLL_EVERY = 4096
 PROGRESS_EVERY = 16 * _POLL_EVERY
 # `find_relator`'s limit on a relator's total of absolute exponents
@@ -188,14 +189,21 @@ class _TimeLimit(Exception):
 def _poll(limits: EnumerationLimits,
           progress: Optional[Callable[[int, int], None]] = None
           ) -> Callable[[int, int], bool]:
-    """The check both engines make every `_POLL_EVERY` definitions, for a
-    run starting now: `poll(defined, live)` calls `progress` every
+    """The check both engines make every `_POLL_EVERY` definitions and
+    every `_POLL_EVERY` live cosets a lookahead scans, for a run starting
+    now: `poll(defined, live)` calls `progress` once for each multiple of
     `PROGRESS_EVERY` definitions and returns True once the time limit of
-    `limits` has passed."""
+    `limits` has passed.  A lookahead defines nothing, so its polls repeat
+    the count of the last definition, and `progress` skips a count it has
+    reported."""
     deadline = limits.deadline()
+    reported = 0
 
     def poll(defined: int, live: int) -> bool:
-        if progress is not None and defined % PROGRESS_EVERY == 0:
+        nonlocal reported
+        if (progress is not None and defined % PROGRESS_EVERY == 0
+                and defined > reported):
+            reported = defined
             progress(defined, live)
         return time.monotonic() > deadline
     return poll
@@ -496,8 +504,10 @@ class _Engine:
     # -- table maintenance ---------------------------------------------------
 
     def _lookahead(self) -> None:
-        """Scan every relator at every live coset without new definitions."""
+        """Scan every relator at every live coset without new definitions,
+        polling every `_POLL_EVERY` cosets scanned."""
         p = self.p
+        scanned = 0
         for gamma in range(len(p)):
             if p[gamma] != gamma:
                 continue
@@ -505,6 +515,10 @@ class _Engine:
                 self._scan(gamma, rel, False)
                 if p[gamma] != gamma:
                     break
+            scanned += 1
+            if (scanned % _POLL_EVERY == 0
+                    and self.poll(self.defined_total, self.live)):
+                raise _TimeLimit
 
     def _compact(self, mark: int) -> int:
         """Renumber live cosets densely, preserving order.  Returns the new
@@ -701,12 +715,13 @@ def todd_coxeter(pres: Presentation, subgroup_gens: Sequence[GroupWord],
     kernel's checker (`_fast.verify`) after a kernel run and in
     `_verify_table` after a pure one; a failed check raises RuntimeError.
 
-    Both engines stop every 4096 definitions for one poll, built here,
-    which keeps the time limit and calls `progress(defined, live)` every
-    `PROGRESS_EVERY` definitions; an exception `progress` raises aborts
-    the run and propagates.  Ctrl-C raises KeyboardInterrupt in the pure
-    engine at once, and in the kernel at its next poll, where SIGINT is
-    let through (see `_fast`).
+    Both engines stop every 4096 definitions, and every 4096 live cosets
+    a lookahead scans, for one poll, built here, which keeps the time
+    limit and calls `progress(defined, live)` every `PROGRESS_EVERY`
+    definitions; an exception `progress` raises aborts the run and
+    propagates.  Ctrl-C raises KeyboardInterrupt in the pure engine at
+    once, and in the kernel at its next poll, where SIGINT is let through
+    (see `_fast`).
     """
     width, relators, subgroup = _enumeration_letters(pres, subgroup_gens)
     poll = _poll(limits, progress)

@@ -77,7 +77,7 @@ class TestExpressGenerators:
         pres = build_presentation(b)
         words = gamma_level_words(spec, pres)
         assert [name for name, _ in words] == ["A(am)", "B(am)", "B(am)^x"]
-        ident = ResidueMatrix.identity(a * a)
+        ident = ResidueMatrix(a * a, 1, 0, 0, 1)
         for _, wrd in words:
             g = evaluate_word(wrd, pres.assignment)
             assert g != UniModularMatrix.identity()
@@ -456,6 +456,20 @@ class TestOfflineVerification:
         ok, problems = verify_certificate(payload)
         assert not ok
         assert problems == ["inconclusive certificate carries a wrong index"]
+
+    @pytest.mark.parametrize("witness,problem", [
+        ("A B", "relator witness does not evaluate to 1"),
+        ("A^x", "witness check failed: "),
+    ])
+    def test_checks_witness_of_inconclusive(self, witness, problem):
+        # certify records a witness on an Inconclusive certificate when a
+        # cross-check fails, so verify checks a witness whatever the status
+        payload = certify(MoebiusSpec(1, 2)).to_json_dict()
+        payload["status"] = "Inconclusive"
+        payload["witness"] = witness
+        ok, problems = verify_certificate(payload)
+        assert not ok
+        assert len(problems) == 1 and problems[0].startswith(problem)
 
     def test_detects_empty_witness(self, cert_table_32):
         cert, _ = cert_table_32

@@ -254,6 +254,21 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("INVALID\n  - malformed certificate: ")
 
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"],
+                             ids=["text", "bytes"])
+    def test_non_json_is_malformed(self, tmp_path, capsys, content):
+        path = tmp_path / "cert.json"
+        path.write_bytes(content)
+        assert run(["verify", str(path)]) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert out.startswith("INVALID\n  - malformed certificate: ")
+
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert run(["verify", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot read {path}: ")
+
     def test_json_and_human_agree(self, tmp_path, capsys):
         path, _ = self._write_cert(tmp_path, ["3/2"])
         assert run(["verify", str(path)]) == EXIT_OK

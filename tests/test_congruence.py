@@ -1,21 +1,22 @@
-"""Congruence images, closures, level data, membership."""
+"""Congruence images, subgroup orders, level data, membership."""
 
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
 
+from moebius_arith import certifier
 from moebius_arith.congruence import (
-    ClosureOverflowError,
     ResidueMatrix,
+    SubgroupImage,
     conjugate_by_x,
     generator_image_closure,
     level_data,
     member_of_closure,
     reduce_mod,
     sl2_order,
-    subgroup_closure,
     subgroup_order,
     surjects_mod_p,
 )
@@ -88,17 +89,12 @@ class TestSl2Order:
 
 class TestSubgroupClosure:
     def test_trivial(self):
-        img = subgroup_closure([ResidueMatrix.identity(7)], 7)
+        # A(7/2) and B(7/2) are the identity mod 7
+        img = generator_image_closure(7, 2, 7)
         assert img.order == 1 and img.is_abelian and img.exponent == 1
 
-    def test_cap_overflow(self):
-        gens = [reduce_mod(m, 5) for m in make_moebius_generators(1, 2)]
-        with pytest.raises(ClosureOverflowError):
-            subgroup_closure(gens, 5, cap=10)
-
     def test_full_sl2_5(self):
-        gens = [reduce_mod(m, 5) for m in make_moebius_generators(1, 2)]
-        img = subgroup_closure(gens, 5)
+        img = generator_image_closure(1, 2, 5)
         assert img.order == 120
         assert not img.is_abelian
 
@@ -109,8 +105,7 @@ class TestSubgroupClosure:
         assert img.exponent == 3
 
     def test_exponent_nonabelian(self):
-        gens = [reduce_mod(m, 3) for m in make_moebius_generators(1, 2)]
-        img = subgroup_closure(gens, 3)
+        img = generator_image_closure(1, 2, 3)
         assert img.order == 24 and not img.is_abelian
         # only an abelian closure's exponent is computed: its generators'
         with pytest.raises(ValueError, match="abelian"):
@@ -136,18 +131,20 @@ class TestSubgroupClosure:
 
 
 def reference_closure(gens, n):
-    """Breadth-first closure over ResidueMatrix products: key set and
-    abelianness."""
-    ident = ResidueMatrix.identity(n)
-    seen = {ident.key()}
+    """Breadth-first closure of `gens` in SL(2, Z_n), listed as residue
+    4-tuples: (element set, abelianness of the generators)."""
+    steps = [(g.a, g.b, g.c, g.d) for g in gens]
+    ident = (1 % n, 0, 0, 1 % n)
+    seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod.key() not in seen:
-                    seen.add(prod.key())
+        for a, b, c, d in frontier:
+            for ga, gb, gc, gd in steps:
+                prod = ((a * ga + b * gc) % n, (a * gb + b * gd) % n,
+                        (c * ga + d * gc) % n, (c * gb + d * gd) % n)
+                if prod not in seen:
+                    seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
     abelian = all(g * h == h * g for g in gens for h in gens)
@@ -168,36 +165,38 @@ def random_residue(rng, n):
 class TestClosureParity:
     @pytest.mark.parametrize("n", list(range(2, 13)) + [25, 49])
     def test_matches_reference_bfs(self, n):
+        # order, and membership by |<S, m>| = |<S>|, against the listed
+        # closure, on random members and random matrices
         rng = random.Random(600 + n)
         g = random_residue(rng, n)
         pairs = [[g, g * g]]            # abelian
         for _ in range(2):
             pairs.append([random_residue(rng, n), random_residue(rng, n)])
         for gens in pairs:
-            img = subgroup_closure(gens, n)
             keys, abelian = reference_closure(gens, n)
-            assert img.elements == frozenset(keys)
+            img = SubgroupImage(order=subgroup_order(gens, n),
+                                is_abelian=abelian, generators=tuple(gens))
             assert img.order == len(keys)
-            assert img.is_abelian == abelian
+            members = [gens[0] * gens[1] * gens[0], gens[1] * gens[1]]
+            others = [random_residue(rng, n) for _ in range(20)]
+            for m in members + others:
+                key = (m.a, m.b, m.c, m.d)
+                assert img.contains(m) == (key in keys), (n, key)
 
-    def test_keys_are_residue_tuples(self):
-        # one key form for every modulus
-        for n in (7, 65_537):
-            key = ResidueMatrix(n, 1, 1, 0, 1).key()
-            assert type(key) is tuple and key == (1, 1, 0, 1)
-
-    def test_tuple_keys_past_16_bits(self):
-        # n >= 2^16 keys elements by residue tuples
+    def test_modulus_past_16_bits(self):
         n = 65_537
-        img = subgroup_closure([ResidueMatrix(n, 1, 256, 0, 1)], n)
-        assert img.order == n and img.is_abelian and img.exponent == n
+        gen = ResidueMatrix(n, 1, 256, 0, 1)
+        img = SubgroupImage(order=subgroup_order([gen], n), is_abelian=True,
+                            generators=(gen,))
+        assert img.order == n and img.exponent == n
         assert img.contains(ResidueMatrix(n, 1, 1, 0, 1))
+        assert not img.contains(ResidueMatrix(n, n - 1, 0, 0, n - 1))
 
     def test_rejects_determinant_off_one(self):
-        # a generator built around ResidueMatrix's own check
+        # a matrix built around ResidueMatrix's own check
         bad = SimpleNamespace(n=5, a=2, b=0, c=0, d=1)
         with pytest.raises(ValueError, match="determinant"):
-            subgroup_closure([bad], 5)
+            generator_image_closure(1, 2, 5).contains(bad)
 
     def test_order_only_never_computes_element_orders(self, monkeypatch):
         def refuse(self):
@@ -226,7 +225,7 @@ class TestSubgroupOrder:
         for a, b, n in order_grid():
             gens = [reduce_mod(m, n) for m in make_moebius_generators(a, b)]
             assert subgroup_order(gens, n) == \
-                subgroup_closure(gens, n).order, (a, b, n)
+                len(reference_closure(gens, n)[0]), (a, b, n)
 
     def test_random_generators_match_closure(self):
         rng = random.Random(900)
@@ -235,7 +234,7 @@ class TestSubgroupOrder:
             for gens in ([], [g], [g, g * g],
                          [random_residue(rng, n), random_residue(rng, n)]):
                 assert subgroup_order(gens, n) == \
-                    subgroup_closure(gens, n).order
+                    len(reference_closure(gens, n)[0])
 
     @pytest.mark.parametrize("bad", [
         SimpleNamespace(n=5, a=2, b=0, c=0, d=1),   # moves e1
@@ -243,19 +242,11 @@ class TestSubgroupOrder:
     ])
     def test_rejects_determinant_two(self, bad):
         with pytest.raises(ValueError, match="determinant"):
-            subgroup_order([ResidueMatrix.identity(5), bad], 5)
+            subgroup_order([ResidueMatrix(5, 1, 0, 0, 1), bad], 5)
 
     def test_rejects_modulus_mismatch(self):
         with pytest.raises(ValueError, match="modulus"):
-            subgroup_order([ResidueMatrix.identity(7)], 5)
-
-    def test_surjects_without_a_closure(self, monkeypatch):
-        import moebius_arith.congruence as congruence
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("closure built")
-        monkeypatch.setattr(congruence, "subgroup_closure", refuse)
-        assert surjects_mod_p(5, 3, 11) is True
+            subgroup_order([ResidueMatrix(7, 1, 0, 0, 1)], 5)
 
 
 class TestSurjectsModP:
@@ -365,3 +356,58 @@ class TestMembership:
     def test_incompatible_denominator_is_nonmember(self):
         g = parse_matrix("[[1,1/3],[0,1]]")
         assert not member_of_closure(g, 3, 2)
+
+
+def residue_tuple_order(m, n):
+    a, b, c, d = m
+    acc, k = m, 1
+    while acc != (1 % n, 0, 0, 1 % n):
+        p, q, r, s = acc
+        acc = ((p * a + q * c) % n, (p * b + q * d) % n,
+               (r * a + s * c) % n, (r * b + s * d) % n)
+        k += 1
+    return k
+
+
+# every spec with 2 <= a, b <= 13 and gcd(a, b) = 1
+GRID_SPECS = [(a, b) for a in range(2, 14) for b in range(2, 14)
+              if gcd(a, b) == 1]
+
+
+class TestMembershipGrid:
+    """`member_of_closure` and check 2 against the closure mod a^2 listed
+    by `reference_closure`, on seeded random words in A, B, their
+    inverses, s, integer lower shears and A(k/b): words in A and B alone
+    are members, the others mostly are not."""
+
+    def test_grid_has_90_specs(self):
+        assert len(GRID_SPECS) == 90
+
+    @pytest.mark.parametrize("a,b", GRID_SPECS,
+                             ids=[f"{a}/{b}" for a, b in GRID_SPECS])
+    def test_against_reference_closure(self, a, b):
+        n = a * a
+        mat_a, mat_b = make_moebius_generators(a, b)
+        keys, abelian = reference_closure(
+            [reduce_mod(mat_a, n), reduce_mod(mat_b, n)], n)
+        exponent = lcm(*(residue_tuple_order(k, n) for k in keys))
+        assert certifier._closure_is_CaxCa(a, b) == (
+            len(keys) == n and abelian and exponent == a)
+
+        rng = random.Random(1000 * a + b)
+        members = [mat_a, mat_a.inv(), mat_b, mat_b.inv()]
+        others = [parse_matrix("[[0,1],[-1,0]]")]
+        others += [UniModularMatrix(1, 0, k, 1) for k in (1, 2, -3)]
+        others += [UniModularMatrix(1, Fraction(k, b), 0, 1)
+                   for k in (1, b - 1)]
+        verdicts = set()
+        for i in range(30):
+            pool = members if i % 2 else members + others
+            g = UniModularMatrix.identity()
+            for _ in range(rng.randint(1, 8)):
+                g = g * rng.choice(pool)
+            r = reduce_mod(g, n)
+            expect = (r.a, r.b, r.c, r.d) in keys
+            assert member_of_closure(g, a, b) == expect, (a, b, g)
+            verdicts.add(expect)
+        assert verdicts == {True, False}

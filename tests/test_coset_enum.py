@@ -11,7 +11,7 @@ import pytest
 
 from moebius_arith import _fast
 from moebius_arith.certifier import MoebiusSpec, express_generators
-from moebius_arith.congruence import ResidueMatrix, subgroup_closure
+from moebius_arith.congruence import ResidueMatrix, subgroup_order
 from moebius_arith.coset_enum import (
     PROGRESS_EVERY,
     CosetTable,
@@ -129,8 +129,7 @@ CORPUS = [
 
 
 def residue_closure_order(gens3):
-    img = subgroup_closure(gens3, gens3[0].n, cap=10_000)
-    return img.order
+    return subgroup_order(gens3, gens3[0].n)
 
 
 def oracle_index(entry):
@@ -141,14 +140,14 @@ def oracle_index(entry):
         asg = {"a": i, "b": j}
         # the realization must satisfy the relators
         for r in rels:
-            m = ResidueMatrix.identity(3)
+            m = ResidueMatrix(3, 1, 0, 0, 1)
             for sym, exp in parse_word(r).syllables:
                 g = asg[sym]
                 step = g if exp > 0 else ResidueMatrix(3, g.d, (-g.b) % 3,
                                                        (-g.c) % 3, g.a)
                 for _ in range(abs(exp)):
                     m = m * step
-            assert m == ResidueMatrix.identity(3), (name, r)
+            assert m == ResidueMatrix(3, 1, 0, 0, 1), (name, r)
         order = residue_closure_order(list(asg.values()))
         assert order == 8
         sub_order = 1
@@ -290,6 +289,17 @@ class TestTableInvariants:
         assert out.reason == "max_cosets"
         assert [d for d, _ in calls] == [PROGRESS_EVERY, 2 * PROGRESS_EVERY]
         assert all(live <= defined for defined, live in calls)
+
+    def test_progress_once_per_count(self):
+        # a lookahead's polls repeat the count of the last definition, and
+        # `progress` skips a multiple of PROGRESS_EVERY it has reported
+        calls = []
+        poll = _poll(EnumerationLimits(), lambda d, l: calls.append(d))
+        for defined in (4096, PROGRESS_EVERY, PROGRESS_EVERY,
+                        PROGRESS_EVERY + 4096, 2 * PROGRESS_EVERY,
+                        2 * PROGRESS_EVERY):
+            assert poll(defined, 1) is False
+        assert calls == [PROGRESS_EVERY, 2 * PROGRESS_EVERY]
 
 
 def reference_verify(table, pres, subgroup_words):

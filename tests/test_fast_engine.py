@@ -10,6 +10,7 @@ compiler is available.
 """
 
 import ctypes
+import functools
 import os
 import random
 import shlex
@@ -216,6 +217,30 @@ class TestRunControl:
              progress=lambda d, l: ref_calls.append((d, l)))
         assert [d for d, _ in calls] == [coset_enum.PROGRESS_EVERY]
         assert calls == ref_calls
+
+    def test_poll_stops_table_full_lookahead(self, monkeypatch):
+        # the trivial subgroup of SL(2, Z) fills all 80,000 rows; the
+        # lookahead that follows defines nothing, so its first poll, after
+        # 4096 live cosets, is the first to see a count that is not a
+        # multiple of 4096, and stops the run there
+        def stop_in_lookahead(limits, progress=None):
+            def poll(defined, live):
+                polled.append(defined)
+                return defined % 4096 != 0
+            return poll
+
+        monkeypatch.setattr(coset_enum, "_poll", stop_in_lookahead)
+        limits = EnumerationLimits(max_cosets=80_000, strategy=self.strategy)
+        runs = []
+        for enumerate_ in (todd_coxeter, functools.partial(pure, monkeypatch)):
+            polled = []
+            out = enumerate_(MODULAR, [], limits)
+            assert out.reason == "time_limit" and out.peak_cosets == 80_000
+            assert polled[-1] == out.defined_total == 80_000
+            assert all(d % 4096 == 0 for d in polled[:-1])
+            runs.append((out.engine, polled))
+        assert [engine for engine, _ in runs] == ["c", "pure"]
+        assert runs[0][1] == runs[1][1]
 
     def test_progress_exception_propagates(self):
         class Stop(Exception):
