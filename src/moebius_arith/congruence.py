@@ -3,10 +3,10 @@ closure of a Moebius group G(a/b) inside SL(2, Z[1/b]):
 
   * reduction of rational matrices mod n (denominators inverted mod n),
   * |SL(2, Z_n)| by the multiplicative formula n^3 * prod_{p|n} (1 - p^-2),
-  * the exact order of a subgroup of SL(2, Z_n) by orbit-stabilizer on
-    e1 = (1, 0)^T, without listing its elements (`subgroup_order`),
-  * the image of the generators mod n, known by that order: g lies in
-    <S> exactly when |<S, g>| = |<S>|,
+  * a subgroup of SL(2, Z_n) by orbit-stabilizer on e1 = (1, 0)^T: a
+    transversal of the orbit and the stabilizer give its exact order and
+    decide membership by sifting, without listing its elements
+    (`subgroup_image`),
   * level data: the closure of G(a/b) has level a^2 and index a*|SL(2,Z_a)|,
     with quotient mod a^2 isomorphic to C_a x C_a,
   * conjugation by x = [[-1,1],[0,1]], which gives B(am)^x, one of the
@@ -15,13 +15,13 @@ closure of a Moebius group G(a/b) inside SL(2, Z[1/b]):
 
 All group computations here are exact and finite.  Every question about
 a subgroup mod n, its order, membership or surjectivity, is answered by
-`subgroup_order`, which never lists the subgroup's elements, so no modulus
-needs an element cap.
+`subgroup_image`, which costs O(|orbit|) <= O(n^2) and never lists the
+subgroup's elements, so no modulus needs an element cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -114,16 +114,65 @@ def sl2_order(n: int) -> int:
     return r
 
 
-def subgroup_order(gens: Sequence[ResidueMatrix], n: int) -> int:
-    """Exact order of the subgroup of SL(2, Z_n) generated by `gens`.
+@dataclass(frozen=True)
+class SubgroupImage:
+    """The subgroup of SL(2, Z_n) generated by `generators`, known by its
+    orbit on e1 = (1, 0)^T and the stabilizer of e1; its elements are never
+    listed.  `transversal` maps each orbit vector v = (x, y), keyed x*n + y,
+    to one element T_v with T_v e1 = v; the stabilizer is generated by
+    [[1, stabilizer], [0, 1]], with `stabilizer` dividing n."""
 
-    Orbit-stabilizer on e1 = (1, 0)^T: a breadth-first search over the
-    orbit keeps one transversal matrix T_v with T_v e1 = v per orbit
-    vector.  By Schreier's lemma the stabilizer of e1 is generated by
-    U^-1 g T_v, U = T_{gv}, over the edges that leave the tree; each lies
-    in {[[1, x], [0, 1]]}, the stabilizer of e1 in SL(2, Z_n), cyclic of
-    order n.  So the order is |orbit| * n / gcd(n, all x).  Every new
-    transversal matrix is checked to have determinant 1 mod n.
+    n: int
+    generators: tuple[ResidueMatrix, ...]
+    transversal: dict[int, tuple[int, int, int, int]] = field(
+        repr=False, compare=False)
+    stabilizer: int
+
+    @property
+    def order(self) -> int:
+        return len(self.transversal) * (self.n // self.stabilizer)
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        return all(g * h == h * g for g in self.generators
+                   for h in self.generators)
+
+    @cached_property
+    def exponent(self) -> int:
+        """lcm of the element orders of an abelian subgroup, which is the
+        lcm of its generators' orders; computed when first read.  Raises
+        ValueError on a non-abelian subgroup."""
+        if not self.is_abelian:
+            raise ValueError("exponent is only computed for an abelian closure")
+        return lcm(*(g.order() for g in self.generators))
+
+    def contains(self, m: ResidueMatrix) -> bool:
+        """Sift m: it lies in the subgroup exactly when v = m e1 is in the
+        orbit and T_v^-1 m = [[1, x], [0, 1]] has `stabilizer` | x."""
+        n = self.n
+        if m.n != n:
+            raise ValueError("modulus mismatch")
+        if (m.a * m.d - m.b * m.c) % n != 1 % n:
+            raise ValueError(f"determinant is not 1 mod {n}")
+        u = self.transversal.get(m.a % n * n + m.c % n)
+        if u is None:
+            return False
+        # T_v^-1 = [[ud, -ub], [-uc, ua]]
+        ua, ub, uc, ud = u
+        return (ud * m.b - ub * m.d) % self.stabilizer == 0
+
+
+def subgroup_image(gens: Sequence[ResidueMatrix], n: int) -> SubgroupImage:
+    """The subgroup of SL(2, Z_n) generated by `gens`, by orbit-stabilizer.
+
+    A breadth-first search over the orbit of e1 keeps one transversal
+    matrix T_v with T_v e1 = v per orbit vector.  By Schreier's lemma the
+    stabilizer of e1 is generated by U^-1 g T_v, U = T_{gv}, over the
+    edges that leave the tree; each lies in {[[1, x], [0, 1]]}, the
+    stabilizer of e1 in SL(2, Z_n), cyclic of order n.  So the stabilizer
+    is generated by [[1, gcd(n, all x)], [0, 1]] and the order is
+    |orbit| * n / gcd(n, all x).  Every new transversal matrix is checked
+    to have determinant 1 mod n.
     """
     one = 1 % n
     for g in gens:
@@ -132,7 +181,6 @@ def subgroup_order(gens: Sequence[ResidueMatrix], n: int) -> int:
         if (g.a * g.d - g.b * g.c) % n != one:
             raise ValueError(f"determinant is not 1 mod {n}")
     steps = [(g.a, g.b, g.c, g.d) for g in gens]
-    # transversal keyed by v = (x, y) as x*n + y
     trans = {one * n: (one, 0, 0, one)}
     frontier = [(one, 0, 0, one)]
     stab = n
@@ -162,35 +210,16 @@ def subgroup_order(gens: Sequence[ResidueMatrix], n: int) -> int:
                         "as [[1, x], [0, 1]]")
                 stab = gcd(stab, ud * pb - ub * pd)
         frontier = nxt
-    order = len(trans) * (n // stab)
-    if sl2_order(n) % order:
-        raise RuntimeError(f"subgroup of order {order} mod {n} "
+    img = SubgroupImage(n, tuple(gens), trans, stab)
+    if sl2_order(n) % img.order:
+        raise RuntimeError(f"subgroup of order {img.order} mod {n} "
                            "violates Lagrange")
-    return order
+    return img
 
 
-@dataclass(frozen=True)
-class SubgroupImage:
-    """The subgroup of SL(2, Z_n) generated by `generators`, known by its
-    `order`; its elements are never listed."""
-
-    order: int
-    is_abelian: bool
-    generators: tuple[ResidueMatrix, ...]
-
-    @cached_property
-    def exponent(self) -> int:
-        """lcm of the element orders of an abelian subgroup, which is the
-        lcm of its generators' orders; computed when first read.  Raises
-        ValueError on a non-abelian subgroup."""
-        if not self.is_abelian:
-            raise ValueError("exponent is only computed for an abelian closure")
-        return lcm(*(g.order() for g in self.generators))
-
-    def contains(self, m: ResidueMatrix) -> bool:
-        """m lies in the subgroup exactly when adding it to the generators
-        leaves the order unchanged."""
-        return subgroup_order([*self.generators, m], m.n) == self.order
+def subgroup_order(gens: Sequence[ResidueMatrix], n: int) -> int:
+    """Exact order of the subgroup of SL(2, Z_n) generated by `gens`."""
+    return subgroup_image(gens, n).order
 
 
 def _generator_images(a: int, b: int, n: int) -> list[ResidueMatrix]:
@@ -200,10 +229,7 @@ def _generator_images(a: int, b: int, n: int) -> list[ResidueMatrix]:
 def generator_image_closure(a: int, b: int, n: int) -> SubgroupImage:
     """The subgroup of SL(2, Z_n) generated by A(a/b) mod n and B(a/b)
     mod n."""
-    img_a, img_b = _generator_images(a, b, n)
-    return SubgroupImage(order=subgroup_order([img_a, img_b], n),
-                         is_abelian=img_a * img_b == img_b * img_a,
-                         generators=(img_a, img_b))
+    return subgroup_image(_generator_images(a, b, n), n)
 
 
 def surjects_mod_p(a: int, b: int, p: int) -> bool:

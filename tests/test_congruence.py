@@ -7,16 +7,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from moebius_arith import certifier
+from moebius_arith import certifier, congruence
 from moebius_arith.congruence import (
     ResidueMatrix,
-    SubgroupImage,
     conjugate_by_x,
     generator_image_closure,
     level_data,
     member_of_closure,
     reduce_mod,
     sl2_order,
+    subgroup_image,
     subgroup_order,
     surjects_mod_p,
 )
@@ -165,8 +165,8 @@ def random_residue(rng, n):
 class TestClosureParity:
     @pytest.mark.parametrize("n", list(range(2, 13)) + [25, 49])
     def test_matches_reference_bfs(self, n):
-        # order, and membership by |<S, m>| = |<S>|, against the listed
-        # closure, on random members and random matrices
+        # order, abelianness, and membership by sifting, against the
+        # listed closure, on random members and random matrices
         rng = random.Random(600 + n)
         g = random_residue(rng, n)
         pairs = [[g, g * g]]            # abelian
@@ -174,9 +174,9 @@ class TestClosureParity:
             pairs.append([random_residue(rng, n), random_residue(rng, n)])
         for gens in pairs:
             keys, abelian = reference_closure(gens, n)
-            img = SubgroupImage(order=subgroup_order(gens, n),
-                                is_abelian=abelian, generators=tuple(gens))
-            assert img.order == len(keys)
+            img = subgroup_image(gens, n)
+            assert img.order == len(keys) == subgroup_order(gens, n)
+            assert img.is_abelian == abelian
             members = [gens[0] * gens[1] * gens[0], gens[1] * gens[1]]
             others = [random_residue(rng, n) for _ in range(20)]
             for m in members + others:
@@ -186,11 +186,25 @@ class TestClosureParity:
     def test_modulus_past_16_bits(self):
         n = 65_537
         gen = ResidueMatrix(n, 1, 256, 0, 1)
-        img = SubgroupImage(order=subgroup_order([gen], n), is_abelian=True,
-                            generators=(gen,))
+        img = subgroup_image([gen], n)
         assert img.order == n and img.exponent == n
         assert img.contains(ResidueMatrix(n, 1, 1, 0, 1))
         assert not img.contains(ResidueMatrix(n, n - 1, 0, 0, n - 1))
+
+    def test_sift_reads_the_built_orbit(self, monkeypatch):
+        # <[[1, 3], [0, 1]]> mod 9 has orbit {e1} and stabilizer 3: a
+        # member, a matrix fixing e1 with 3 not dividing x, and one moving
+        # e1 are told apart without another orbit-stabilizer run
+        img = subgroup_image([ResidueMatrix(9, 1, 3, 0, 1)], 9)
+        assert img.order == 3 and img.stabilizer == 3
+
+        def refuse(*args):
+            raise AssertionError("membership ran a new orbit-stabilizer")
+        monkeypatch.setattr(congruence, "subgroup_image", refuse)
+        monkeypatch.setattr(congruence, "subgroup_order", refuse)
+        assert img.contains(ResidueMatrix(9, 1, 6, 0, 1))
+        assert not img.contains(ResidueMatrix(9, 1, 1, 0, 1))
+        assert not img.contains(ResidueMatrix(9, 1, 0, 1, 1))
 
     def test_rejects_determinant_off_one(self):
         # a matrix built around ResidueMatrix's own check
@@ -369,7 +383,7 @@ def residue_tuple_order(m, n):
     return k
 
 
-# every spec with 2 <= a, b <= 13 and gcd(a, b) = 1
+# the 90 specs with 2 <= a, b <= 13 and gcd(a, b) = 1
 GRID_SPECS = [(a, b) for a in range(2, 14) for b in range(2, 14)
               if gcd(a, b) == 1]
 
@@ -379,9 +393,6 @@ class TestMembershipGrid:
     by `reference_closure`, on seeded random words in A, B, their
     inverses, s, integer lower shears and A(k/b): words in A and B alone
     are members, the others mostly are not."""
-
-    def test_grid_has_90_specs(self):
-        assert len(GRID_SPECS) == 90
 
     @pytest.mark.parametrize("a,b", GRID_SPECS,
                              ids=[f"{a}/{b}" for a, b in GRID_SPECS])
