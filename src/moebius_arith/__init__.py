@@ -31,7 +31,6 @@ from .congruence import (
 )
 from .modular_words import decompose_st
 from .presentation import (
-    AmalgamPiece,
     Presentation,
     build_presentation,
     presentation_to_json,

@@ -3,15 +3,13 @@
 Subcommands: present, certify, member, relator, sweep, verify.
 Exit codes: 0 success / Arithmetic, 2 Inconclusive or not found,
 1 computation error (for `sweep`: any entry raised), 64 usage error.
-MOEBIUS_MAX_COSETS overrides the default coset budget.  All numeric input
-is exact; floats are rejected.
+All numeric input is exact; floats are rejected.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from collections import Counter
@@ -30,7 +28,7 @@ from .certifier import (
 )
 from .coset_enum import (DEFAULT_MAX_COSETS, DEFAULT_WITNESS_BOUND,
                          EnumerationLimits)
-from .exact import parse_matrix, parse_word
+from .exact import parse_matrix, parse_word, prime_factors
 from .presentation import (
     build_presentation,
     presentation_to_json,
@@ -103,27 +101,14 @@ _count = _int_at_least(1)
 _base = _int_at_least(2)
 
 
-def _default_max_cosets() -> int:
-    env = os.environ.get("MOEBIUS_MAX_COSETS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"bad MOEBIUS_MAX_COSETS value {env!r}") from None
-    return DEFAULT_MAX_COSETS
-
-
 def _limits(args) -> EnumerationLimits:
-    max_cosets = (args.max_cosets if args.max_cosets is not None
-                  else _default_max_cosets())
-    return _checked(EnumerationLimits, max_cosets=max_cosets,
+    return _checked(EnumerationLimits, max_cosets=args.max_cosets,
                     strategy=args.strategy, time_limit_s=args.time_limit)
 
 
 def _add_limit_flags(sub):
-    sub.add_argument("--max-cosets", type=int, default=None,
-                     help="coset budget, 1 to 2^31-1 (default 10^7 or "
-                          "MOEBIUS_MAX_COSETS)")
+    sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+                     help="coset budget, 1 to 2^31-1 (default 10^7)")
     sub.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     sub.add_argument("--time-limit", type=float,
                      default=DEFAULT_LIMITS.time_limit_s,
@@ -237,7 +222,7 @@ def run(argv) -> int:
 def _dispatch(args) -> int:
     if args.command == "present":
         pres = build_presentation(args.b)
-        if len(pres.pieces) > 1:
+        if len(prime_factors(args.b)) > 1:
             print(PUSHOUT_NOTE, file=sys.stderr)
         text = presentation_to_json(pres) if args.json \
             else presentation_to_text(pres)

@@ -92,14 +92,20 @@ _AUGMENTED_MAX_INDEX = 50_000
 @dataclass(frozen=True)
 class EnumerationLimits:
     """Budgets of one enumeration.  Both engines hold coset ids as int32,
-    so `max_cosets` lies in 1..2^31-1; `time_limit_s` is None for no limit
-    or a positive number of seconds."""
+    so `max_cosets` is an int (not a bool) in 1..2^31-1; `time_limit_s` is
+    None for no limit or a positive number of seconds, not a bool."""
 
     max_cosets: int = DEFAULT_MAX_COSETS
     strategy: str = "hlt"            # "hlt" | "felsch"
     time_limit_s: Optional[float] = None
 
     def __post_init__(self):
+        # the kernel takes a C int, and a bool would pass as 0 or 1
+        if (not isinstance(self.max_cosets, int)
+                or isinstance(self.max_cosets, bool)):
+            raise ValueError("max_cosets must be an int")
+        if isinstance(self.time_limit_s, bool):
+            raise ValueError("time_limit_s must be None or a number")
         if self.max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
         if self.max_cosets > _fast.MAX_COSETS:
@@ -861,14 +867,15 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     short-syllable words by increasing size and looks for two kinds of
     collisions with exact matrix arithmetic: equal evaluations (u = v gives
     the relator u v^-1) and conjugation collisions (translation powers fix
-    a corner entry and the trace, so u, v agreeing there may satisfy
-    g^k u g^-k = v with k solvable in closed form).  The latter is what
-    recovers the long witnesses whose exponents scale with the index.  A
-    labelled run, whose relator traces are words in A and B, is the
-    fallback, tried only up to index _AUGMENTED_MAX_INDEX.  The
-    candidates are verified by evaluation lightest first (first found among
-    equal weights), and the first that evaluates to the identity is
-    returned.
+    a corner entry and the trace, so u, v agreeing there and in the moved
+    entry modulo a step satisfy g^k u g^-k = v, with k in closed form;
+    pairs spelled so that this holds in the free group are skipped).  The
+    conjugation collisions recover the long witnesses whose exponents
+    scale with the index.  A labelled run, whose relator traces are words
+    in A and B, is the fallback, tried only up to index
+    _AUGMENTED_MAX_INDEX.  The candidates are verified by evaluation
+    lightest first (first found among equal weights), and the first that
+    evaluates to the identity is returned.
 
     Raises ValueError when `bound` < 1, or unless word_a and word_b
     evaluate to exactly A(m) = [[1,m],[0,1]] and B(m) = [[1,0],[m,1]] for
@@ -884,7 +891,7 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
             or mat_b != UniModularMatrix(1, 0, m, 1)):
         raise ValueError("word_a and word_b must evaluate to [[1,m],[0,1]] "
                          "and [[1,0],[m,1]] for one m")
-    candidates = _collision_relator_search(mat_a, mat_b, m, bound)
+    candidates = _collision_relator_search(m, bound)
     if not candidates and table.n <= _AUGMENTED_MAX_INDEX:
         # intermediate blowup scales with the presentation, not the index
         candidates = _labelled_relator_search(
@@ -984,9 +991,6 @@ class _SyllableBall:
         out.reverse()
         return out
 
-    def matrix(self, i: int) -> UniModularMatrix:
-        return UniModularMatrix(*(Fraction(x, self.den) for x in self.nums[i]))
-
 
 def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
     """(lead, core, trail) with w = sym^lead core sym^trail for the reduced
@@ -1002,8 +1006,7 @@ def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
     return lead, tuple(syllables[lo:hi]), trail
 
 
-def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
-                              m, bound: int) -> list[GroupWord]:
+def _collision_relator_search(m: Fraction, bound: int) -> list[GroupWord]:
     ball = _SyllableBall(m, _SYLLABLE_DEPTH, max(12, m.denominator + 2))
     nums, weights = ball.nums, ball.weights
     mnum, mden = m.numerator, m.denominator
@@ -1027,8 +1030,7 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
     # conjugation collisions: bucket by the entry a translation power fixes
     # together with the trace, then solve for the conjugating exponent.
     # Indices into the tuples: (fixed corner, row entry it moves)
-    for sym, conj_mat, corner, row_entry in (("A", mat_a, 2, 0),
-                                             ("B", mat_b, 1, 3)):
+    for sym, corner, row_entry in (("A", 2, 0), ("B", 1, 3)):
         buckets: dict[tuple, list[int]] = {}
         for i, num in enumerate(nums):
             r = num[corner]
@@ -1043,53 +1045,53 @@ def _collision_relator_search(mat_a: UniModularMatrix, mat_b: UniModularMatrix,
             pairs += n * (n - 1) // 2
             if pairs > _PAIR_CAP:
                 break
-            # translation by c = k*m moves the fixed-corner row:
-            # conj by A(c): p -> p + c*r;  conj by B(c): s -> s + c*q.
-            # So u, v pair up exactly when that row entry agrees mod r*m,
-            # and k is the difference of the entries' quotients by r*m.
-            # Both sides scaled by den*mden: entry*mden split by r*mnum
+            # for M = [[p, q], [r, s]], conjugation by A(c) adds c*r to p
+            # and takes it from s; by B(c) it adds c*q to s and takes it
+            # from p.  The fixed corner (r below, for either symbol) is
+            # not 0, so it, the trace and det = 1 give the other entries:
+            # u, v in one bucket satisfy v = sym^k u sym^-k exactly when
+            # their moved entries agree mod r*m, and k is the difference
+            # of the entries' quotients by r*m.  Both sides scaled by
+            # den*mden: entry*mden split by r*mnum
             step = r * mnum
             split = {i: divmod(nums[i][row_entry] * mden, step)
                      for i in items}
             classes: dict = {}
             for i in items:
                 classes.setdefault(split[i][1], []).append(i)
-            # spellings split at sym, each built once per bucket
-            parts: dict[int, tuple] = {}
-            for u in items:
-                q_u, rem_u = split[u]
-                same = classes[rem_u]
+            # by `_split_at`, v is spelled sym^k u sym^-k, which gives the
+            # empty relator, exactly when the cores agree, lead_v - lead_u
+            # = k = q_v - q_u and lead + trail agree: when the keys below
+            # agree.  A class whose members all share one key gives none
+            keys: dict[int, tuple] = {}
+            for same in classes.values():
                 if len(same) < 2:
                     continue
-                u_mat = None
-                for v in same:
+                class_keys = {}
+                for i in same:
+                    lead, core, trail = _split_at(sym, ball.syllables_of(i))
+                    class_keys[i] = (core, lead + trail, split[i][0] - lead)
+                if len(set(class_keys.values())) > 1:
+                    keys.update(class_keys)
+            for u in items:
+                key_u = keys.get(u)
+                if key_u is None:
+                    continue
+                q_u, rem_u = split[u]
+                for v in classes[rem_u]:
                     # k = 0 also covers v = u
                     k = split[v][0] - q_u
                     if k == 0:
                         continue
                     if 2 * abs(k) + weights[u] + weights[v] > bound:
                         continue
-                    for i in (u, v):
-                        if i not in parts:
-                            parts[i] = _split_at(sym, ball.syllables_of(i))
-                    # v spelled as sym^k u sym^-k gives the empty relator
-                    lead_u, core_u, trail_u = parts[u]
-                    lead_v, core_v, trail_v = parts[v]
-                    if (lead_v - lead_u == k == trail_u - trail_v
-                            and core_u == core_v):
-                        continue
-                    if u_mat is None:
-                        u_mat = ball.matrix(u)
-                    gk = conj_mat.pow(k)
-                    if gk * u_mat * gk.inv() != ball.matrix(v):
+                    if keys[v] == key_u:
                         continue
                     # sym^k u sym^-k v^-1, freely reduced in one pass
                     inv_v = [(s, -e) for s, e in
                              reversed(ball.syllables_of(v))]
-                    rel = word([(sym, k), *ball.syllables_of(u), (sym, -k),
-                                *inv_v])
-                    if not rel.is_empty():
-                        out.append(rel)
+                    out.append(word([(sym, k), *ball.syllables_of(u),
+                                     (sym, -k), *inv_v]))
             if out:
                 break
         if out:

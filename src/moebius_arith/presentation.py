@@ -60,20 +60,10 @@ def y_matrix(p: int) -> UniModularMatrix:
 
 
 @dataclass(frozen=True)
-class AmalgamPiece:
-    """The per-prime data glued onto the {s, t} copy."""
-
-    prime: int
-    # (word over {x_p, y_p}, word over {s, t}) pairs with equal evaluation
-    matching: tuple[tuple[GroupWord, GroupWord], ...]
-
-
-@dataclass(frozen=True)
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[GroupWord, ...]
     assignment: Mapping[str, UniModularMatrix]
-    pieces: tuple[AmalgamPiece, ...] = ()
 
 
 def _normalize_point(u: int, v: int, p: int) -> tuple[int, int]:
@@ -176,24 +166,18 @@ def build_presentation(b: int) -> Presentation:
     generators = ["s", "t"]
     assignment: dict[str, UniModularMatrix] = {"s": MAT_S, "t": MAT_T}
     relators: list[GroupWord] = _power_braid_relators("s", "t")
-    pieces: list[AmalgamPiece] = []
     for p in primes:
         xsym, ysym = f"x{p}", f"y{p}"
         generators += [xsym, ysym]
         assignment[xsym] = x_matrix(p)
         assignment[ysym] = y_matrix(p)
         relators += _power_braid_relators(xsym, ysym)
-        matching = []
         for gen_word, value in _schreier_pairs(p):
-            st_word = decompose_st(value)
-            matching.append((gen_word, st_word))
-            relators.append(gen_word * st_word.inv())
-        pieces.append(AmalgamPiece(prime=p, matching=tuple(matching)))
+            relators.append(gen_word * decompose_st(value).inv())
     pres = Presentation(
         generators=tuple(generators),
         relators=tuple(relators),
         assignment=MappingProxyType(assignment),
-        pieces=tuple(pieces),
     )
     if not verify_presentation_soundness(pres):
         raise RuntimeError(f"unsound presentation for b={b}")

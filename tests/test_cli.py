@@ -15,6 +15,7 @@ from moebius_arith.cli import (
     WITNESS_NOT_FOUND,
     run,
 )
+from moebius_arith.coset_enum import DEFAULT_MAX_COSETS
 from moebius_arith.exact import evaluate_word, make_moebius_generators, parse_word
 
 FAST = ["--max-cosets", "200000", "--time-limit", "60"]
@@ -279,21 +280,10 @@ class TestVerify:
 
 
 class TestEnvironment:
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOEBIUS_MAX_COSETS", "50000")
-        code = run(["certify", "5/2", "--time-limit", "60"])
-        assert code == EXIT_INCONCLUSIVE
-        payload_ok = "Inconclusive" in capsys.readouterr().out
-        assert payload_ok
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOEBIUS_MAX_COSETS", "lots")
-        assert run(["certify", "3/2"]) == EXIT_USAGE
-
-    def test_zero_env_budget_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOEBIUS_MAX_COSETS", "0")
-        assert run(["certify", "3/2"]) == EXIT_USAGE
-        assert "max_cosets must be >= 1" in capsys.readouterr().err
+    def test_default_budget(self, capsys):
+        assert run(["certify", "3/2", "--json"]) == EXIT_OK
+        resources = json.loads(capsys.readouterr().out)["resources"]
+        assert resources["max_cosets"] == DEFAULT_MAX_COSETS
 
     # every budget EnumerationLimits refuses is a usage error naming the
     # bound; --max-cosets 0 no longer falls back to the default

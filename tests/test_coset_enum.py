@@ -638,8 +638,10 @@ class TestFindRelator:
         return pres, wa, wb, out.table
 
     def test_conjugated_syllables_match_word_product(self):
-        # the relator search skips v == A^k u A^-k by comparing the words
-        # split at A; that must agree with the reduced word product
+        # the relator search skips v == A^k u A^-k by comparing keys
+        # (core, lead + trail, quotient - lead) of the words split at A,
+        # where k is v's quotient less u's; equal keys must agree with
+        # the reduced word product
         from moebius_arith.coset_enum import _split_at
         words = [(), (("A", 2),), (("B", -1),), (("A", -3), ("B", 1)),
                  (("B", 2), ("A", 1), ("B", -2)),
@@ -655,8 +657,9 @@ class TestFindRelator:
                             * GroupWord(((sym, -k),))).syllables
                     for v in {*words, conj} - {u}:
                         lead_v, core_v, trail_v = _split_at(sym, v)
-                        literal = (lead_v - lead_u == k == trail_u - trail_v
-                                   and core_u == core_v)
+                        # quotients 0 for u and k for v
+                        literal = ((core_u, lead_u + trail_u, -lead_u)
+                                   == (core_v, lead_v + trail_v, k - lead_v))
                         assert literal == (v == conj)
 
     def test_trivial_bound_finds_nothing(self):
@@ -836,9 +839,28 @@ class TestFindRelator:
         from moebius_arith.exact import make_moebius_generators
         ma, mb = make_moebius_generators(4, 11)
         search = coset_enum._collision_relator_search
-        assert len(search(ma, mb, ma.e12, 300)) == 2
+        assert len(search(ma.e12, 300)) == 2
         monkeypatch.setattr(coset_enum, "_PAIR_CAP", 0)
-        assert search(ma, mb, ma.e12, 300) == []
+        assert search(ma.e12, 300) == []
+
+    @pytest.mark.parametrize("a, b", [
+        (1, 2), (2, 5),                      # equal evaluations
+        (5, 4), (4, 5), (2, 7), (4, 11),     # conjugations
+        (5, 6), (7, 10),                     # multi-prime b
+        (3, 2),                              # no candidates
+    ], ids=str)
+    def test_every_candidate_is_a_relator(self, a, b):
+        # a conjugation pair is exact by the bucket arithmetic alone, and
+        # the search returns it without a matrix product, so every
+        # candidate must evaluate exactly to the identity
+        from moebius_arith import coset_enum
+        from moebius_arith.exact import make_moebius_generators
+        ma, mb = make_moebius_generators(a, b)
+        found = coset_enum._collision_relator_search(ma.e12, 300)
+        assert bool(found) == ((a, b) != (3, 2))
+        for rel in found:
+            assert not rel.is_empty()
+            assert evaluate_word(rel, {"A": ma, "B": mb}) == IDENT
 
     def test_only_evaluated_candidates_are_rotated(self, monkeypatch):
         # a lighter candidate that is not a relator comes first and must be

@@ -206,6 +206,23 @@ class TestRunControl:
         assert not out.completed and not ref.completed
         assert out.reason == ref.reason == "time_limit"
 
+    @pytest.mark.parametrize("budget, meant", [
+        ({"max_cosets": 1e6}, {"max_cosets": 10 ** 6}),
+        ({"max_cosets": 2.5e5}, {"max_cosets": 250_000}),
+        ({"max_cosets": True}, {"max_cosets": 1}),
+        ({"time_limit_s": True}, {"time_limit_s": 1}),
+    ], ids=["max_cosets=1e6", "max_cosets=2.5e5", "max_cosets=True",
+            "time_limit_s=True"])
+    def test_budget_of_wrong_type_is_refused(self, monkeypatch, budget,
+                                             meant):
+        # a float max_cosets reached the kernel's C int argument as a
+        # ctypes.ArgumentError while the pure engine ran it, and a bool
+        # ran as a budget of 1; both are refused before either engine
+        # runs, and the int they stand for runs alike on both
+        with pytest.raises(ValueError, match="must be an int|or a number"):
+            EnumerationLimits(strategy=self.strategy, **budget)
+        assert_identical(monkeypatch, *moebius(3, 2), self.strategy, **meant)
+
     def test_progress_hook(self, monkeypatch):
         # the trivial subgroup of SL(2, Z) has infinite index, so this run
         # defines past PROGRESS_EVERY, with coincidences, and overflows

@@ -32,6 +32,35 @@ def test_no_raise_assertion_error(path):
     assert lines == [], f"{path.name}: raise AssertionError on lines {lines}"
 
 
+def _environment_reads(path):
+    """The names of the environment variables `path` reads by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target, args = node.func, node.args
+        elif isinstance(node, ast.Subscript):
+            target, args = node.value, [node.slice]
+        else:
+            continue
+        if (ast.unparse(target) in ("os.environ", "os.environ.get",
+                                    "os.getenv")
+                and args and isinstance(args[0], ast.Constant)):
+            names.add(args[0].value)
+    return names
+
+
+def test_environment_variables_are_documented():
+    # an environment variable is a setting as much as a flag is, so each
+    # one the package reads must be named in the README
+    read = set().union(*map(_environment_reads, SOURCES))
+    assert {"CC", "XDG_CACHE_HOME"} <= read
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = sorted(n for n in read
+                     if not re.search(rf"\b{re.escape(n)}\b", readme))
+    assert missing == [], missing
+
+
 # every function of the enumerator half of _tc.c
 ENUMERATOR_FUNCTIONS = (
     "rep", "merge", "coincide", "define", "scan", "scan_word", "lookahead",
