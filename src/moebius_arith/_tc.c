@@ -3,11 +3,11 @@
 
    Every function below mirrors the method of the same name in the pure
    engine, step for step: the same seeding, definition order, coincidence
-   queue, deduction stack, lookahead, compaction policy, table-full
-   recovery and peak accounting (peak is the allocation high-water mark,
-   counted at compaction and at the end).  A run therefore produces a
-   byte-identical table and identical counters; the pure engine is the
-   specification, so change both together.
+   queue, deduction stack, lookahead and where it starts, compaction
+   policy, table-full recovery and peak accounting (peak is the allocation
+   high-water mark, counted at compaction and at the end).  A run therefore
+   produces a byte-identical table and identical counters; the pure engine
+   is the specification, so change both together.
 
    The last section, tc_verify, checks a completed table exhaustively.  It
    shares no code with the enumerator: it is the port of
@@ -245,11 +245,15 @@ static int scan_word(Engine *e, int32_t alpha, const int32_t *flat,
 
 /* -- table maintenance ----------------------------------------------------- */
 
-static int lookahead(Engine *e)
+/* Scan every relator at every live coset from `start` on without new
+   definitions, polling every POLL_EVERY cosets scanned.  HLT's table-full
+   recovery starts at the walk position, where the cosets below are closed
+   (see recover); every other lookahead starts at 0. */
+static int lookahead(Engine *e, int64_t start)
 {
     const int64_t n = e->n;
     int64_t scanned = 0;
-    for (int64_t gamma = 0; gamma < n; gamma++) {
+    for (int64_t gamma = start; gamma < n; gamma++) {
         if (e->p[gamma] != gamma)
             continue;
         for (int64_t r = 0; r < e->nrel; r++) {
@@ -325,7 +329,7 @@ static int closing_pass(Engine *e, int *closed)
     for (int64_t s = 0; s < e->nsub && rc == TC_OK; s++)
         rc = scan_word(e, 0, e->sub, e->sub_off, s, 0);
     if (rc == TC_OK)
-        rc = lookahead(e);
+        rc = lookahead(e, 0);
     if (rc != TC_OK || e->live != live_before)
         return rc;
     for (int64_t gamma = 0; gamma < e->n; gamma++) {
@@ -351,7 +355,7 @@ static int drain_deductions(Engine *e)
         if (e->nded > bound) {
             /* stack blow-up: a full lookahead subsumes the queued work */
             e->nded = 0;
-            int rc = lookahead(e);
+            int rc = lookahead(e, 0);
             if (rc != TC_OK)
                 return rc;
             continue;
@@ -415,10 +419,24 @@ static int felsch_step(Engine *e, int32_t alpha)
 
 /* Lookahead plus compaction after the table filled, which also empties the
    deduction stack; overflow if the space recovered is too small to make
-   progress */
+   progress.
+
+   Under HLT the lookahead starts at the walk position `alpha`, and skipping
+   the cosets below it changes nothing.  The walk leaves a coset c < alpha
+   only after hlt_step(c) has scanned every relator at c with fill, so while
+   c is live every relator cycle from c is closed; alpha itself may have been
+   cut off mid-step by the fill, so the scan starts at alpha, not after it.
+   A closed cycle stays closed: definitions only fill undefined entries,
+   coincidence processing moves each defined edge g -x-> d onto
+   rep(g) -x-> rep(d), and compaction keeps order and returns the new alpha.
+   A scan of a closed cycle without fill walks forward back to its start and
+   writes nothing, so the skipped scans would neither change an entry nor
+   find a coincidence.  Felsch starts at 0: it never scans with fill, and
+   compaction drops its queued deductions, which this lookahead has to find
+   again. */
 static int recover(Engine *e, int64_t *alpha)
 {
-    int rc = lookahead(e);
+    int rc = lookahead(e, e->deduce ? 0 : *alpha);
     if (rc != TC_OK)
         return rc;
     *alpha = compact(e, *alpha);

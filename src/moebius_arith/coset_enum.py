@@ -10,10 +10,13 @@ away once they exceed a quarter of the table.
 One loop serves both strategies.  It seeds the subgroup words at coset 0,
 walks the live cosets in order, recovers a full table with one lookahead
 pass and resumes, compacts, and ends with a closing pass that restarts the
-walk if it re-opens the table.  A strategy is only the step taken at each
-coset: HLT (default) scans every relator there with fill, then defines the
-open entries; Felsch defines each open entry and propagates its deductions
-against the relators' cyclic conjugates before the next one.  A completed
+walk if it re-opens the table.  A strategy is the step taken at each coset:
+HLT (default) scans every relator there with fill, then defines the open
+entries; Felsch defines each open entry and propagates its deductions
+against the relators' cyclic conjugates before the next one.  The step
+also fixes where the recovery lookahead starts: under HLT at the walk
+position, since HLT has closed every relator cycle at the live cosets below
+it; under Felsch, like every other lookahead, at coset 0.  A completed
 table then goes through an exhaustive verification pass with five checks:
 every column a permutation, every inverse column inverting its generator
 column, every coset reachable from coset 0, every relator closing at every
@@ -53,6 +56,7 @@ evaluation, each rotated to start with A only when it is evaluated.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass
@@ -93,7 +97,7 @@ _AUGMENTED_MAX_INDEX = 50_000
 class EnumerationLimits:
     """Budgets of one enumeration.  Both engines hold coset ids as int32,
     so `max_cosets` is an int (not a bool) in 1..2^31-1; `time_limit_s` is
-    None for no limit or a positive number of seconds, not a bool."""
+    None for no limit or a positive real number of seconds, not a bool."""
 
     max_cosets: int = DEFAULT_MAX_COSETS
     strategy: str = "hlt"            # "hlt" | "felsch"
@@ -104,7 +108,9 @@ class EnumerationLimits:
         if (not isinstance(self.max_cosets, int)
                 or isinstance(self.max_cosets, bool)):
             raise ValueError("max_cosets must be an int")
-        if isinstance(self.time_limit_s, bool):
+        if self.time_limit_s is not None and (
+                isinstance(self.time_limit_s, bool)
+                or not isinstance(self.time_limit_s, numbers.Real)):
             raise ValueError("time_limit_s must be None or a number")
         if self.max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
@@ -509,12 +515,15 @@ class _Engine:
 
     # -- table maintenance ---------------------------------------------------
 
-    def _lookahead(self) -> None:
-        """Scan every relator at every live coset without new definitions,
-        polling every `_POLL_EVERY` cosets scanned."""
+    def _lookahead(self, start: int) -> None:
+        """Scan every relator at every live coset from `start` on without
+        new definitions, polling every `_POLL_EVERY` cosets scanned.  HLT's
+        table-full recovery starts at the walk position, where the cosets
+        below are closed (see `_recover`); every other lookahead starts at
+        0."""
         p = self.p
         scanned = 0
-        for gamma in range(len(p)):
+        for gamma in range(start, len(p)):
             if p[gamma] != gamma:
                 continue
             for rel in self.relators:
@@ -584,7 +593,7 @@ class _Engine:
         live_before = self.live
         for sub, label in zip(self.subgroup, self.subgroup_labels):
             self._scan(0, sub, False, label)
-        self._lookahead()
+        self._lookahead(0)
         if self.live != live_before:
             return False
         p = self.p
@@ -659,8 +668,23 @@ class _Engine:
     def _recover(self, alpha: int) -> int:
         """Lookahead plus compaction after the table filled, which also
         empties the deduction stack; overflow if the space recovered is too
-        small to make progress."""
-        self._lookahead()
+        small to make progress.
+
+        Under HLT the lookahead starts at the walk position `alpha`, and
+        skipping the cosets below it changes nothing.  The walk leaves a
+        coset c < alpha only after `_hlt_step(c)` has scanned every relator
+        at c with fill, so while c is live every relator cycle from c is
+        closed; alpha itself may have been cut off mid-step by the fill, so
+        the scan starts at alpha, not after it.  A closed cycle stays
+        closed: definitions only fill undefined entries, coincidence
+        processing moves each defined edge g -x-> d onto rep(g) -x-> rep(d),
+        and compaction keeps order and returns the new alpha.  A scan of a
+        closed cycle without fill walks forward back to its start and
+        writes nothing, so the skipped scans would neither change an entry
+        nor find a coincidence.  Felsch starts at 0: it never scans with
+        fill, and compaction drops its queued deductions, which this
+        lookahead has to find again."""
+        self._lookahead(0 if self.deductions is not None else alpha)
         new_alpha = self._compact(alpha)
         if len(self.p) >= self.max_cosets * 0.98:
             raise _TableFull
@@ -678,7 +702,7 @@ class _Engine:
             if len(stack) > max(4096, 2 * self.live):
                 # stack blow-up: a full lookahead subsumes the queued work
                 del stack[:]
-                self._lookahead()
+                self._lookahead(0)
                 continue
             a, x = stack.pop()
             if p[a] == a:

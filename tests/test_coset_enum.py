@@ -4,6 +4,7 @@ overflow contract, relator recovery."""
 import math
 import random
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -556,6 +557,16 @@ class TestOverflow:
         with pytest.raises(ValueError, match="time_limit_s must be None or > 0"):
             EnumerationLimits(time_limit_s=seconds)
 
+    # a value that is not a real number reached `> 0` and raised
+    # TypeError, which a caller catching ValueError missed
+    @pytest.mark.parametrize("seconds", ["5", 1j, b"1", Decimal(5), True],
+                             ids=["str", "complex", "bytes", "Decimal",
+                                  "bool"])
+    def test_time_limit_must_be_a_number(self, seconds):
+        with pytest.raises(ValueError,
+                           match="time_limit_s must be None or a number"):
+            EnumerationLimits(time_limit_s=seconds)
+
     def test_no_time_limit_is_an_infinite_deadline(self):
         assert EnumerationLimits().deadline() == math.inf
         assert EnumerationLimits(time_limit_s=60).deadline() < math.inf
@@ -626,6 +637,82 @@ class TestStrategyEquivalence:
                                              max_cosets=budget))
         assert out.index == index
         assert out.reason == (None if index else "max_cosets")
+
+
+class TestRecoveryLookahead:
+    """HLT's table-full lookahead starts at the walk position, because HLT
+    has closed every relator cycle at the live cosets below it; every
+    other lookahead starts at coset 0."""
+
+    @staticmethod
+    def watched_run(monkeypatch, a, b, limits):
+        """A pure run that records ("recover", alpha) at each table-full
+        recovery and ("lookahead", start) at each lookahead.  At each HLT
+        recovery every live coset below alpha must close every relator:
+        walked letter by letter, every entry defined, back to itself."""
+        recover, lookahead = _Engine._recover, _Engine._lookahead
+        events = []
+
+        def watched_recover(engine, alpha):
+            events.append(("recover", alpha))
+            if engine.deductions is None:
+                tab, p, w = engine.tab, engine.p, engine.w
+                for c in range(alpha):
+                    if p[c] != c:
+                        continue
+                    for rel in engine.relators:
+                        d = c
+                        for x in rel:
+                            d = tab[d * w + x]
+                            assert d != -1
+                        assert d == c
+            return recover(engine, alpha)
+
+        def watched_lookahead(engine, start):
+            events.append(("lookahead", start))
+            return lookahead(engine, start)
+
+        monkeypatch.setattr(_Engine, "_recover", watched_recover)
+        monkeypatch.setattr(_Engine, "_lookahead", watched_lookahead)
+        pres = build_presentation(b)
+        subs = list(express_generators(MoebiusSpec(a, b), pres))
+        engine = _Engine(*_enumeration_letters(pres, subs), limits)
+        _, n, peak, defined, reason = _run_pure(engine)
+        alphas = [alpha for kind, alpha in events if kind == "recover"]
+        # the start only matters where some recovery cuts the walk off
+        # past coset 0
+        assert max(alphas) > 0
+        return (defined, peak, n, reason), events
+
+    # (defined, peak, index) through recovery, the same in the kernel
+    # (test_fast_engine's test_identical_through_recovery)
+    @pytest.mark.parametrize("a,b,budget,counts", [
+        (4, 3, 600, (643, 600, 192)),
+        (5, 3, 6_000, (8_938, 6_000, 600)),
+        (5, 3, 12_000, (13_031, 12_000, 600)),
+    ], ids=["4/3@600", "5/3@6000", "5/3@12000"])
+    def test_hlt_starts_at_the_walk_position(self, monkeypatch, a, b, budget,
+                                             counts):
+        result, events = self.watched_run(
+            monkeypatch, a, b, EnumerationLimits(max_cosets=budget))
+        assert result == (*counts, None)
+        for before, after in zip(events, events[1:]):
+            if before[0] == "recover":
+                assert after == ("lookahead", before[1])
+        # the closing pass's lookaheads
+        others = [e for before, e in zip([("",), *events], events)
+                  if e[0] == "lookahead" and before[0] != "recover"]
+        assert others and set(others) == {("lookahead", 0)}
+
+    def test_felsch_starts_at_zero(self, monkeypatch):
+        # compaction drops Felsch's queued deductions, so its recovery
+        # lookahead must scan from coset 0 to find them again
+        result, events = self.watched_run(
+            monkeypatch, 7, 5,
+            EnumerationLimits(max_cosets=3_500, strategy="felsch"))
+        assert result == (4_671, 3_500, 2_352, None)
+        starts = [start for kind, start in events if kind == "lookahead"]
+        assert len(starts) > 1 and set(starts) == {0}
 
 
 class TestFindRelator:

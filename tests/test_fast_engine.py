@@ -107,11 +107,20 @@ class TestEquivalence:
         out = self.identical(monkeypatch, *moebius(a, b))
         assert out.completed
 
-    @pytest.mark.parametrize("a,b,budget", [(7, 4, 120_000), (5, 3, 12_000)],
-                             ids=["7/4@120000", "5/3@12000"])
-    def test_identical_through_recovery(self, a, b, budget, monkeypatch):
+    # HLT completes these only through table-full recovery; (defined,
+    # peak, index) are pinned, so a change made in both engines at once
+    # shows too
+    @pytest.mark.parametrize("a,b,budget,counts", [
+        (7, 4, 120_000, (202_444, 120_000, 2_352)),
+        (5, 3, 12_000, (13_031, 12_000, 600)),
+        (5, 3, 6_000, (8_938, 6_000, 600)),
+        (4, 3, 600, (643, 600, 192)),
+    ], ids=["7/4@120000", "5/3@12000", "5/3@6000", "4/3@600"])
+    def test_identical_through_recovery(self, a, b, budget, counts,
+                                        monkeypatch):
         out = self.identical(monkeypatch, *moebius(a, b), max_cosets=budget)
-        assert out.completed and out.peak_cosets == budget
+        assert out.completed
+        assert (out.defined_total, out.peak_cosets, out.index) == counts
 
     def test_identical_overflow(self, monkeypatch):
         out = self.identical(monkeypatch, *moebius(7, 4), max_cosets=50_000)
@@ -180,9 +189,13 @@ class TestFelschEquivalence(TestEquivalence):
 
     # Felsch stays below both HLT budgets; at 3,500 cosets 7/5 completes
     # only through the table-full recovery
-    @pytest.mark.parametrize("a,b,budget", [(7, 5, 3_500)], ids=["7/5@3500"])
-    def test_identical_through_recovery(self, a, b, budget, monkeypatch):
-        super().test_identical_through_recovery(a, b, budget, monkeypatch)
+    @pytest.mark.parametrize("a,b,budget,counts", [
+        (7, 5, 3_500, (4_671, 3_500, 2_352)),
+    ], ids=["7/5@3500"])
+    def test_identical_through_recovery(self, a, b, budget, counts,
+                                        monkeypatch):
+        super().test_identical_through_recovery(a, b, budget, counts,
+                                                monkeypatch)
 
     # the budgets at which HLT completes only through recovery
     @pytest.mark.parametrize("a,b,budget", [(7, 4, 120_000), (5, 3, 12_000)],
@@ -195,6 +208,12 @@ class TestFelschEquivalence(TestEquivalence):
 
 class TestRunControl:
     strategy = "hlt"
+
+    def recovery_run(self):
+        """(presentation, subgroup words, budget, polls) of a run whose
+        table-full lookaheads scan more than 4096 live cosets: 7/4 at
+        120,000 cosets completes through them."""
+        return (*moebius(7, 4), 120_000, 90)
 
     def test_time_limit(self, monkeypatch):
         pres = fake_presentation(["a", "b"], [])
@@ -259,6 +278,32 @@ class TestRunControl:
         assert [engine for engine, _ in runs] == ["c", "pure"]
         assert runs[0][1] == runs[1][1]
 
+    def test_poll_sequence_through_recovery(self, monkeypatch):
+        # a lookahead polls every 4096 live cosets it scans, so where it
+        # starts moves its polls: a start that differs between the engines
+        # shows here even where the tables agree (HLT's recovery starts at
+        # the walk position, and 7/4 polls 90 times, against 106 from 0)
+        def record(limits, progress=None):
+            def poll(defined, live):
+                polled.append((defined, live))
+                return False
+            return poll
+
+        pres, subs, budget, polls = self.recovery_run()
+        monkeypatch.setattr(coset_enum, "_poll", record)
+        limits = EnumerationLimits(max_cosets=budget, strategy=self.strategy)
+        runs = []
+        for enumerate_ in (todd_coxeter, functools.partial(pure, monkeypatch)):
+            polled = []
+            out = enumerate_(pres, subs, limits)
+            assert out.peak_cosets == budget
+            runs.append((out.engine, polled))
+        assert [engine for engine, _ in runs] == ["c", "pure"]
+        assert runs[0][1] == runs[1][1]
+        assert len(polled) == polls
+        # a lookahead defines nothing, so its polls repeat a count
+        assert any(d == e for (d, _), (e, _) in zip(polled, polled[1:]))
+
     def test_progress_exception_propagates(self):
         class Stop(Exception):
             pass
@@ -276,6 +321,12 @@ class TestRunControl:
 
 class TestFelschRunControl(TestRunControl):
     strategy = "felsch"
+
+    def recovery_run(self):
+        """The trivial subgroup of SL(2, Z) has infinite index: its run
+        fills 80,000 rows, recovers by lookaheads from coset 0 and
+        overflows."""
+        return MODULAR, [], 80_000, 57
 
 
 # one kernel run of about 6 s: every relator holds in Z^2, so the trivial
