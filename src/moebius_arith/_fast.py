@@ -1,8 +1,10 @@
 """Compiled coset enumeration: loader and wrappers for the C kernel in `_tc.c`.
 
-`_tc.c` ports the unlabelled `coset_enum._Engine` step for step, HLT and
-Felsch alike, so a run yields a byte-identical table and the same
-definition count, peak and overflow reason.  The engine's labelled mode,
+`_tc.c` ports the unlabelled `coset_enum._Engine`, HLT and Felsch alike,
+with the same queue and deduction orders, representatives, tables and
+counters, so a run yields a byte-identical table and the same definition
+count, peak and overflow reason.  Only its union-find links differ: it
+halves paths where the engine compresses them.  The engine's labelled mode,
 which `find_relator` uses, stays pure Python.  The pure engine stays the
 specification and the fallback.
 

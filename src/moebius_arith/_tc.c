@@ -2,12 +2,16 @@
    without the engine's labelled mode (labels stay pure Python).
 
    Every function below mirrors the method of the same name in the pure
-   engine, step for step: the same seeding, definition order, coincidence
-   queue, deduction stack, lookahead and where it starts, compaction
-   policy, table-full recovery and peak accounting (peak is the allocation
+   engine: the same seeding, definition order, coincidence queue,
+   deduction stack, lookahead and where it starts, compaction policy,
+   table-full recovery and peak accounting (peak is the allocation
    high-water mark, counted at compaction and at the end).  A run therefore
    produces a byte-identical table and identical counters; the pure engine
-   is the specification, so change both together.
+   is the specification, so change both together.  Only the union-find
+   links inside p differ: rep halves paths where _Engine._rep compresses
+   them, and merge takes the representatives that coincide already holds
+   instead of finding them again.  Classes and their representatives, the
+   least members, are the same.
 
    The last section, tc_verify, checks a completed table exhaustively.  It
    shares no code with the enumerator: it is the port of
@@ -21,12 +25,20 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define UNDEF (-1)
 #define COMPACT_MIN_ROWS 4096
 #define POLL_EVERY 4096
 #define FIRST_CAPACITY 1024
 #define STACK_FLOOR 4096
+
+/* a hint only, so a compiler without the builtin simply skips it */
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(addr) __builtin_prefetch(addr)
+#else
+#define PREFETCH(addr) ((void)0)
+#endif
 
 /* tc_enumerate's return codes; the Python wrapper maps them to outcomes */
 enum { TC_OK = 0, TC_MAX_COSETS, TC_TIME_LIMIT, TC_ABORTED, TC_NO_MEMORY };
@@ -89,59 +101,64 @@ static int push_deduction(Engine *e, int32_t a, int64_t x)
     return TC_OK;
 }
 
+/* The representative of k's class, its least member, found in one pass
+   with path halving: every coset on the way is linked to its grandparent.
+   Classes and representatives are those of _Engine._rep; only the links
+   inside p differ from its full path compression. */
 static int32_t rep(int32_t *p, int32_t k)
 {
-    int32_t r = k;
-    while (p[r] != r)
-        r = p[r];
-    while (p[k] != r) {
-        int32_t next = p[k];
-        p[k] = r;
-        k = next;
+    while (p[k] != k) {
+        p[k] = p[p[k]];
+        k = p[k];
     }
-    return r;
+    return k;
 }
 
-static void merge(Engine *e, int32_t a, int32_t b, int64_t *qn)
+/* Join the classes of the representatives ra and rb, as _Engine._merge
+   does those of any two cosets: the larger dies and is queued */
+static void merge(Engine *e, int32_t ra, int32_t rb, int64_t *qn)
 {
-    int32_t ra = rep(e->p, a);
-    int32_t rb = rep(e->p, b);
-    if (ra != rb) {
-        if (rb < ra) {
-            int32_t t = ra;
-            ra = rb;
-            rb = t;
-        }
-        e->p[rb] = ra;
-        e->live--;
-        /* each coset enters the queue once, when it dies: qn < n <= cap */
-        e->queue[(*qn)++] = rb;
+    if (ra == rb)
+        return;
+    if (rb < ra) {
+        int32_t t = ra;
+        ra = rb;
+        rb = t;
     }
+    e->p[rb] = ra;
+    e->live--;
+    /* each coset enters the queue once, when it dies: qn < n <= cap */
+    e->queue[(*qn)++] = rb;
 }
 
+/* Holt's routine.  The queue is first in, first out; the row of the dead
+   coset two places ahead is prefetched while this one is processed, since
+   a large collapse visits rows all over the table. */
 static int coincide(Engine *e, int32_t a, int32_t b)
 {
-    int32_t *tab = e->tab;
+    int32_t *tab = e->tab, *p = e->p, *queue = e->queue;
     const int64_t w = e->w;
     int64_t qn = 0, qi = 0;
-    merge(e, a, b, &qn);
+    merge(e, rep(p, a), rep(p, b), &qn);
     while (qi < qn) {
-        int32_t gamma = e->queue[qi++];
+        if (qi + 2 < qn)
+            PREFETCH(tab + (int64_t)queue[qi + 2] * w);
+        int32_t gamma = queue[qi++];
         int64_t row = (int64_t)gamma * w;
         for (int64_t x = 0; x < w; x++) {
             int32_t delta = tab[row + x];
             if (delta == UNDEF)
                 continue;
             tab[(int64_t)delta * w + (x ^ 1)] = UNDEF;
-            int32_t mu = rep(e->p, gamma);
-            int32_t nu = rep(e->p, delta);
+            int32_t mu = rep(p, gamma);
+            int32_t nu = rep(p, delta);
             int32_t tmu = tab[(int64_t)mu * w + x];
             if (tmu != UNDEF) {
-                merge(e, nu, tmu, &qn);
+                merge(e, nu, rep(p, tmu), &qn);
             } else {
                 int32_t tnu = tab[(int64_t)nu * w + (x ^ 1)];
                 if (tnu != UNDEF) {
-                    merge(e, mu, tnu, &qn);
+                    merge(e, mu, rep(p, tnu), &qn);
                 } else {
                     tab[(int64_t)mu * w + x] = nu;
                     tab[(int64_t)nu * w + (x ^ 1)] = mu;
@@ -184,8 +201,7 @@ static int define(Engine *e, int32_t alpha, int64_t x)
         return TC_NO_MEMORY;
     int32_t beta = (int32_t)e->n++;
     int32_t *row = e->tab + (int64_t)beta * w;
-    for (int64_t k = 0; k < w; k++)
-        row[k] = UNDEF;
+    memset(row, 0xff, (size_t)w * sizeof(int32_t));   /* UNDEF is -1 */
     e->p[beta] = beta;
     e->tab[(int64_t)alpha * w + x] = beta;
     row[x ^ 1] = alpha;

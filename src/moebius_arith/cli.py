@@ -50,7 +50,8 @@ INDEX_NOT_REPROVED = (
 WITNESS_NOT_FOUND = ("note: no relator witness found within total exponent "
                      "{}; this is not evidence of freeness")
 
-# `present` prints this on stderr when b has two or more distinct primes
+# `present`, `certify` and `sweep` print this on stderr when b has two or
+# more distinct primes
 PUSHOUT_NOTE = (
     "note: b has two or more distinct primes: these relators present the "
     "pushout of the SL(2,Z[1/p]) over SL(2,Z), which only surjects onto "
@@ -143,6 +144,11 @@ def _print_certificate(cert: Certificate, as_json: bool) -> None:
         print("  verdict: inconclusive (no claim about thinness or freeness)")
 
 
+def _note_pushout(b: int) -> None:
+    if len(prime_factors(b)) > 1:
+        print(PUSHOUT_NOTE, file=sys.stderr)
+
+
 def _sweep_summary(b: int, certs) -> str:
     """One line of counts by status and reason, e.g. `sweep b=3:
     2 Arithmetic, 1 Inconclusive (max_cosets), 1 Inconclusive (error:
@@ -222,8 +228,7 @@ def run(argv) -> int:
 def _dispatch(args) -> int:
     if args.command == "present":
         pres = build_presentation(args.b)
-        if len(prime_factors(args.b)) > 1:
-            print(PUSHOUT_NOTE, file=sys.stderr)
+        _note_pushout(args.b)
         text = presentation_to_json(pres) if args.json \
             else presentation_to_text(pres)
         if args.out:
@@ -235,7 +240,9 @@ def _dispatch(args) -> int:
 
     if args.command == "certify":
         spec = _parse_rational(args.rational)
-        cert = certify(spec, _limits(args),
+        limits = _limits(args)
+        _note_pushout(spec.b)
+        cert = certify(spec, limits,
                        witness_bound=args.witness_bound if args.witness
                        else None)
         if args.out:
@@ -280,8 +287,9 @@ def _dispatch(args) -> int:
 
     if args.command == "sweep":
         a_values = [a for a in range(1, args.amax + 1) if gcd(a, args.b) == 1]
-        certs = table_sweep(args.b, a_values, _limits(args),
-                            workers=args.jobs)
+        limits = _limits(args)
+        _note_pushout(args.b)
+        certs = table_sweep(args.b, a_values, limits, workers=args.jobs)
         if args.json:
             print(json.dumps([c.to_json_dict() for c in certs], indent=2))
         else:

@@ -45,7 +45,9 @@ one.  Labelled mode is pure Python; the kernel ports the unlabelled engine.
 
 `find_relator` recovers a nonempty relator in the subgroup generators by
 short-word search, falling back to a labelled run whose relator traces,
-read off the closed table, are words in the subgroup generators.  The
+read off the closed table, are words in the subgroup generators, unless
+the search's equal evaluations already rule out every relator within the
+bound.  The
 search's ball of short words is integer arithmetic over one fixed
 denominator, each word its parent sheared by a step A(m)^e = A(e*m) or
 B(m)^e = B(e*m) read off the translation length m, with every word's
@@ -55,6 +57,7 @@ evaluation, each rotated to start with A only when it is evaluated.
 
 from __future__ import annotations
 
+import gc
 import math
 import numbers
 import time
@@ -901,6 +904,16 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     lightest first (first found among equal weights), and the first that
     evaluates to the identity is returned.
 
+    The fallback is skipped when the collisions give no candidate, the
+    ball is complete (`_BALL_CAP` not reached) and bound <= 2 *
+    _SYLLABLE_DEPTH, for then no relator within `bound` exists.  Neither
+    A^k nor A^i B^j is the identity (m != 0), so a cyclically reduced
+    relator of weight <= 6 alternates A and B in 4 or 6 syllables, each
+    with |e| <= 6 <= erange.  Split into two nonempty halves of <= 3
+    syllables, r = u v^-1, it gives two distinct ball elements u and v
+    with equal evaluations, which the equal-evaluation phase, uncapped,
+    turns into a candidate.
+
     Raises ValueError when `bound` < 1, or unless word_a and word_b
     evaluate to exactly A(m) = [[1,m],[0,1]] and B(m) = [[1,0],[m,1]] for
     one rational m, as `express_generators` spells them: the search reads
@@ -916,7 +929,9 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
         raise ValueError("word_a and word_b must evaluate to [[1,m],[0,1]] "
                          "and [[1,0],[m,1]] for one m")
     candidates = _collision_relator_search(m, bound)
-    if not candidates and table.n <= _AUGMENTED_MAX_INDEX:
+    # then an empty equal-evaluation phase proves no relator within bound
+    exhaustive = bound <= 2 * _SYLLABLE_DEPTH and _ball_complete(m)
+    if not candidates and not exhaustive and table.n <= _AUGMENTED_MAX_INDEX:
         # intermediate blowup scales with the presentation, not the index
         candidates = _labelled_relator_search(
             pres, [word_a, word_b], ("A", "B"),
@@ -1016,6 +1031,20 @@ class _SyllableBall:
         return out
 
 
+def _ball_erange(m: Fraction) -> int:
+    """The exponent range of the collision search's syllable ball."""
+    return max(12, m.denominator + 2)
+
+
+def _ball_complete(m: Fraction) -> bool:
+    """True when the collision search's ball for m stays within
+    `_BALL_CAP`: 2 * (2 * erange)^k words of k syllables for k = 1 ..
+    `_SYLLABLE_DEPTH`, the first syllable either symbol."""
+    per_symbol = 2 * _ball_erange(m)
+    size = sum(2 * per_symbol ** k for k in range(1, _SYLLABLE_DEPTH + 1))
+    return size <= _BALL_CAP
+
+
 def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
     """(lead, core, trail) with w = sym^lead core sym^trail for the reduced
     word w with these syllables; core is empty or begins and ends with the
@@ -1031,7 +1060,7 @@ def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
 
 
 def _collision_relator_search(m: Fraction, bound: int) -> list[GroupWord]:
-    ball = _SyllableBall(m, _SYLLABLE_DEPTH, max(12, m.denominator + 2))
+    ball = _SyllableBall(m, _SYLLABLE_DEPTH, _ball_erange(m))
     nums, weights = ball.nums, ball.weights
     mnum, mden = m.numerator, m.denominator
     out: list[GroupWord] = []
@@ -1142,7 +1171,12 @@ def _relator_words(engine: _Engine) -> list[GroupWord]:
     """The nonempty labels of every relator traced at every coset, then of
     every subgroup word traced at coset 0 against its own symbol: words in
     the symbols equal to 1.  The table is closed and compacted, so every
-    entry is defined and every trace closes."""
+    entry is defined and every trace closes.
+
+    Cyclic garbage collection is paused meanwhile: the memo of
+    materialised labels only grows and holds no cycle, yet every full
+    collection would walk all of it.  The caller's setting is restored
+    however the call ends."""
     tab, labels, w = engine.tab, engine.labels, engine.w
     traces = [(rel, alpha, None) for rel in engine.relators
               for alpha in range(engine.live)]
@@ -1150,12 +1184,18 @@ def _relator_words(engine: _Engine) -> list[GroupWord]:
                in zip(engine.subgroup, engine.subgroup_labels)]
     out = []
     memo: dict = {}
-    for letters, cur, tail in traces:
-        acc: list = []
-        for x in letters:
-            _extend_reduced(acc, _wmaterialize(labels[cur * w + x], memo))
-            cur = tab[cur * w + x]
-        _extend_reduced(acc, _wmaterialize(tail, memo))
-        if acc:
-            out.append(GroupWord(tuple(acc)))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for letters, cur, tail in traces:
+            acc: list = []
+            for x in letters:
+                _extend_reduced(acc, _wmaterialize(labels[cur * w + x], memo))
+                cur = tab[cur * w + x]
+            _extend_reduced(acc, _wmaterialize(tail, memo))
+            if acc:
+                out.append(GroupWord(tuple(acc)))
+    finally:
+        if collecting:
+            gc.enable()
     return out

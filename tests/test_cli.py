@@ -100,6 +100,22 @@ class TestCertify:
         assert capsys.readouterr().err == ""
 
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]],
+                             ids=["text", "json"])
+    def test_multi_prime_note_on_stderr_only(self, capsys, json_flag):
+        # the budget is far too small for 1/6, so the run ends Inconclusive
+        args = ["certify", "1/6", "--max-cosets", "2000", "--time-limit",
+                "60"] + json_flag
+        assert run(args) == EXIT_INCONCLUSIVE
+        captured = capsys.readouterr()
+        assert captured.err == PUSHOUT_NOTE + "\n"
+        assert PUSHOUT_NOTE not in captured.out
+        if json_flag:
+            assert json.loads(captured.out)["status"] == "Inconclusive"
+        assert run(["certify", "3/2"] + FAST) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestMember:
     def test_not_in_closure(self, capsys):
         code = run(["member", "3/2", "[[0,1],[-1,0]]"] + FAST)
@@ -180,6 +196,15 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err.strip() == "sweep b=3: 2 Arithmetic"
         assert "sweep" not in captured.out
+
+    def test_multi_prime_note_on_stderr(self, capsys):
+        # the note comes first, then the summary; stdout is unchanged
+        assert run(["sweep", "6", "--amax", "1", "--max-cosets", "2000",
+                    "--time-limit", "60"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            PUSHOUT_NOTE, "sweep b=6: 1 Inconclusive (max_cosets)"]
+        assert captured.out.startswith("a=   1  Inconclusive")
 
     def test_errored_entry_exits_with_error(self, capsys, monkeypatch):
         import moebius_arith.certifier as certifier

@@ -984,6 +984,43 @@ class TestFindRelator:
         monkeypatch.setattr(coset_enum, "_AUGMENTED_MAX_INDEX", 0)
         assert find_relator(pres, wa, wb, table, bound=300) is None
 
+    def test_small_bound_skips_fallback_on_complete_ball(self, monkeypatch):
+        # 7/4 has no relator of weight <= 5; its ball is complete and 5 <=
+        # 2 * _SYLLABLE_DEPTH, so the equal-evaluation phase proves that
+        # and the labelled run, which would take seconds, is not started
+        from moebius_arith import coset_enum
+
+        def fallback(*args, **kwargs):
+            raise AssertionError("the labelled fallback ran")
+        monkeypatch.setattr(coset_enum, "_labelled_relator_search", fallback)
+        pres, wa, wb, table = self._setup(7, 4)
+        assert find_relator(pres, wa, wb, table, bound=5) is None
+
+    def test_fallback_runs_on_capped_ball(self, monkeypatch):
+        # a capped ball may miss a short relator's halves, so the
+        # fallback still runs at a small bound
+        from moebius_arith import coset_enum
+        calls = []
+
+        def fallback(*args, **kwargs):
+            calls.append(args)
+            return []
+        monkeypatch.setattr(coset_enum, "_labelled_relator_search", fallback)
+        monkeypatch.setattr(coset_enum, "_BALL_CAP", 1_000)
+        pres, wa, wb, table = self._setup(7, 4)
+        assert find_relator(pres, wa, wb, table, bound=5) is None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cap", [1_000, 28_847, 28_848])
+    def test_ball_complete_counts_the_ball(self, monkeypatch, cap):
+        from moebius_arith import coset_enum
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
+        m = Fraction(7, 4)
+        full = _SyllableBall(m, _SYLLABLE_DEPTH, coset_enum._ball_erange(m))
+        assert len(full.nums) == 28_848
+        monkeypatch.setattr(coset_enum, "_BALL_CAP", cap)
+        assert coset_enum._ball_complete(m) == (cap >= len(full.nums))
+
     def test_augmented_fallback(self, monkeypatch):
         # with the collision search finding nothing, the labelled run is
         # what supplies the relator
@@ -1031,6 +1068,46 @@ class TestLabelledRun:
         for w in found:
             assert not w.is_empty()
             assert evaluate_word(w, asg) == IDENT
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["gc-enabled", "gc-disabled"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_relator_words_restore_gc_state(self, monkeypatch, enabled,
+                                            fails):
+        # cyclic GC is off while labels are materialised, and the caller's
+        # setting comes back however the call ends
+        import gc
+        from moebius_arith import coset_enum
+
+        class Stop(Exception):
+            pass
+        materialize = coset_enum._wmaterialize
+        seen = []
+
+        def watched(node, memo):
+            seen.append(gc.isenabled())
+            if fails:
+                raise Stop
+            return materialize(node, memo)
+        pres, words = self._setup(3, 2)
+        width, relators, subgroup = _enumeration_letters(pres, words)
+        engine = _Engine(width, relators, subgroup,
+                         EnumerationLimits(max_cosets=200_000),
+                         symbols=("A", "B"))
+        assert _run_pure(engine)[4] is None
+        monkeypatch.setattr(coset_enum, "_wmaterialize", watched)
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if fails:
+                with pytest.raises(Stop):
+                    coset_enum._relator_words(engine)
+            else:
+                assert coset_enum._relator_words(engine)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen and not any(seen)
 
     def test_overflow_yields_no_candidates(self):
         pres, words = self._setup(3, 2)

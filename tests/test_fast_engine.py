@@ -1,12 +1,13 @@
 """The C kernel (`_fast`) against the pure reference engine.
 
-The kernel is a step-for-step port of `_Engine`, HLT and Felsch alike, so
-every run must give the same table bytes, index, definition count, peak
-and overflow reason.  `TestEquivalence` and `TestRunControl` run under
-HLT and their `Felsch` subclasses repeat them under Felsch; the loader's
-fallback test covers both.  The reference side runs with the kernel
-loader patched to report no kernel, which is also what happens when no C
-compiler is available.
+The kernel ports `_Engine`, HLT and Felsch alike, with the same queue
+and deduction orders, representatives and counters (only its union-find
+links differ), so every run must give the same table bytes, index,
+definition count, peak and overflow reason.  `TestEquivalence` and
+`TestRunControl` run under HLT and their `Felsch` subclasses repeat them
+under Felsch; the loader's fallback test covers both.  The reference
+side runs with the kernel loader patched to report no kernel, which is
+also what happens when no C compiler is available.
 """
 
 import ctypes
@@ -84,6 +85,21 @@ def assert_identical(monkeypatch, pres, subs, strategy, **limits):
 
 class TestEquivalence:
     strategy = "hlt"
+    # (defined, peak, index) of each of CERTIFY_SPECS at the default
+    # budget, pinned so that a change made in both engines at once shows
+    moebius_counts = {
+        (3, 2): (377, 377, 72),
+        (4, 3): (1_323, 1_323, 192),
+        (4, 5): (1_311, 1_311, 192),
+        (5, 3): (28_340, 27_309, 600),
+        (5, 4): (3_491, 3_491, 600),
+        (5, 7): (9_885, 7_885, 600),
+        (5, 8): (2_934, 2_934, 600),
+        (5, 9): (2_552, 2_552, 600),
+        (7, 5): (38_269, 38_260, 2_352),
+        (7, 9): (12_997, 9_905, 2_352),
+        (7, 4): (478_722, 436_915, 2_352),
+    }
 
     def identical(self, monkeypatch, pres, subs, **limits):
         return assert_identical(monkeypatch, pres, subs, self.strategy,
@@ -106,6 +122,8 @@ class TestEquivalence:
     def test_identical_on_moebius(self, a, b, monkeypatch):
         out = self.identical(monkeypatch, *moebius(a, b))
         assert out.completed
+        assert ((out.defined_total, out.peak_cosets, out.index)
+                == self.moebius_counts[a, b])
 
     # HLT completes these only through table-full recovery; (defined,
     # peak, index) are pinned, so a change made in both engines at once
@@ -186,6 +204,19 @@ class TestEquivalence:
 
 class TestFelschEquivalence(TestEquivalence):
     strategy = "felsch"
+    moebius_counts = {
+        (3, 2): (93, 93, 72),
+        (4, 3): (489, 489, 192),
+        (4, 5): (268, 268, 192),
+        (5, 3): (6_041, 6_041, 600),
+        (5, 4): (853, 853, 600),
+        (5, 7): (9_162, 6_944, 600),
+        (5, 8): (665, 665, 600),
+        (5, 9): (776, 776, 600),
+        (7, 5): (4_671, 4_097, 2_352),
+        (7, 9): (4_155, 4_097, 2_352),
+        (7, 4): (115_070, 115_070, 2_352),
+    }
 
     # Felsch stays below both HLT budgets; at 3,500 cosets 7/5 completes
     # only through the table-full recovery
