@@ -43,7 +43,6 @@ from .congruence import (
     is_prime,
     level_data,
     member_of_closure,
-    sl2_order,
     surjects_mod_p,
 )
 from .coset_enum import (
@@ -66,8 +65,8 @@ from .exact import (
 )
 from .presentation import Presentation, build_presentation
 
-# the four cross-checks above, by the names certificates record them under;
-# an Arithmetic certificate lacking any of them does not verify
+# the four cross-checks above, in order, by the names certificates record
+# them under; an Arithmetic certificate lacking any of them does not verify
 ARITHMETIC_CHECKS = (
     "index_formula",
     "closure_mod_level_is_CaxCa",
@@ -310,17 +309,14 @@ def certify_with_table(spec: MoebiusSpec,
             f"but the unconditional formula gives {ld.expected_index}; "
             f"resources={resources}")
 
-    checks: list[tuple[str, bool]] = [("index_formula", True)]
-
-    checks.append(("closure_mod_level_is_CaxCa", _closure_is_CaxCa(a, b)))
-
-    ok = all(word_stabilizes_one(table, w)
-             for _, w in gamma_level_words(spec, pres))
-    checks.append(("level_subgroup_words_stabilize", ok))
-
-    ok = all(surjects_mod_p(a, b, q)
-             for q in _first_primes_coprime_to(a * b, 3))
-    checks.append(("surjects_outside_level_primes", ok))
+    checks = list(zip(ARITHMETIC_CHECKS, (
+        True,
+        _closure_is_CaxCa(a, b),
+        all(word_stabilizes_one(table, w)
+            for _, w in gamma_level_words(spec, pres)),
+        all(surjects_mod_p(a, b, q)
+            for q in _first_primes_coprime_to(a * b, 3)),
+    )))
 
     witness_s = None
     if witness_bound is not None:
@@ -473,9 +469,10 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
     except Exception as exc:
         return False, [f"malformed certificate: {exc}"]
     a, b = cert.spec.a, cert.spec.b
-    if cert.level != a * a:
-        problems.append(f"level {cert.level} != {a * a}")
-    expected = a * sl2_order(a)
+    ld = level_data(a, b)
+    if cert.level != ld.level:
+        problems.append(f"level {cert.level} != {ld.level}")
+    expected = ld.expected_index
     if cert.expected_index != expected:
         problems.append(f"expected_index {cert.expected_index} != {expected}")
     if cert.status == "Inconclusive":

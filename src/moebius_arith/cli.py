@@ -113,7 +113,8 @@ def _add_limit_flags(sub):
     sub.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     sub.add_argument("--time-limit", type=float,
                      default=DEFAULT_LIMITS.time_limit_s,
-                     help="wall clock budget per enumeration, seconds > 0")
+                     help="wall clock budget of the certifying enumeration "
+                          "only, seconds > 0")
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 

@@ -45,10 +45,9 @@ one.  Labelled mode is pure Python; the kernel ports the unlabelled engine.
 
 `find_relator` recovers a nonempty relator in the subgroup generators by
 short-word search, falling back to a labelled run whose relator traces,
-read off the closed table, are words in the subgroup generators, unless
-the search's equal evaluations already rule out every relator within the
-bound.  The
-search's ball of short words is integer arithmetic over one fixed
+read off the closed table, are words in the subgroup generators, unless the
+search's equal evaluations already rule out every relator within the bound.
+The search's ball of short words is integer arithmetic over one fixed
 denominator, each word its parent sheared by a step A(m)^e = A(e*m) or
 B(m)^e = B(e*m) read off the translation length m, with every word's
 determinant checked; its candidates are verified lightest first by exact
@@ -68,7 +67,8 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import _fast
-from .exact import GroupWord, UniModularMatrix, evaluate_word, word
+from .exact import (GroupWord, UniModularMatrix, _extend_reduced,
+                    evaluate_word, word)
 from .presentation import Presentation
 
 UNDEF = -1
@@ -275,21 +275,6 @@ def _wmaterialize(node, memo: dict) -> tuple:
                 _extend_reduced(merged, memo[id(cur[2])][1])
                 memo[id(cur)] = (cur, tuple(merged))
     return memo[id(node)][1]
-
-
-def _extend_reduced(acc: list, red: tuple) -> None:
-    """Append the reduced syllables `red` to the reduced list `acc`,
-    cancelling across the seam."""
-    ri = 0
-    while acc and ri < len(red) and acc[-1][0] == red[ri][0]:
-        e = acc[-1][1] + red[ri][1]
-        ri += 1
-        if e == 0:
-            acc.pop()
-        else:
-            acc[-1] = (acc[-1][0], e)
-            break
-    acc.extend(red[ri:])
 
 
 class _Engine:
@@ -904,15 +889,15 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     lightest first (first found among equal weights), and the first that
     evaluates to the identity is returned.
 
-    The fallback is skipped when the collisions give no candidate, the
-    ball is complete (`_BALL_CAP` not reached) and bound <= 2 *
+    The fallback is skipped when the collisions give no candidate, the ball
+    reports itself complete (`_BALL_CAP` not reached) and bound <= 2 *
     _SYLLABLE_DEPTH, for then no relator within `bound` exists.  Neither
     A^k nor A^i B^j is the identity (m != 0), so a cyclically reduced
     relator of weight <= 6 alternates A and B in 4 or 6 syllables, each
     with |e| <= 6 <= erange.  Split into two nonempty halves of <= 3
-    syllables, r = u v^-1, it gives two distinct ball elements u and v
-    with equal evaluations, which the equal-evaluation phase, uncapped,
-    turns into a candidate.
+    syllables, r = u v^-1, it gives two distinct ball elements u and v with
+    equal evaluations, which the equal-evaluation phase, uncapped, turns
+    into a candidate.
 
     Raises ValueError when `bound` < 1, or unless word_a and word_b
     evaluate to exactly A(m) = [[1,m],[0,1]] and B(m) = [[1,0],[m,1]] for
@@ -928,24 +913,25 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
             or mat_b != UniModularMatrix(1, 0, m, 1)):
         raise ValueError("word_a and word_b must evaluate to [[1,m],[0,1]] "
                          "and [[1,0],[m,1]] for one m")
-    candidates = _collision_relator_search(m, bound)
+    ball = _SyllableBall(m, _SYLLABLE_DEPTH, max(12, m.denominator + 2))
+    candidates = _collision_relator_search(ball, m, bound)
     # then an empty equal-evaluation phase proves no relator within bound
-    exhaustive = bound <= 2 * _SYLLABLE_DEPTH and _ball_complete(m)
+    exhaustive = bound <= 2 * _SYLLABLE_DEPTH and ball.complete
     if not candidates and not exhaustive and table.n <= _AUGMENTED_MAX_INDEX:
         # intermediate blowup scales with the presentation, not the index
         candidates = _labelled_relator_search(
-            pres, [word_a, word_b], ("A", "B"),
-            max_cosets=max(200_000, 64 * table.n))
+            pres, [word_a, word_b], max_cosets=max(200_000, 64 * table.n))
     reduced = []
-    for i, cand in enumerate(candidates):
+    for cand in candidates:
         cand = cand.cyclically_reduced()
         weight = cand.weight
         if 0 < weight <= bound:
-            reduced.append((weight, i, cand))
-    reduced.sort(key=lambda entry: entry[:2])
+            reduced.append((weight, cand))
+    # the sort is stable: equal weights keep their order of discovery
+    reduced.sort(key=itemgetter(0))
     asg = {"A": mat_a, "B": mat_b}
     # rotating costs a word per candidate, so only the evaluated ones pay
-    for _, _, cand in reduced:
+    for _, cand in reduced:
         cand = cand.rotated_to("A")
         if evaluate_word(cand, asg).is_identity():
             return cand
@@ -970,6 +956,10 @@ class _SyllableBall:
     n22 + n21*x//L), under B the transpose.  That is (N * (L*S)) // L entry
     for entry, since (a + n*L) // L == n + a // L, and every child is
     checked against det N = den^2.  Equal tuples are equal matrices.
+
+    Growth stops once the ball holds more than `_BALL_CAP` words, after
+    the children of one parent; `complete` then reads False, and True
+    when every such word is in the ball.
     """
 
     def __init__(self, m: Fraction, depth: int, erange: int):
@@ -983,6 +973,7 @@ class _SyllableBall:
         den = l ** depth
         dd = den * den
         self.den = den
+        self.complete = True
         self.nums: list[tuple[int, int, int, int]] = []
         self.weights: list[int] = []
         self.parents: list[int] = []
@@ -1019,6 +1010,7 @@ class _SyllableBall:
                     parents.extend([parent] * len(syls))
                     syllables.extend(syls)
                 if len(nums) > _BALL_CAP:
+                    self.complete = False
                     return
             layer = range(start, len(nums))
 
@@ -1029,20 +1021,6 @@ class _SyllableBall:
             i = self.parents[i]
         out.reverse()
         return out
-
-
-def _ball_erange(m: Fraction) -> int:
-    """The exponent range of the collision search's syllable ball."""
-    return max(12, m.denominator + 2)
-
-
-def _ball_complete(m: Fraction) -> bool:
-    """True when the collision search's ball for m stays within
-    `_BALL_CAP`: 2 * (2 * erange)^k words of k syllables for k = 1 ..
-    `_SYLLABLE_DEPTH`, the first syllable either symbol."""
-    per_symbol = 2 * _ball_erange(m)
-    size = sum(2 * per_symbol ** k for k in range(1, _SYLLABLE_DEPTH + 1))
-    return size <= _BALL_CAP
 
 
 def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
@@ -1059,8 +1037,8 @@ def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
     return lead, tuple(syllables[lo:hi]), trail
 
 
-def _collision_relator_search(m: Fraction, bound: int) -> list[GroupWord]:
-    ball = _SyllableBall(m, _SYLLABLE_DEPTH, _ball_erange(m))
+def _collision_relator_search(ball: _SyllableBall, m: Fraction,
+                               bound: int) -> list[GroupWord]:
     nums, weights = ball.nums, ball.weights
     mnum, mden = m.numerator, m.denominator
     out: list[GroupWord] = []
@@ -1154,14 +1132,13 @@ def _collision_relator_search(m: Fraction, bound: int) -> list[GroupWord]:
 
 def _labelled_relator_search(pres: Presentation,
                              sub_words: Sequence[GroupWord],
-                             symbols: Sequence[str],
                              max_cosets: int) -> list[GroupWord]:
-    """Relators in `symbols` from a labelled HLT run over `sub_words`; none
-    when the run overflows."""
+    """Relators in A and B, the symbols of the two `sub_words`, from a
+    labelled HLT run; none when the run overflows."""
     width, relators, subgroup = _enumeration_letters(pres, sub_words)
     engine = _Engine(width, relators, subgroup,
                      EnumerationLimits(max_cosets=max_cosets),
-                     symbols=symbols)
+                     symbols=("A", "B"))
     if _run_pure(engine)[4] is not None:
         return []
     return _relator_words(engine)

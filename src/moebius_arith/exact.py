@@ -233,6 +233,22 @@ def _reduce_syllables(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
     return tuple((s, e) for s, e in stack)
 
 
+def _extend_reduced(acc: list, red: Sequence[Syllable]) -> None:
+    """Append the reduced syllables `red` to the reduced list `acc`,
+    cancelling across the seam: the one place two reduced words are
+    joined."""
+    ri = 0
+    while acc and ri < len(red) and acc[-1][0] == red[ri][0]:
+        e = acc[-1][1] + red[ri][1]
+        ri += 1
+        if e == 0:
+            acc.pop()
+        else:
+            acc[-1] = (acc[-1][0], e)
+            break
+    acc.extend(red[ri:])
+
+
 @dataclass(frozen=True)
 class GroupWord:
     """Freely reduced word over abstract generator symbols.
@@ -254,29 +270,16 @@ class GroupWord:
             prev = sym
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        # both factors are reduced, so only the seam needs re-reduction
-        left, right = self.syllables, other.syllables
-        i, j = len(left), 0
-        while i and j < len(right) and left[i - 1][0] == right[j][0]:
-            exp = left[i - 1][1] + right[j][1]
-            if exp:
-                return GroupWord(left[:i - 1] + ((right[j][0], exp),)
-                                 + right[j + 1:])
-            i -= 1
-            j += 1
-        return GroupWord(left[:i] + right[j:])
+        acc = list(self.syllables)
+        _extend_reduced(acc, other.syllables)
+        return GroupWord(tuple(acc))
 
     def inv(self) -> "GroupWord":
         return GroupWord(tuple((s, -e) for s, e in reversed(self.syllables)))
 
     def __pow__(self, k: int) -> "GroupWord":
-        if k == 0:
-            return GroupWord()
-        base = self if k > 0 else self.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        base = self if k >= 0 else self.inv()
+        return word(base.syllables * abs(k))
 
     def is_empty(self) -> bool:
         return not self.syllables

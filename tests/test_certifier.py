@@ -171,6 +171,30 @@ class TestCertify:
             certify_with_table(MoebiusSpec(1, 2), witness_bound=bound)
         assert runs == []
 
+    def test_index_mismatch_raises(self, monkeypatch):
+        # a completed run whose index is not the formula's is a bug, and
+        # certify_with_table raises it, naming both numbers
+        import moebius_arith.certifier as certifier
+        from moebius_arith.coset_enum import EnumerationOutcome
+        monkeypatch.setattr(
+            certifier, "todd_coxeter",
+            lambda *args, **kw: EnumerationOutcome(completed=True, index=71))
+        with pytest.raises(IndexMismatchError,
+                           match=r"index 71, .* gives 72;"):
+            certify_with_table(MoebiusSpec(3, 2))
+
+    def test_progress_reported(self):
+        # 7/4 makes 478,722 definitions, so `progress` hears of every
+        # multiple of PROGRESS_EVERY up to that
+        from moebius_arith.coset_enum import PROGRESS_EVERY
+        calls = []
+        cert = certify(MoebiusSpec(7, 4), EnumerationLimits(),
+                       progress=lambda defined, live: calls.append(defined))
+        assert cert.status == "Arithmetic"
+        assert cert.resources["defined_cosets"] == 478_722
+        assert calls == [k * PROGRESS_EVERY
+                         for k in range(1, 478_722 // PROGRESS_EVERY + 1)]
+
     def test_certificate_invariants_enforced(self):
         with pytest.raises(ValueError):
             Certificate(spec=MoebiusSpec(3, 2), status="Arithmetic",
@@ -512,6 +536,12 @@ class TestOfflineVerification:
     def test_rejects_malformed(self):
         ok, problems = verify_certificate({"status": "Arithmetic"})
         assert not ok
+
+    def test_unknown_status_is_malformed(self, cert_table_32):
+        payload = cert_table_32[0].to_json_dict()
+        payload["status"] = "Free"
+        assert verify_certificate(payload) == (
+            False, ["malformed certificate: bad status 'Free'"])
 
     def test_failed_cross_check_is_malformed(self, cert_table_32):
         payload = cert_table_32[0].to_json_dict()

@@ -280,6 +280,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("INVALID\n  - malformed certificate: ")
 
+    def test_unknown_status_is_malformed(self, tmp_path, capsys):
+        path, _ = self._write_cert(tmp_path, ["3/2"])
+        payload = json.loads(path.read_text())
+        payload["status"] = "Free"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["verify", str(path)]) == EXIT_ERROR == 1
+        assert capsys.readouterr().out == (
+            "INVALID\n  - malformed certificate: bad status 'Free'\n")
+
     @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"],
                              ids=["text", "bytes"])
     def test_non_json_is_malformed(self, tmp_path, capsys, content):
@@ -344,3 +354,10 @@ class TestEnvironment:
 
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"]) == EXIT_OK
+
+    def test_time_limit_help_claims_one_enumeration(self, capsys):
+        # the witness search's labelled run does not honour --time-limit
+        assert run(["certify", "--help"]) == EXIT_OK
+        out = " ".join(capsys.readouterr().out.split())
+        assert "budget of the certifying enumeration only" in out
+        assert "per enumeration" not in out

@@ -923,12 +923,14 @@ class TestFindRelator:
         # 4/11's candidates all come from conjugation collisions, so with
         # no pair allowed the search returns none
         from moebius_arith import coset_enum
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
         from moebius_arith.exact import make_moebius_generators
         ma, mb = make_moebius_generators(4, 11)
+        ball = _SyllableBall(ma.e12, _SYLLABLE_DEPTH, max(12, 11 + 2))
         search = coset_enum._collision_relator_search
-        assert len(search(ma.e12, 300)) == 2
+        assert len(search(ball, ma.e12, 300)) == 2
         monkeypatch.setattr(coset_enum, "_PAIR_CAP", 0)
-        assert search(ma.e12, 300) == []
+        assert search(ball, ma.e12, 300) == []
 
     @pytest.mark.parametrize("a, b", [
         (1, 2), (2, 5),                      # equal evaluations
@@ -941,9 +943,11 @@ class TestFindRelator:
         # the search returns it without a matrix product, so every
         # candidate must evaluate exactly to the identity
         from moebius_arith import coset_enum
+        from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
         from moebius_arith.exact import make_moebius_generators
         ma, mb = make_moebius_generators(a, b)
-        found = coset_enum._collision_relator_search(ma.e12, 300)
+        ball = _SyllableBall(ma.e12, _SYLLABLE_DEPTH, max(12, b + 2))
+        found = coset_enum._collision_relator_search(ball, ma.e12, 300)
         assert bool(found) == ((a, b) != (3, 2))
         for rel in found:
             assert not rel.is_empty()
@@ -1013,13 +1017,15 @@ class TestFindRelator:
 
     @pytest.mark.parametrize("cap", [1_000, 28_847, 28_848])
     def test_ball_complete_counts_the_ball(self, monkeypatch, cap):
+        # a ball is complete exactly when the cap holds every word of it
         from moebius_arith import coset_enum
         from moebius_arith.coset_enum import _SYLLABLE_DEPTH, _SyllableBall
         m = Fraction(7, 4)
-        full = _SyllableBall(m, _SYLLABLE_DEPTH, coset_enum._ball_erange(m))
-        assert len(full.nums) == 28_848
+        full = _SyllableBall(m, _SYLLABLE_DEPTH, max(12, 4 + 2))
+        assert len(full.nums) == 28_848 and full.complete
         monkeypatch.setattr(coset_enum, "_BALL_CAP", cap)
-        assert coset_enum._ball_complete(m) == (cap >= len(full.nums))
+        ball = _SyllableBall(m, _SYLLABLE_DEPTH, max(12, 4 + 2))
+        assert ball.complete == (cap >= len(full.nums))
 
     def test_augmented_fallback(self, monkeypatch):
         # with the collision search finding nothing, the labelled run is
@@ -1062,7 +1068,7 @@ class TestLabelledRun:
     def test_every_labelled_word_is_a_relator(self, a, b):
         from moebius_arith.exact import make_moebius_generators
         pres, words = self._setup(a, b)
-        found = _labelled_relator_search(pres, words, ("A", "B"), 200_000)
+        found = _labelled_relator_search(pres, words, 200_000)
         assert found
         asg = dict(zip("AB", make_moebius_generators(a, b)))
         for w in found:
@@ -1111,7 +1117,7 @@ class TestLabelledRun:
 
     def test_overflow_yields_no_candidates(self):
         pres, words = self._setup(3, 2)
-        assert _labelled_relator_search(pres, words, ("A", "B"), 50) == []
+        assert _labelled_relator_search(pres, words, 50) == []
 
     @pytest.mark.parametrize("a, b, witness, candidates", [
         (3, 2, "A^-1 B A^-1 B^8 A^-1 B A^-2 B A^-1 B^2 A^-2 B A^-1 B^4", 71),

@@ -194,6 +194,23 @@ class TestMatrices:
             assert neg.pow(k) == (IDENT if k % 2 == 0 else neg)
 
 
+def _letters(w):
+    """w spelled one letter at a time, each (symbol, 1) or (symbol, -1)."""
+    return [(sym, 1 if e > 0 else -1)
+            for sym, e in w.syllables for _ in range(abs(e))]
+
+
+def _free_reduce(letters):
+    """Free reduction of a letter list: cancel x x^-1 pairs on a stack."""
+    out = []
+    for sym, e in letters:
+        if out and out[-1] == (sym, -e):
+            out.pop()
+        else:
+            out.append((sym, e))
+    return out
+
+
 class TestWords:
     def test_free_reduction(self):
         w = word([("a", 2), ("a", -2), ("b", 1)])
@@ -221,6 +238,30 @@ class TestWords:
             if rng.random() < 0.5:
                 v = u.inv() * v       # long cancellations across the seam
             assert u * v == word(u.syllables + v.syllables)
+
+    def test_products_and_powers_match_letter_reduction(self):
+        # products and powers against free reduction letter by letter;
+        # conjugates u = x y x^-1 make powers cancel across every seam
+        rng = random.Random(2024)
+
+        def random_word():
+            syls = [(rng.choice("abc"), rng.randint(-3, 3))
+                    for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.4:
+                outer = [(rng.choice("abc"), rng.randint(-3, 3))
+                         for _ in range(rng.randint(1, 3))]
+                syls = outer + syls + [(s, -e) for s, e in reversed(outer)]
+            return word(syls)
+        for _ in range(300):
+            u, v = random_word(), random_word()
+            if rng.random() < 0.3:
+                v = word([(s, -e) for s, e in reversed(u.syllables)]
+                         + list(v.syllables))
+            assert _letters(u * v) == _free_reduce(_letters(u) + _letters(v))
+            inverse = [(s, -e) for s, e in reversed(_letters(u))]
+            for k in range(-5, 6):
+                base = _letters(u) if k >= 0 else inverse
+                assert _letters(u ** k) == _free_reduce(base * abs(k)), k
 
     def test_inverse_and_power(self):
         w = word([("a", 2), ("b", -1)])
