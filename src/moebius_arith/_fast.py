@@ -1,12 +1,13 @@
-"""Compiled coset enumeration: loader and wrappers for the C kernel in `_tc.c`.
+"""Compiled coset enumeration and relator search: loader and wrappers for
+the C kernel in `_tc.c`.
 
 `_tc.c` ports the unlabelled `coset_enum._Engine`, HLT and Felsch alike,
 with the same queue and deduction orders, representatives, tables and
 counters, so a run yields a byte-identical table and the same definition
 count, peak and overflow reason.  Only its union-find links differ: it
 halves paths where the engine compresses them.  The engine's labelled mode,
-which `find_relator` uses, stays pure Python.  The pure engine stays the
-specification and the fallback.
+which `find_relator`'s fallback uses, stays pure Python.  The pure engine
+stays the specification and the fallback.
 
 The kernel's last section, `tc_verify` (wrapped by `verify`), is the
 exhaustive table check that `todd_coxeter` runs on every kernel table.  It
@@ -14,13 +15,18 @@ ports `coset_enum._verify_table`, not the enumerator: it calls none of the
 enumerator's functions, makes the same five checks in the same order and
 raises the same messages.  `_verify_table` checks the pure engine's tables.
 
-The kernel is compiled on the first enumeration, not at import, with the
-system C compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The
-library lands in `$XDG_CACHE_HOME/moebius_arith/` (else
-`~/.cache/moebius_arith/`) under a name keyed by the SHA-256 of the source
-and the compile command.  It is written under a temporary name and renamed
-into place, so parallel processes never load a partial file.  If compiling
-or loading fails, `run` returns None and the caller runs the pure engine.
+The section before it, `tc_ball` and `tc_collide` (wrapped by `ball` and
+`Ball`), ports the relator search's ball and collision phases, whose
+reference is `coset_enum._SyllableBall` and `_collision_relator_search`:
+the same elements and collisions, in the same order, in int64 entries.
+
+The kernel is compiled on first use, not at import, with the system C
+compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The library
+lands in `$XDG_CACHE_HOME/moebius_arith/` (else `~/.cache/moebius_arith/`)
+under a name keyed by the SHA-256 of the source and the compile command.
+It is written under a temporary name and renamed into place, so parallel
+processes never load a partial file.  If compiling or loading fails, `run`
+and `ball` return None and the caller runs the Python code.
 
 The kernel keeps no clock.  Every 4096 definitions, and every 4096 live
 cosets a lookahead scans, it calls back into Python, to the poll that
@@ -116,6 +122,10 @@ def kernel():
         lib.tc_free.restype = None
         lib.tc_verify.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, i64]
         lib.tc_verify.restype = ctypes.c_int
+        lib.tc_ball.argtypes = [i64] * 6 + [ptr] * 5
+        lib.tc_ball.restype = ctypes.c_int
+        lib.tc_collide.argtypes = [i64] + [ptr] * 4 + [i64] * 5 + [ptr] * 2
+        lib.tc_collide.restype = ctypes.c_int
         _kernel = lib
     return _kernel
 
@@ -247,3 +257,77 @@ def verify(table, relators, subgroup) -> None:
         raise MemoryError("coset table check allocation failed")
     if code != _OK:
         raise RuntimeError(_VERIFY_MESSAGES[code - 1])
+
+
+# tc_ball's codes besides _OK, which reports a complete ball
+_CAPPED, _DETERMINANT = 1, 2
+_INT64_MAX = 2 ** 63 - 1
+# collision records a first tc_collide run has room for; the grid of
+# 114 specs with b <= 13 needs at most 476
+_FIRST_ROOM = 1024
+
+
+def ball(m, depth: int, erange: int, cap: int):
+    """`coset_enum._SyllableBall(m, depth, erange)` under the growth cap
+    `cap`, built by tc_ball, or None when the kernel is unavailable or an
+    entry could pass 2^30 in absolute value, the bound under which every
+    product the kernel forms fits in int64.  An entry is at most
+    2^(depth-1) c^depth with c = den(m) + erange * |num(m)|, the largest
+    entry of a scaled step."""
+    lib = kernel()
+    c = m.denominator + erange * abs(m.numerator)
+    if lib is None or not m or 2 ** (depth - 1) * c ** depth > 2 ** 30:
+        return None
+    return Ball(lib, m, depth, erange, cap)
+
+
+class Ball:
+    """A syllable ball in arrays: four entries, a weight, a parent and a
+    last syllable coded 2*e + (0 for A, 1 for B) per element."""
+
+    def __init__(self, lib, m, depth, erange, cap):
+        # the whole ball, or at most one parent's children past the cap
+        size = min(sum(4 * erange * (2 * erange) ** k for k in range(depth)),
+                   max(cap, 0) + 4 * erange)
+        self.lib, count = lib, array("q", [0])
+        self.arrays = (array("q", [0]) * (4 * size), array("q", [0]) * size,
+                       array("i", [0]) * size, array("i", [0]) * size)
+        code = lib.tc_ball(m.numerator, m.denominator, depth, erange,
+                           min(cap, size), size, *self._pointers(),
+                           count.buffer_info()[0])
+        if code == _DETERMINANT:
+            raise ValueError("syllable ball product has determinant != 1")
+        if code not in (_OK, _CAPPED):
+            raise ValueError("the syllable ball does not fit its arrays")
+        self.n, self.complete = count[0], code == _OK
+
+    def _pointers(self):
+        return [a.buffer_info()[0] for a in self.arrays]
+
+    def syllables_of(self, i: int) -> list[tuple[str, int]]:
+        _, _, parents, syls = self.arrays
+        out = []
+        while i >= 0:
+            e, s = divmod(syls[i], 2)
+            out.append(("AB"[s], e))
+            i = parents[i]
+        out.reverse()
+        return out
+
+    def collisions(self, m, bound: int, pair_cap: int):
+        """`coset_enum._collision_relator_search`'s collisions on this
+        ball, in its order, as (sym, k, u, v) for the relator sym^k u
+        sym^-k v^-1; k is 0 for an equal evaluation."""
+        count, room = array("q", [0]), _FIRST_ROOM
+        while True:
+            hits = array("q", [0]) * (4 * room)
+            if self.lib.tc_collide(
+                    self.n, *self._pointers(), m.numerator, m.denominator,
+                    min(bound, _INT64_MAX), min(pair_cap, _INT64_MAX), room,
+                    hits.buffer_info()[0], count.buffer_info()[0]) != _OK:
+                raise MemoryError("relator search allocation failed")
+            if count[0] <= room:
+                break
+            room = count[0]   # too many to hold: run it again
+        return [("AB"[hits[j]], *hits[j + 1:j + 4])
+                for j in range(0, 4 * count[0], 4)]

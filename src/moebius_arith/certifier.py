@@ -320,7 +320,11 @@ def certify_with_table(spec: MoebiusSpec,
 
     witness_s = None
     if witness_bound is not None:
-        wit = find_relator(pres, wa, wb, table, bound=witness_bound)
+        left = None   # the time limit also bounds the labelled fallback
+        if limits.time_limit_s is not None:
+            left = limits.time_limit_s - (time.monotonic() - t0)
+        wit = find_relator(pres, wa, wb, table, bound=witness_bound,
+                           time_limit_s=left)
         if wit is None:
             resources["witness_not_found_within"] = witness_bound
         else:

@@ -113,8 +113,9 @@ def _add_limit_flags(sub):
     sub.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     sub.add_argument("--time-limit", type=float,
                      default=DEFAULT_LIMITS.time_limit_s,
-                     help="wall clock budget of the certifying enumeration "
-                          "only, seconds > 0")
+                     help="wall clock budget in seconds, > 0, of the "
+                          "certifying enumeration and the witness search's "
+                          "labelled fallback together")
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 

@@ -50,8 +50,12 @@ search's equal evaluations already rule out every relator within the bound.
 The search's ball of short words is integer arithmetic over one fixed
 denominator, each word its parent sheared by a step A(m)^e = A(e*m) or
 B(m)^e = B(e*m) read off the translation length m, with every word's
-determinant checked; its candidates are verified lightest first by exact
-evaluation, each rotated to start with A only when it is evaluated.
+determinant checked.  The ball and both collision phases run in the kernel
+when it loads and the entries fit in int64 (`_fast.ball`); `_SyllableBall`
+and `_collision_relator_search` here are its reference and its fallback,
+as `_Engine` is for the enumerator.  The candidates are verified in Python,
+lightest first, by exact evaluation, each rotated to start with A only
+when it is evaluated.
 """
 
 from __future__ import annotations
@@ -868,7 +872,8 @@ def word_stabilizes_one(table: CosetTable, w: GroupWord) -> bool:
 # -- relator recovery ---------------------------------------------------------
 
 def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
-                 table: CosetTable, bound: int = DEFAULT_WITNESS_BOUND
+                 table: CosetTable, bound: int = DEFAULT_WITNESS_BOUND, *,
+                 time_limit_s: Optional[float] = None
                  ) -> Optional[GroupWord]:
     """A nonempty relator of the subgroup generated by word_a, word_b, as a
     freely reduced word over the symbols A and B, or None when the search
@@ -899,6 +904,13 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     equal evaluations, which the equal-evaluation phase, uncapped, turns
     into a candidate.
 
+    The ball and its collisions come from the kernel (`_fast.ball`) when
+    it loads and the entries fit in int64, else from `_SyllableBall` and
+    the Python search, its reference: the same candidates, in the same
+    order.  `time_limit_s`, unless None, is the fallback's budget in
+    seconds; a fallback that runs out of it, or has none, gives no
+    candidates, like one that overflows.
+
     Raises ValueError when `bound` < 1, or unless word_a and word_b
     evaluate to exactly A(m) = [[1,m],[0,1]] and B(m) = [[1,0],[m,1]] for
     one rational m, as `express_generators` spells them: the search reads
@@ -913,14 +925,19 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
             or mat_b != UniModularMatrix(1, 0, m, 1)):
         raise ValueError("word_a and word_b must evaluate to [[1,m],[0,1]] "
                          "and [[1,0],[m,1]] for one m")
-    ball = _SyllableBall(m, _SYLLABLE_DEPTH, max(12, m.denominator + 2))
+    erange = max(12, m.denominator + 2)
+    ball = _fast.ball(m, _SYLLABLE_DEPTH, erange, _BALL_CAP)
+    if ball is None:
+        ball = _SyllableBall(m, _SYLLABLE_DEPTH, erange)
     candidates = _collision_relator_search(ball, m, bound)
     # then an empty equal-evaluation phase proves no relator within bound
     exhaustive = bound <= 2 * _SYLLABLE_DEPTH and ball.complete
-    if not candidates and not exhaustive and table.n <= _AUGMENTED_MAX_INDEX:
+    if (not candidates and not exhaustive and table.n <= _AUGMENTED_MAX_INDEX
+            and (time_limit_s is None or time_limit_s > 0)):
         # intermediate blowup scales with the presentation, not the index
         candidates = _labelled_relator_search(
-            pres, [word_a, word_b], max_cosets=max(200_000, 64 * table.n))
+            pres, [word_a, word_b], max_cosets=max(200_000, 64 * table.n),
+            time_limit_s=time_limit_s)
     reduced = []
     for cand in candidates:
         cand = cand.cyclically_reduced()
@@ -1037,8 +1054,13 @@ def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
     return lead, tuple(syllables[lo:hi]), trail
 
 
-def _collision_relator_search(ball: _SyllableBall, m: Fraction,
+def _collision_relator_search(ball: _SyllableBall | _fast.Ball, m: Fraction,
                                bound: int) -> list[GroupWord]:
+    if isinstance(ball, _fast.Ball):
+        # the kernel's port of the search below, on a ball it built
+        return [word([(sym, k), *ball.syllables_of(u), (sym, -k),
+                      *((s, -e) for s, e in reversed(ball.syllables_of(v)))])
+                for sym, k, u, v in ball.collisions(m, bound, _PAIR_CAP)]
     nums, weights = ball.nums, ball.weights
     mnum, mden = m.numerator, m.denominator
     out: list[GroupWord] = []
@@ -1132,23 +1154,30 @@ def _collision_relator_search(ball: _SyllableBall, m: Fraction,
 
 def _labelled_relator_search(pres: Presentation,
                              sub_words: Sequence[GroupWord],
-                             max_cosets: int) -> list[GroupWord]:
+                             max_cosets: int,
+                             time_limit_s: Optional[float] = None
+                             ) -> list[GroupWord]:
     """Relators in A and B, the symbols of the two `sub_words`, from a
-    labelled HLT run; none when the run overflows."""
+    labelled HLT run; none when the run overflows, or when it or reading
+    its relators runs out of time."""
     width, relators, subgroup = _enumeration_letters(pres, sub_words)
-    engine = _Engine(width, relators, subgroup,
-                     EnumerationLimits(max_cosets=max_cosets),
-                     symbols=("A", "B"))
+    limits = EnumerationLimits(max_cosets=max_cosets,
+                               time_limit_s=time_limit_s)
+    deadline = limits.deadline()
+    engine = _Engine(width, relators, subgroup, limits, symbols=("A", "B"))
     if _run_pure(engine)[4] is not None:
         return []
-    return _relator_words(engine)
+    return _relator_words(engine, deadline)
 
 
-def _relator_words(engine: _Engine) -> list[GroupWord]:
+def _relator_words(engine: _Engine, deadline: float = math.inf
+                   ) -> list[GroupWord]:
     """The nonempty labels of every relator traced at every coset, then of
     every subgroup word traced at coset 0 against its own symbol: words in
     the symbols equal to 1.  The table is closed and compacted, so every
-    entry is defined and every trace closes.
+    entry is defined and every trace closes.  None once `time.monotonic()`
+    passes `deadline`, checked before each trace (one took at most 0.11 s
+    of 7/5's 11.4 s).
 
     Cyclic garbage collection is paused meanwhile: the memo of
     materialised labels only grows and holds no cycle, yet every full
@@ -1165,6 +1194,8 @@ def _relator_words(engine: _Engine) -> list[GroupWord]:
     gc.disable()
     try:
         for letters, cur, tail in traces:
+            if time.monotonic() > deadline:
+                return []
             acc: list = []
             for x in letters:
                 _extend_reduced(acc, _wmaterialize(labels[cur * w + x], memo))

@@ -160,6 +160,28 @@ class TestCertify:
         assert "relator_witness_validates" not in dict(cert.checks)
         assert verify_certificate(cert.to_json_dict()) == (True, [])
 
+    @pytest.mark.parametrize("limit", [None, 60.0])
+    def test_witness_fallback_gets_the_time_left(self, monkeypatch, limit):
+        # --time-limit covers the certifying enumeration and the labelled
+        # fallback together: the fallback gets what the enumeration left
+        from moebius_arith import coset_enum
+        given = []
+
+        def fallback(*args, time_limit_s=None, **kwargs):
+            given.append(time_limit_s)
+            return []
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            lambda *args: [])
+        monkeypatch.setattr(coset_enum, "_labelled_relator_search", fallback)
+        cert = certify(MoebiusSpec(3, 2), EnumerationLimits(time_limit_s=limit),
+                       witness_bound=300)
+        assert cert.resources["witness_not_found_within"] == 300
+        assert len(given) == 1
+        if limit is None:
+            assert given == [None]
+        else:
+            assert 0 < given[0] < limit
+
     @pytest.mark.parametrize("bound", [0, -5])
     def test_witness_bound_below_one_refused_before_enumerating(
             self, monkeypatch, bound):

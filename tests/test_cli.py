@@ -355,9 +355,11 @@ class TestEnvironment:
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"]) == EXIT_OK
 
-    def test_time_limit_help_claims_one_enumeration(self, capsys):
-        # the witness search's labelled run does not honour --time-limit
+    def test_time_limit_help_covers_the_witness_fallback(self, capsys):
+        # one budget for the certifying enumeration and the witness
+        # search's labelled run, not one per enumeration
         assert run(["certify", "--help"]) == EXIT_OK
         out = " ".join(capsys.readouterr().out.split())
-        assert "budget of the certifying enumeration only" in out
+        assert ("of the certifying enumeration and the witness search's "
+                "labelled fallback together") in out
         assert "per enumeration" not in out

@@ -3,6 +3,7 @@ overflow contract, relator recovery."""
 
 import math
 import random
+import time
 from array import array
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +24,7 @@ from moebius_arith.coset_enum import (
     _enumeration_letters,
     _labelled_relator_search,
     _poll,
+    _relator_words,
     _run_pure,
     _verify_table,
     find_relator,
@@ -1000,6 +1002,21 @@ class TestFindRelator:
         pres, wa, wb, table = self._setup(7, 4)
         assert find_relator(pres, wa, wb, table, bound=5) is None
 
+    @pytest.mark.parametrize("left", [0, -1.5])
+    def test_no_time_left_skips_fallback(self, monkeypatch, left):
+        # a certify run whose enumeration used up its time limit passes
+        # what is left, and the fallback does not start with none
+        from moebius_arith import coset_enum
+
+        def fallback(*args, **kwargs):
+            raise AssertionError("the labelled fallback ran")
+        monkeypatch.setattr(coset_enum, "_labelled_relator_search", fallback)
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            lambda *args: [])
+        pres, wa, wb, table = self._setup(3, 2)
+        assert find_relator(pres, wa, wb, table, bound=300,
+                            time_limit_s=left) is None
+
     def test_fallback_runs_on_capped_ball(self, monkeypatch):
         # a capped ball may miss a short relator's halves, so the
         # fallback still runs at a small bound
@@ -1118,6 +1135,26 @@ class TestLabelledRun:
     def test_overflow_yields_no_candidates(self):
         pres, words = self._setup(3, 2)
         assert _labelled_relator_search(pres, words, 50) == []
+
+    def test_relator_words_past_the_deadline_are_none(self):
+        # reading 7/5's relators took 13.7 s after a 0.5 s run, so the
+        # deadline is checked there too
+        pres, words = self._setup(3, 2)
+        width, relators, subgroup = _enumeration_letters(pres, words)
+        engine = _Engine(width, relators, subgroup,
+                         EnumerationLimits(max_cosets=200_000),
+                         symbols=("A", "B"))
+        assert _run_pure(engine)[4] is None
+        assert len(_relator_words(engine)) == 71
+        assert _relator_words(engine, time.monotonic() - 1) == []
+
+    def test_fallback_past_its_deadline_finds_nothing(self):
+        # 5/3's labelled run makes 28,340 definitions and yields relators;
+        # its first poll, at 4,096 definitions, is past a 1 µs limit
+        pres, words = self._setup(5, 3)
+        assert _labelled_relator_search(pres, words, 200_000)
+        assert _labelled_relator_search(pres, words, 200_000,
+                                        time_limit_s=1e-6) == []
 
     @pytest.mark.parametrize("a, b, witness, candidates", [
         (3, 2, "A^-1 B A^-1 B^8 A^-1 B A^-2 B A^-1 B^2 A^-2 B A^-1 B^4", 71),

@@ -7,7 +7,8 @@ definition count, peak and overflow reason.  `TestEquivalence` and
 `TestRunControl` run under HLT and their `Felsch` subclasses repeat them
 under Felsch; the loader's fallback test covers both.  The reference
 side runs with the kernel loader patched to report no kernel, which is
-also what happens when no C compiler is available.
+also what happens when no C compiler is available.  `TestRelatorSearch`
+checks the kernel's relator search against the Python one.
 """
 
 import ctypes
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +30,9 @@ import pytest
 import moebius_arith
 from moebius_arith import _fast, coset_enum
 from moebius_arith.certifier import MoebiusSpec, certify, express_generators
-from moebius_arith.coset_enum import EnumerationLimits, todd_coxeter
+from moebius_arith.coset_enum import (_SYLLABLE_DEPTH, EnumerationLimits,
+                                      _SyllableBall, find_relator,
+                                      todd_coxeter)
 from moebius_arith.exact import GroupWord, parse_word
 from moebius_arith.modular_words import decompose_st
 from moebius_arith.presentation import _schreier_pairs, build_presentation
@@ -535,12 +539,16 @@ class TestLoader:
             fast[1].resources["defined_cosets"]
 
     def test_kernel_compiles_without_warnings(self, tmp_path):
+        # -Wconversion makes every implicit narrowing or sign change an
+        # error too
         command = shlex.split(os.environ.get("CC", "cc"))
         if shutil.which(command[0]) is None:
             pytest.skip("no C compiler")
-        subprocess.run([*command, *_fast.FLAGS, "-Wall", "-Wextra", "-Werror",
-                        "-o", str(tmp_path / "_tc.so"), _fast.SOURCE],
-                       check=True, capture_output=True, timeout=300)
+        built = subprocess.run(
+            [*command, *_fast.FLAGS, "-Wall", "-Wextra", "-Wconversion",
+             "-Werror", "-o", str(tmp_path / "_tc.so"), _fast.SOURCE],
+            capture_output=True, text=True, timeout=300)
+        assert built.returncode == 0, built.stderr
 
     def test_library_cached_by_key(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -582,3 +590,122 @@ class TestLoader:
         monkeypatch.setattr(_fast, "_kernel", _fast._UNSET)
         assert todd_coxeter(pres, subs).engine == "pure"
         assert calls == ["pure"]
+
+
+class TestRelatorSearch:
+    """The kernel's syllable ball and collisions (`_fast.ball`) against the
+    Python reference (`_SyllableBall`, `_collision_relator_search`): the
+    same ball and the same candidates, in content and order."""
+
+    @staticmethod
+    def both(m, bound):
+        erange = max(12, m.denominator + 2)
+        ball = _fast.ball(m, _SYLLABLE_DEPTH, erange, coset_enum._BALL_CAP)
+        ref = _SyllableBall(m, _SYLLABLE_DEPTH, erange)
+        assert isinstance(ball, _fast.Ball)
+        assert ball.complete == ref.complete and ball.n == len(ref.nums)
+        search = coset_enum._collision_relator_search
+        return ball, ref, search(ball, m, bound), search(ref, m, bound)
+
+    @staticmethod
+    def record_searches(monkeypatch):
+        """(kind of ball, candidates) of each collision search run."""
+        search = coset_enum._collision_relator_search
+        seen = []
+
+        def recording(ball, m, bound):
+            seen.append((type(ball), search(ball, m, bound)))
+            return seen[-1][1]
+        monkeypatch.setattr(coset_enum, "_collision_relator_search",
+                            recording)
+        return seen
+
+    @pytest.mark.parametrize("bound", [40, 300])
+    @pytest.mark.parametrize("a, b", [
+        (1, 2), (2, 5),                      # equal evaluations
+        (5, 4), (4, 5), (2, 7), (4, 11),     # conjugations
+        (5, 6), (7, 10),                     # multi-prime b
+        (3, 2),                              # no candidates
+    ], ids=str)
+    def test_candidates_match_reference(self, a, b, bound):
+        ball, ref, got, want = self.both(Fraction(a, b), bound)
+        assert ball.complete
+        assert got == want
+        if bound == 300:
+            assert bool(got) == ((a, b) != (3, 2))
+
+    def test_ball_matches_reference(self):
+        ball, ref, _, _ = self.both(Fraction(4, 11), 300)
+        nums, weights, parents, _ = ball.arrays
+        assert nums.tolist() == [x for num in ref.nums for x in num]
+        assert weights.tolist() == ref.weights
+        assert parents.tolist() == ref.parents
+        assert all(ball.syllables_of(i) == ref.syllables_of(i)
+                   for i in range(0, ball.n, 7))
+
+    @pytest.mark.parametrize("cap", [0, 1_000, 5_000, 28_847, 28_848])
+    @pytest.mark.parametrize("a, b", [(1, 2), (4, 5)], ids=str)
+    def test_capped_ball_matches_reference(self, monkeypatch, a, b, cap):
+        # both balls of 28,848 words stop after the same parent, and the
+        # searches on the prefixes agree
+        monkeypatch.setattr(coset_enum, "_BALL_CAP", cap)
+        ball, ref, got, want = self.both(Fraction(a, b), 300)
+        assert ball.complete == (cap >= 28_848)
+        assert got == want
+
+    @pytest.mark.parametrize("pair_cap", [0, 1_000, 100_000])
+    def test_pair_cap_matches_reference(self, monkeypatch, pair_cap):
+        # 4/11's candidates all come from conjugation collisions
+        monkeypatch.setattr(coset_enum, "_PAIR_CAP", pair_cap)
+        ball, ref, got, want = self.both(Fraction(4, 11), 300)
+        assert got == want
+        if pair_cap == 0:
+            assert got == []
+
+    def test_collisions_past_the_room_run_again(self, monkeypatch):
+        # tc_collide counts every collision but writes only those it has
+        # room for; with room for one, 1/2's 426 need a second run
+        runs = []
+        collide = _fast.kernel().tc_collide
+
+        def counting(*args):
+            runs.append(args[9])
+            return collide(*args)
+        ball, _, _, want = self.both(Fraction(1, 2), 40)
+        monkeypatch.setattr(_fast, "_FIRST_ROOM", 1)
+        monkeypatch.setattr(ball, "lib", SimpleNamespace(tc_collide=counting))
+        got = coset_enum._collision_relator_search(ball, Fraction(1, 2), 40)
+        assert runs == [1, 426] and got == want
+
+    def test_no_kernel_path_gives_reference(self, monkeypatch):
+        seen = self.record_searches(monkeypatch)
+        pres, (wa, wb) = moebius(4, 5)
+        table = todd_coxeter(pres, [wa, wb]).table
+        with_kernel = find_relator(pres, wa, wb, table, bound=300)
+        monkeypatch.setattr(_fast, "kernel", lambda: None)
+        without = find_relator(pres, wa, wb, table, bound=300)
+        assert [kind for kind, _ in seen] == [_fast.Ball, _SyllableBall]
+        assert seen[0][1] == seen[1][1] and seen[0][1]
+        assert with_kernel == without
+
+    def test_entries_past_the_guard_go_to_python(self, monkeypatch):
+        # an entry of a 3-syllable word is at most 4 c^3 with c = den(m)
+        # + erange * |num(m)|: 42/13 gives 4 * 643^3 <= 2^30 and runs in
+        # the kernel, 43/13 and 1000/3 do not
+        cap = coset_enum._BALL_CAP
+        assert _fast.ball(Fraction(43, 13), 3, 15, cap) is None
+        assert _fast.ball(Fraction(1000, 3), 3, 12, cap) is None
+        ball, ref, got, want = self.both(Fraction(42, 13), 300)
+        assert max(abs(x) for num in ref.nums for x in num) <= 2 ** 30
+        assert got == want
+        # find_relator searches 1000/3's Python ball; a table past
+        # _AUGMENTED_MAX_INDEX keeps the labelled fallback out
+        search = coset_enum._collision_relator_search
+        seen = self.record_searches(monkeypatch)
+        pres = build_presentation(3)
+        wa, wb = express_generators(MoebiusSpec(1000, 3), pres)
+        table = SimpleNamespace(n=coset_enum._AUGMENTED_MAX_INDEX + 1)
+        assert find_relator(pres, wa, wb, table, bound=300) is None
+        ref = _SyllableBall(Fraction(1000, 3), _SYLLABLE_DEPTH, 12)
+        assert seen == [(_SyllableBall,
+                         search(ref, Fraction(1000, 3), 300))]

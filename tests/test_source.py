@@ -126,7 +126,8 @@ def _ctypes_kind(t):
     return repr(t)
 
 
-@pytest.mark.parametrize("function", ["tc_enumerate", "tc_verify"])
+@pytest.mark.parametrize("function", ["tc_enumerate", "tc_verify", "tc_ball",
+                                      "tc_collide"])
 def test_kernel_argtypes_match_source(function):
     # ctypes passes arguments as `argtypes` says; one that disagrees with
     # the C parameter list corrupts memory without any error
