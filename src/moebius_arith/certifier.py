@@ -15,6 +15,9 @@ subgroup, and cross-validates a completed run on four independent fronts:
 With `witness_bound` set, a completed run also searches for a relator in
 A and B (`find_relator`), checks one found by exact evaluation and records
 it, or records the bound under `resources["witness_not_found_within"]`.
+For b with two or more distinct primes the presentation is a pushout that
+only surjects onto SL(2, Z[1/b]), and the certificate records
+`resources["presentation"] = "pushout"`.
 
 A certificate with status Arithmetic witnesses finite index, hence
 non-freeness of the group.  Overflowed or failed runs yield Inconclusive
@@ -48,6 +51,7 @@ from .congruence import (
 from .coset_enum import (
     CosetTable,
     EnumerationLimits,
+    _check_count,
     find_relator,
     todd_coxeter,
     word_stabilizes_one,
@@ -286,10 +290,10 @@ def certify_with_table(spec: MoebiusSpec,
                        progress=None) -> tuple[Certificate, Optional[CosetTable]]:
     """Full pipeline; also returns the coset table of a completed run.
     `witness_bound` None searches for no relator witness, else for one of
-    at most that total exponent; below 1 it raises ValueError before
-    enumerating."""
-    if witness_bound is not None and witness_bound < 1:
-        raise ValueError("witness_bound must be >= 1")
+    at most that total exponent; unless it is an int >= 1 (a bool is not),
+    it raises ValueError before enumerating."""
+    if witness_bound is not None:
+        _check_count("witness_bound", witness_bound)
     t0 = time.monotonic()
     a, b = spec.a, spec.b
     ld = level_data(a, b)
@@ -297,6 +301,10 @@ def certify_with_table(spec: MoebiusSpec,
     wa, wb = express_generators(spec, pres)
     outcome = todd_coxeter(pres, [wa, wb], limits, progress=progress)
     resources = _resources(t0, limits, outcome)
+    if len(prime_factors(b)) > 1:
+        # the presentation glues one amalgam per prime onto one s, t copy,
+        # and that pushout only surjects onto SL(2, Z[1/b])
+        resources["presentation"] = "pushout"
     wa_s, wb_s = format_word(wa), format_word(wb)
     if not outcome.completed:
         return (_inconclusive(spec, ld, wa_s, wb_s, resources,

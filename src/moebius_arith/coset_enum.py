@@ -31,10 +31,10 @@ The verification pass follows the engine: the kernel's tables are checked
 in C by `_fast.verify`, `_Engine`'s by `_verify_table` here.  Each checker
 shares no code with the enumerator it checks, both make the five checks
 in the same order and raise the same messages (`_VERIFY_MESSAGES`), and
-the outcome's `engine` names the pair that ran.  `_verify_table` works on
-whole columns at once, by composing columns and by mapping frontier sets
-through them, not coset by coset; it is also the reference the kernel's
-checker is tested against.
+the outcome's `engine` names the pair that ran.  `_verify_table` is the
+plain reference the kernel's checker is tested against: it makes each
+check coset by coset, tracing every relator from every coset one letter at
+a time.
 
 `_Engine` also has a labelled mode, the modified Todd-Coxeter of Holt, Eick
 & O'Brien (Handbook of Computational Group Theory, ch. 5): every table
@@ -52,10 +52,12 @@ denominator, each word its parent sheared by a step A(m)^e = A(e*m) or
 B(m)^e = B(e*m) read off the translation length m, with every word's
 determinant checked.  The ball and both collision phases run in the kernel
 when it loads and the entries fit in int64 (`_fast.ball`); `_SyllableBall`
-and `_collision_relator_search` here are its reference and its fallback,
-as `_Engine` is for the enumerator.  The candidates are verified in Python,
-lightest first, by exact evaluation, each rotated to start with A only
-when it is evaluated.
+and its `collisions` here are its reference and its fallback, as `_Engine`
+is for the enumerator.  Both kinds of ball give the same collision
+records, (sym, k, u, v) for the relator sym^k u sym^-k v^-1, and
+`_collision_relator_search` spells the candidates from them.  The
+candidates are verified in Python, lightest first, by exact evaluation,
+each rotated to start with A only when it is evaluated.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ DEFAULT_WITNESS_BOUND = 300
 # dead-row fraction that triggers compaction
 _COMPACT_FRACTION = 0.25
 _COMPACT_MIN_ROWS = 4096
+# Felsch's deduction stack is dropped for a full lookahead once it holds
+# more than this many entries, or twice the live cosets if that is more
+_STACK_FLOOR = 4096
 
 # syllables per word in the relator search's collision ball, and the
 # number of words at which the ball stops growing
@@ -98,6 +103,15 @@ _BALL_CAP = 400_000
 _PAIR_CAP = 6_000_000
 # largest index at which the labelled run is tried
 _AUGMENTED_MAX_INDEX = 50_000
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless `value` is an int >= 1.  A bool is refused:
+    it would pass as 0 or 1, and the kernel takes no float."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,16 +125,11 @@ class EnumerationLimits:
     time_limit_s: Optional[float] = None
 
     def __post_init__(self):
-        # the kernel takes a C int, and a bool would pass as 0 or 1
-        if (not isinstance(self.max_cosets, int)
-                or isinstance(self.max_cosets, bool)):
-            raise ValueError("max_cosets must be an int")
+        _check_count("max_cosets", self.max_cosets)
         if self.time_limit_s is not None and (
                 isinstance(self.time_limit_s, bool)
                 or not isinstance(self.time_limit_s, numbers.Real)):
             raise ValueError("time_limit_s must be None or a number")
-        if self.max_cosets < 1:
-            raise ValueError("max_cosets must be >= 1")
         if self.max_cosets > _fast.MAX_COSETS:
             raise ValueError(f"max_cosets must be <= {_fast.MAX_COSETS}")
         if self.time_limit_s is not None and not self.time_limit_s > 0:
@@ -691,7 +700,7 @@ class _Engine:
         stack = self.deductions
         p = self.p
         while stack:
-            if len(stack) > max(4096, 2 * self.live):
+            if len(stack) > max(_STACK_FLOOR, 2 * self.live):
                 # stack blow-up: a full lookahead subsumes the queued work
                 del stack[:]
                 self._lookahead(0)
@@ -805,60 +814,40 @@ _VERIFY_MESSAGES = (
 
 def _verify_table(table: CosetTable, relators: Sequence[tuple[int, ...]],
                   subgroup: Sequence[tuple[int, ...]]) -> None:
-    """Exhaustive invariant check on a completed table, column by column:
-    a column is the permutation i -> tab[i*w + col], and tracing a word
-    over every coset at once is composing its letters' columns.
-
-    `getters[c](seq)[i] == seq[cols[c][i]]`, so applying the getters of a
-    word's letters right to left to the last letter's column gives, at i,
-    the coset that the word reaches from i."""
-    n = table.n
-    w = table.width
-    tab = table._tab
+    """Exhaustive invariant check on a completed table, coset by coset: the
+    five checks of `_VERIFY_MESSAGES`, in order, raising RuntimeError with
+    the message of the first that fails.  Column c is the map
+    i -> tab[i*w + c]."""
+    n, w, tab = table.n, table.width, table._tab
     cols = [tab[c:n * w:w].tolist() for c in range(w)]
-    ident = tuple(range(n))
-    for col in cols:
-        # in range; the inverse checks below then make it a permutation
-        if min(col) < 0 or max(col) >= n:
-            raise RuntimeError(_VERIFY_MESSAGES[0])
-    if n == 1:
-        # every column is (0,): the checks below hold trivially, and
-        # itemgetter with one index would return a scalar, not a tuple
-        return
-    # built only now that every entry is known to be a valid index
-    getters = [itemgetter(*col) for col in cols]
-    for c in range(w):
-        if getters[c](cols[c ^ 1]) != ident:
-            # a column repeating an entry fails the first check instead
-            if any(len(set(col)) != n for col in cols):
-                raise RuntimeError(_VERIFY_MESSAGES[0])
-            raise RuntimeError(_VERIFY_MESSAGES[1])
+    ident = list(range(n))
+    if any(sorted(col) != ident for col in cols):
+        raise RuntimeError(_VERIFY_MESSAGES[0])
+    if any(cols[c ^ 1][cols[c][i]] != i for c in range(w) for i in ident):
+        raise RuntimeError(_VERIFY_MESSAGES[1])
     # generator columns suffice: the columns are permutations and each odd
     # column inverts its even one, so the generators' orbit is the group's
-    gen_cols = cols[::2]
-    reached = {0}
-    frontier = {0}
-    while frontier:
-        new = set()
-        for col in gen_cols:
-            new.update(map(col.__getitem__, frontier))
-        new -= reached
-        reached |= new
-        frontier = new
-    if len(reached) != n:
+    seen = {0}
+    queue = [0]
+    for i in queue:
+        for col in cols[::2]:
+            if col[i] not in seen:
+                seen.add(col[i])
+                queue.append(col[i])
+    if len(queue) != n:
         raise RuntimeError(_VERIFY_MESSAGES[2])
     for rel in relators:
-        if not rel:
-            continue  # the empty word closes everywhere
-        seq = cols[rel[-1]]
-        for letter in reversed(rel[:-1]):
-            seq = getters[letter](seq)
-        if tuple(seq) != ident:
-            raise RuntimeError(_VERIFY_MESSAGES[3])
+        rel_cols = [cols[letter] for letter in rel]
+        for i in ident:
+            cur = i
+            for col in rel_cols:
+                cur = col[cur]
+            if cur != i:
+                raise RuntimeError(_VERIFY_MESSAGES[3])
     for sub in subgroup:
         cur = 0
         for letter in sub:
-            cur = tab[cur * w + letter]
+            cur = cols[letter][cur]
         if cur != 0:
             raise RuntimeError(_VERIFY_MESSAGES[4])
 
@@ -905,19 +894,18 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     into a candidate.
 
     The ball and its collisions come from the kernel (`_fast.ball`) when
-    it loads and the entries fit in int64, else from `_SyllableBall` and
-    the Python search, its reference: the same candidates, in the same
-    order.  `time_limit_s`, unless None, is the fallback's budget in
-    seconds; a fallback that runs out of it, or has none, gives no
-    candidates, like one that overflows.
+    it loads and the entries fit in int64, else from `_SyllableBall`, its
+    reference: the same collision records, in the same order.
+    `time_limit_s`, unless None, is the fallback's budget in seconds; a
+    fallback that runs out of it, or has none, gives no candidates, like
+    one that overflows.
 
-    Raises ValueError when `bound` < 1, or unless word_a and word_b
-    evaluate to exactly A(m) = [[1,m],[0,1]] and B(m) = [[1,0],[m,1]] for
-    one rational m, as `express_generators` spells them: the search reads
-    every step off m.
+    Raises ValueError when `bound` is not an int >= 1 (a bool is not), or
+    unless word_a and word_b evaluate to exactly A(m) = [[1,m],[0,1]] and
+    B(m) = [[1,0],[m,1]] for one rational m, as `express_generators` spells
+    them: the search reads every step off m.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    _check_count("bound", bound)
     mat_a = evaluate_word(word_a, pres.assignment)
     mat_b = evaluate_word(word_b, pres.assignment)
     m = mat_a.e12  # the translation length a/b
@@ -1039,6 +1027,94 @@ class _SyllableBall:
         out.reverse()
         return out
 
+    def collisions(self, m: Fraction, bound: int, pair_cap: int
+                   ) -> list[tuple[str, int, int, int]]:
+        """Collision records (sym, k, u, v), each standing for the relator
+        sym^k u sym^-k v^-1 between ball elements u and v.  First the equal
+        evaluations, as ("A", 0, i, first) for each element i that equals
+        an earlier one, the first of them; when there is none, the
+        conjugation collisions of A, and when there is none of those, of
+        B, within `bound` and up to the bucket where the pairs examined
+        pass `pair_cap`.  The kernel's `tc_collide` ports this."""
+        nums, weights = self.nums, self.weights
+        mnum, mden = m.numerator, m.denominator
+        out: list[tuple[str, int, int, int]] = []
+
+        # equal evaluations; the denominator is fixed, so equal tuples are
+        # equal matrices, and distinct elements are distinct reduced words
+        seen: dict[tuple, int] = {}
+        for i, key in enumerate(nums):
+            first = seen.setdefault(key, i)
+            if first != i:
+                out.append(("A", 0, i, first))
+        if out:
+            return out
+
+        # conjugation collisions: bucket by the entry a translation power
+        # fixes together with the trace, then solve for the conjugating
+        # exponent.  Indices into the tuples: (fixed corner, row entry it
+        # moves)
+        for sym, corner, row_entry in (("A", 2, 0), ("B", 1, 3)):
+            buckets: dict[tuple, list[int]] = {}
+            for i, num in enumerate(nums):
+                r = num[corner]
+                if r == 0:
+                    continue
+                buckets.setdefault((r, num[0] + num[3]), []).append(i)
+            pairs = 0
+            for (r, _), items in buckets.items():
+                n = len(items)
+                if n < 2:
+                    continue
+                pairs += n * (n - 1) // 2
+                if pairs > pair_cap:
+                    break
+                # for M = [[p, q], [r, s]], conjugation by A(c) adds c*r to
+                # p and takes it from s; by B(c) it adds c*q to s and takes
+                # it from p.  The fixed corner (r below, for either symbol)
+                # is not 0, so it, the trace and det = 1 give the other
+                # entries: u, v in one bucket satisfy v = sym^k u sym^-k
+                # exactly when their moved entries agree mod r*m, and k is
+                # the difference of the entries' quotients by r*m.  Both
+                # sides scaled by den*mden: entry*mden split by r*mnum
+                step = r * mnum
+                split = {i: divmod(nums[i][row_entry] * mden, step)
+                         for i in items}
+                classes: dict = {}
+                for i in items:
+                    classes.setdefault(split[i][1], []).append(i)
+                # by `_split_at`, v is spelled sym^k u sym^-k, which gives
+                # the empty relator, exactly when the cores agree, lead_v -
+                # lead_u = k = q_v - q_u and lead + trail agree: when the
+                # keys below agree.  A class whose members all share one key
+                # gives none
+                keys: dict[int, tuple] = {}
+                for same in classes.values():
+                    if len(same) < 2:
+                        continue
+                    class_keys = {}
+                    for i in same:
+                        lead, core, trail = _split_at(sym,
+                                                      self.syllables_of(i))
+                        class_keys[i] = (core, lead + trail,
+                                         split[i][0] - lead)
+                    if len(set(class_keys.values())) > 1:
+                        keys.update(class_keys)
+                for u in items:
+                    key_u = keys.get(u)
+                    if key_u is None:
+                        continue
+                    q_u, rem_u = split[u]
+                    for v in classes[rem_u]:
+                        # k = 0 also covers v = u
+                        k = split[v][0] - q_u
+                        if (k and 2 * abs(k) + weights[u] + weights[v] <= bound
+                                and keys[v] != key_u):
+                            out.append((sym, k, u, v))
+                if out:
+                    return out
+        return out
+
 
 def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
     """(lead, core, trail) with w = sym^lead core sym^trail for the reduced
@@ -1056,100 +1132,13 @@ def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
 
 def _collision_relator_search(ball: _SyllableBall | _fast.Ball, m: Fraction,
                                bound: int) -> list[GroupWord]:
-    if isinstance(ball, _fast.Ball):
-        # the kernel's port of the search below, on a ball it built
-        return [word([(sym, k), *ball.syllables_of(u), (sym, -k),
-                      *((s, -e) for s, e in reversed(ball.syllables_of(v)))])
-                for sym, k, u, v in ball.collisions(m, bound, _PAIR_CAP)]
-    nums, weights = ball.nums, ball.weights
-    mnum, mden = m.numerator, m.denominator
-    out: list[GroupWord] = []
-
-    # equal-evaluation collisions; the denominator is fixed, so equal
-    # tuples are equal matrices
-    seen: dict[tuple, int] = {}
-    for i, key in enumerate(nums):
-        first = seen.setdefault(key, i)
-        if first != i:
-            # word(i) * word(first)^-1, freely reduced in one pass
-            inv_first = [(sym, -e) for sym, e in
-                         reversed(ball.syllables_of(first))]
-            rel = word(ball.syllables_of(i) + inv_first)
-            if not rel.is_empty():
-                out.append(rel)
-    if out:
-        return out
-
-    # conjugation collisions: bucket by the entry a translation power fixes
-    # together with the trace, then solve for the conjugating exponent.
-    # Indices into the tuples: (fixed corner, row entry it moves)
-    for sym, corner, row_entry in (("A", 2, 0), ("B", 1, 3)):
-        buckets: dict[tuple, list[int]] = {}
-        for i, num in enumerate(nums):
-            r = num[corner]
-            if r == 0:
-                continue
-            buckets.setdefault((r, num[0] + num[3]), []).append(i)
-        pairs = 0
-        for (r, _), items in buckets.items():
-            n = len(items)
-            if n < 2:
-                continue
-            pairs += n * (n - 1) // 2
-            if pairs > _PAIR_CAP:
-                break
-            # for M = [[p, q], [r, s]], conjugation by A(c) adds c*r to p
-            # and takes it from s; by B(c) it adds c*q to s and takes it
-            # from p.  The fixed corner (r below, for either symbol) is
-            # not 0, so it, the trace and det = 1 give the other entries:
-            # u, v in one bucket satisfy v = sym^k u sym^-k exactly when
-            # their moved entries agree mod r*m, and k is the difference
-            # of the entries' quotients by r*m.  Both sides scaled by
-            # den*mden: entry*mden split by r*mnum
-            step = r * mnum
-            split = {i: divmod(nums[i][row_entry] * mden, step)
-                     for i in items}
-            classes: dict = {}
-            for i in items:
-                classes.setdefault(split[i][1], []).append(i)
-            # by `_split_at`, v is spelled sym^k u sym^-k, which gives the
-            # empty relator, exactly when the cores agree, lead_v - lead_u
-            # = k = q_v - q_u and lead + trail agree: when the keys below
-            # agree.  A class whose members all share one key gives none
-            keys: dict[int, tuple] = {}
-            for same in classes.values():
-                if len(same) < 2:
-                    continue
-                class_keys = {}
-                for i in same:
-                    lead, core, trail = _split_at(sym, ball.syllables_of(i))
-                    class_keys[i] = (core, lead + trail, split[i][0] - lead)
-                if len(set(class_keys.values())) > 1:
-                    keys.update(class_keys)
-            for u in items:
-                key_u = keys.get(u)
-                if key_u is None:
-                    continue
-                q_u, rem_u = split[u]
-                for v in classes[rem_u]:
-                    # k = 0 also covers v = u
-                    k = split[v][0] - q_u
-                    if k == 0:
-                        continue
-                    if 2 * abs(k) + weights[u] + weights[v] > bound:
-                        continue
-                    if keys[v] == key_u:
-                        continue
-                    # sym^k u sym^-k v^-1, freely reduced in one pass
-                    inv_v = [(s, -e) for s, e in
-                             reversed(ball.syllables_of(v))]
-                    out.append(word([(sym, k), *ball.syllables_of(u),
-                                     (sym, -k), *inv_v]))
-            if out:
-                break
-        if out:
-            break
-    return out
+    """The candidate relators of `ball`'s collisions, in their order: the
+    word sym^k u sym^-k v^-1, freely reduced, for each record (sym, k, u,
+    v) of `ball.collisions`, which the kernel's `_fast.Ball` and
+    `_SyllableBall` both give."""
+    return [word([(sym, k), *ball.syllables_of(u), (sym, -k),
+                  *((s, -e) for s, e in reversed(ball.syllables_of(v)))])
+            for sym, k, u, v in ball.collisions(m, bound, _PAIR_CAP)]
 
 
 def _labelled_relator_search(pres: Presentation,

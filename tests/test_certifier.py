@@ -127,6 +127,17 @@ class TestCertify:
         assert certify(MoebiusSpec(5, 4)).status == "Arithmetic"
         assert builds == [2]
 
+    def test_multi_prime_certificate_names_the_pushout(self):
+        # 1/6 is enumerated against the pushout over 2 and 3, which only
+        # surjects onto SL(2, Z[1/6]); a prime power keeps its resources
+        cert = certify(MoebiusSpec(1, 6), EnumerationLimits(max_cosets=1000))
+        assert cert.resources["presentation"] == "pushout"
+        round_trip = Certificate.from_json_dict(cert.to_json_dict())
+        assert round_trip.resources["presentation"] == "pushout"
+        cert = certify(MoebiusSpec(5, 4))
+        assert cert.status == "Arithmetic"
+        assert "presentation" not in cert.resources
+
     def test_overflow_is_inconclusive(self):
         cert = certify(MoebiusSpec(5, 2),
                        EnumerationLimits(max_cosets=100_000))
@@ -192,6 +203,19 @@ class TestCertify:
         with pytest.raises(ValueError, match="witness_bound must be >= 1"):
             certify_with_table(MoebiusSpec(1, 2), witness_bound=bound)
         assert runs == []
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "pure"])
+    @pytest.mark.parametrize("bound", [40.0, 40.5, True, "40"], ids=repr)
+    def test_witness_bound_of_wrong_type_refused(self, monkeypatch, bound,
+                                                 kernel):
+        # with the kernel, 40.0 raised ctypes.ArgumentError after the
+        # enumeration; without it the search ran, and True searched at
+        # bound 1 and recorded witness_not_found_within: true
+        from moebius_arith import _fast
+        if not kernel:
+            monkeypatch.setattr(_fast, "kernel", lambda: None)
+        with pytest.raises(ValueError, match="witness_bound must be an int"):
+            certify(MoebiusSpec(1, 2), witness_bound=bound)
 
     def test_index_mismatch_raises(self, monkeypatch):
         # a completed run whose index is not the formula's is a bug, and

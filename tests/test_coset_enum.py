@@ -761,6 +761,18 @@ class TestFindRelator:
         with pytest.raises(ValueError, match="bound must be >= 1"):
             find_relator(pres, wa, wb, table, bound=bound)
 
+    @pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "pure"])
+    @pytest.mark.parametrize("bound", [40.0, 40.5, True, "40"], ids=repr)
+    def test_bound_of_wrong_type_is_refused(self, monkeypatch, bound,
+                                             kernel):
+        # 40.0 reached the kernel's int64 argument as a ctypes error while
+        # the Python search ran it, and True searched at bound 1
+        pres, wa, wb, table = self._setup(1, 2)
+        if not kernel:
+            monkeypatch.setattr(_fast, "kernel", lambda: None)
+        with pytest.raises(ValueError, match="bound must be an int"):
+            find_relator(pres, wa, wb, table, bound=bound)
+
     @pytest.mark.parametrize("shape", ["transposed", "diagonal", "B(2m)"])
     def test_generators_must_be_a_and_b_of_m(self, shape):
         # the ball reads every step off m = A's upper-right entry, so a

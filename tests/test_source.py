@@ -141,6 +141,48 @@ def test_kernel_argtypes_match_source(function):
     assert declared == _c_parameter_kinds(source, function)
 
 
+def _c_constants(source):
+    """The value of every integer `#define` and enum constant in C
+    `source`; an enum constant without `= value` is one more than the one
+    before it, and the first is 0."""
+    code = re.sub(r"/\*.*?\*/", " ", source, flags=re.S)
+    values = {name: int(value) for name, value in re.findall(
+        r"^#define\s+(\w+)\s+\(?(-?\d+)\)?\s*$", code, flags=re.M)}
+    for body in re.findall(r"\benum\s*\{(.*?)\}", code, flags=re.S):
+        value = -1
+        for item in filter(str.strip, body.split(",")):
+            name, _, given = item.partition("=")
+            value = int(given) if given.strip() else value + 1
+            values[name.strip()] = value
+    return values
+
+
+def test_kernel_constants_match_python():
+    # `_fast` and `coset_enum` copy these values from _tc.c by hand; a
+    # return code that drifts would be read as another outcome
+    from moebius_arith import _fast, coset_enum
+
+    kernel = _c_constants(Path(_fast.SOURCE).read_text())
+    copies = {
+        "TC_OK": _fast._OK, "TC_MAX_COSETS": _fast._MAX_COSETS,
+        "TC_TIME_LIMIT": _fast._TIME_LIMIT, "TC_ABORTED": _fast._ABORTED,
+        "TC_NO_MEMORY": _fast._NO_MEMORY,
+        "TC_HLT": _fast._STRATEGIES["hlt"],
+        "TC_FELSCH": _fast._STRATEGIES["felsch"],
+        "RS_COMPLETE": _fast._OK, "RS_CAPPED": _fast._CAPPED,
+        "RS_DETERMINANT": _fast._DETERMINANT,
+        "TV_OK": _fast._OK,
+        "TV_SUBGROUP_MOVED": len(coset_enum._VERIFY_MESSAGES),
+        "TV_BAD_ARGUMENT": _fast._BAD_ARGUMENT,
+        "TV_NO_MEMORY": _fast._VERIFY_NO_MEMORY,
+        "POLL_EVERY": coset_enum._POLL_EVERY,
+        "COMPACT_MIN_ROWS": coset_enum._COMPACT_MIN_ROWS,
+        "STACK_FLOOR": coset_enum._STACK_FLOOR,
+        "UNDEF": coset_enum.UNDEF,
+    }
+    assert {name: kernel.get(name) for name in copies} == copies
+
+
 # -- the benchmark's use of the package ------------------------------------------
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
