@@ -17,8 +17,8 @@ raises the same messages.  `_verify_table` checks the pure engine's tables.
 
 The section before it, `tc_ball` and `tc_collide` (wrapped by `ball` and
 `Ball`), ports the relator search's ball and collision phases, whose
-reference is `coset_enum._SyllableBall` and `_collision_relator_search`:
-the same elements and collisions, in the same order, in int64 entries.
+reference is `coset_enum._SyllableBall` and its `collisions`: the same
+elements and collisions, in the same order, in int64 entries.
 
 The kernel is compiled on first use, not at import, with the system C
 compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The library
@@ -234,10 +234,10 @@ def verify(table, relators, subgroup) -> None:
     has loaded, as `todd_coxeter` does after a kernel run.
     """
     from .coset_enum import _VERIFY_MESSAGES
+    from .exact import check_count
 
     n, width, tab = table.n, table.width, table._tab
-    if n < 1:
-        raise ValueError("a coset table has at least one row")
+    check_count("a coset table's rows", n)
     if len(tab) < n * width:
         raise ValueError(f"{n} rows of {width} need {n * width} entries, "
                          f"got {len(tab)}")
@@ -315,9 +315,9 @@ class Ball:
         return out
 
     def collisions(self, m, bound: int, pair_cap: int):
-        """`coset_enum._collision_relator_search`'s collisions on this
-        ball, in its order, as (sym, k, u, v) for the relator sym^k u
-        sym^-k v^-1; k is 0 for an equal evaluation."""
+        """`coset_enum._SyllableBall.collisions` on this ball, in its
+        order, as (sym, k, u, v) for the relator sym^k u sym^-k v^-1; k is
+        0 for an equal evaluation."""
         count, room = array("q", [0]), _FIRST_ROOM
         while True:
             hits = array("q", [0]) * (4 * room)

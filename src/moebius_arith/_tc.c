@@ -564,8 +564,8 @@ void tc_free(int32_t *table)
 /* -- relator search -----------------------------------------------------------
 
    The syllable ball of coset_enum._SyllableBall and both collision phases
-   of coset_enum._collision_relator_search, which stay the reference: the
-   same elements in the same order, the same collisions in the same order.
+   of its collisions method, which stay the reference: the same elements in
+   the same order, the same collisions in the same order.
    It shares no state with the enumerator above.
 
    A ball element is four int64 entries over the fixed denominator
@@ -883,7 +883,7 @@ static int rs_conjugations(Search *s, const Scratch *w, int sym)
     return TC_OK;
 }
 
-/* The collisions of coset_enum._collision_relator_search, in its order,
+/* The collisions of coset_enum._SyllableBall.collisions, in its order,
    on a ball of n elements from tc_ball, for m = mnum / mden: each equal
    evaluation as (0, 0, i, first); when there is none, the conjugation
    collisions of A as (0, k, u, v), and when there is none of those, of B

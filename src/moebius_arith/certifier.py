@@ -51,7 +51,6 @@ from .congruence import (
 from .coset_enum import (
     CosetTable,
     EnumerationLimits,
-    _check_count,
     find_relator,
     todd_coxeter,
     word_stabilizes_one,
@@ -59,6 +58,7 @@ from .coset_enum import (
 from .exact import (
     GroupWord,
     UniModularMatrix,
+    check_count,
     check_moebius_parameters,
     evaluate_word,
     format_word,
@@ -107,6 +107,12 @@ class MoebiusSpec:
 
 @dataclass(frozen=True)
 class Certificate:
+    """What `certify` found, as `verify_certificate` re-reads it.  A field
+    of the wrong JSON type raises ValueError: `level`, `expected_index`
+    and a non-null `index` are counts (`check_count`), the words and the
+    check names strings, each check's result a bool, `witness` and
+    `reason` strings or None, and `resources` a dict."""
+
     spec: MoebiusSpec
     status: str                          # "Arithmetic" | "Inconclusive"
     level: int
@@ -120,6 +126,20 @@ class Certificate:
     reason: Optional[str] = None
 
     def __post_init__(self):
+        check_count("level", self.level)
+        check_count("expected_index", self.expected_index)
+        if self.index is not None:
+            check_count("index", self.index)
+        if not (isinstance(self.word_a, str) and isinstance(self.word_b, str)):
+            raise ValueError("the words for A and B must be strings")
+        if not all(isinstance(name, str) and isinstance(ok, bool)
+                   for name, ok in self.checks):
+            raise ValueError("each check needs a name string and a boolean")
+        if not all(isinstance(v, (str, type(None)))
+                   for v in (self.witness, self.reason)):
+            raise ValueError("witness and reason must be strings or null")
+        if not isinstance(self.resources, dict):
+            raise ValueError("resources must be an object")
         if self.status not in ("Arithmetic", "Inconclusive"):
             raise ValueError(f"bad status {self.status!r}")
         if self.status == "Arithmetic":
@@ -158,7 +178,7 @@ class Certificate:
             word_a=payload["words"]["A"],
             word_b=payload["words"]["B"],
             checks=tuple((c["name"], c["passed"]) for c in payload["checks"]),
-            resources=dict(payload["resources"]),
+            resources=payload["resources"],
             witness=payload.get("witness"),
             reason=payload.get("reason"),
         )
@@ -293,7 +313,7 @@ def certify_with_table(spec: MoebiusSpec,
     at most that total exponent; unless it is an int >= 1 (a bool is not),
     it raises ValueError before enumerating."""
     if witness_bound is not None:
-        _check_count("witness_bound", witness_bound)
+        check_count("witness_bound", witness_bound)
     t0 = time.monotonic()
     a, b = spec.a, spec.b
     ld = level_data(a, b)
@@ -424,14 +444,13 @@ def membership_report(spec: MoebiusSpec, g: UniModularMatrix,
 # -- sweeps --------------------------------------------------------------------
 
 def _sweep_entry(args) -> Certificate:
-    a, b, limits = args
-    spec = MoebiusSpec(a, b)
+    spec, limits = args
     try:
         return certify(spec, limits)
     except Exception as exc:                      # recorded, never raised
         # "error:" keeps faults such as IndexMismatchError apart from the
         # budget reasons "max_cosets" and "time_limit"
-        ld = level_data(a, b)
+        ld = level_data(spec.a, spec.b)
         return _inconclusive(spec, ld, "", "",
                              _resources(time.monotonic(), limits),
                              reason=f"error: {type(exc).__name__}: {exc}")
@@ -442,14 +461,13 @@ def table_sweep(b: int, a_values: Iterable[int],
                 workers: int = 1) -> list[Certificate]:
     """One certificate per numerator, in input order; an entry that raises
     is recorded as an Inconclusive certificate whose reason starts with
-    "error:", never raised.  Raises ValueError for workers < 1 or, before
-    any work, for a bad numerator."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    todo = [(a, b, limits) for a in a_values]
-    for a, _, _ in todo:
-        check_moebius_parameters(a, b)
-    if workers == 1 or len(todo) <= 1:
+    "error:", never raised.  Raises ValueError, before any work, unless
+    `workers` is an int >= 1 and every numerator is valid.  At most one
+    worker process runs per entry."""
+    check_count("workers", workers)
+    todo = [(MoebiusSpec(a, b), limits) for a in a_values]
+    workers = min(workers, len(todo))
+    if workers <= 1:
         return [_sweep_entry(t) for t in todo]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -482,6 +500,7 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
         return False, [f"malformed certificate: {exc}"]
     a, b = cert.spec.a, cert.spec.b
     ld = level_data(a, b)
+    mats = dict(zip("AB", cert.spec.matrices()))
     if cert.level != ld.level:
         problems.append(f"level {cert.level} != {ld.level}")
     expected = ld.expected_index
@@ -500,11 +519,10 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
                             + ", ".join(missing))
         try:
             pres = _presentation(b)
-            mat_a, mat_b = cert.spec.matrices()
-            if evaluate_word(parse_word(cert.word_a), pres.assignment) != mat_a:
-                problems.append("word for A does not evaluate to A(a/b)")
-            if evaluate_word(parse_word(cert.word_b), pres.assignment) != mat_b:
-                problems.append("word for B does not evaluate to B(a/b)")
+            for sym, text in (("A", cert.word_a), ("B", cert.word_b)):
+                if evaluate_word(parse_word(text), pres.assignment) != mats[sym]:
+                    problems.append(f"word for {sym} does not evaluate to "
+                                    f"{sym}(a/b)")
         except Exception as exc:
             problems.append(f"word evaluation failed: {exc}")
         if not _closure_is_CaxCa(a, b):
@@ -512,10 +530,9 @@ def verify_certificate(payload) -> tuple[bool, list[str]]:
     if cert.witness is not None:
         try:
             wit = parse_word(cert.witness)
-            mat_a, mat_b = cert.spec.matrices()
             if wit.is_empty():
                 problems.append("empty relator witness")
-            elif not evaluate_word(wit, {"A": mat_a, "B": mat_b}).is_identity():
+            elif not evaluate_word(wit, mats).is_identity():
                 problems.append("relator witness does not evaluate to 1")
         except Exception as exc:
             problems.append(f"witness check failed: {exc}")

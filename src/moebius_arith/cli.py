@@ -28,7 +28,7 @@ from .certifier import (
 )
 from .coset_enum import (DEFAULT_MAX_COSETS, DEFAULT_WITNESS_BOUND,
                          EnumerationLimits)
-from .exact import parse_matrix, parse_word, prime_factors
+from .exact import check_count, parse_matrix, parse_word, prime_factors
 from .presentation import (
     build_presentation,
     presentation_to_json,
@@ -83,17 +83,13 @@ def _parse_rational(text: str) -> MoebiusSpec:
     return _checked(MoebiusSpec, int(m.group(1)), int(m.group(2)))
 
 
-def _int_at_least(low: int):
-    """argparse type of an integer >= `low`."""
+def _int_at_least(least: int):
+    """argparse type of an int that `check_count` accepts with `least`."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+            return check_count("value", int(text), least=least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
@@ -179,10 +175,11 @@ def run(argv) -> int:
 
     p_certify = subs.add_parser("certify", help="certify S-arithmeticity")
     p_certify.add_argument("rational", help="a/b")
-    p_certify.add_argument("--witness", action="store_true",
-                           help="also search for a relator witness")
-    p_certify.add_argument("--witness-bound", type=_count,
-                           default=DEFAULT_WITNESS_BOUND)
+    p_certify.add_argument("--witness", nargs="?", type=_count,
+                           const=DEFAULT_WITNESS_BOUND, metavar="BOUND",
+                           help="also search for a relator witness of total "
+                                "exponent at most BOUND (without one, "
+                                f"{DEFAULT_WITNESS_BOUND})")
     p_certify.add_argument("--out", default=None,
                            help="write the certificate JSON to a file")
     _add_limit_flags(p_certify)
@@ -244,16 +241,14 @@ def _dispatch(args) -> int:
         spec = _parse_rational(args.rational)
         limits = _limits(args)
         _note_pushout(spec.b)
-        cert = certify(spec, limits,
-                       witness_bound=args.witness_bound if args.witness
-                       else None)
+        cert = certify(spec, limits, witness_bound=args.witness)
         if args.out:
             with open(args.out, "w") as fh:
                 json.dump(cert.to_json_dict(), fh, indent=2)
                 fh.write("\n")
         _print_certificate(cert, args.json)
         if "witness_not_found_within" in cert.resources:
-            print(WITNESS_NOT_FOUND.format(args.witness_bound),
+            print(WITNESS_NOT_FOUND.format(args.witness),
                   file=sys.stderr)
         return EXIT_OK if cert.status == "Arithmetic" else EXIT_INCONCLUSIVE
 
@@ -303,35 +298,33 @@ def _dispatch(args) -> int:
         errored = any((c.reason or "").startswith("error:") for c in certs)
         return EXIT_ERROR if errored else EXIT_OK
 
-    if args.command == "verify":
-        try:
-            with open(args.certificate, "rb") as fh:
-                content = fh.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.certificate}: "
-                              f"{exc.strerror}") from None
-        try:
-            payload = json.loads(content)
-        except ValueError as exc:      # not JSON, or not text at all
-            payload = None
-            ok, problems = False, [f"malformed certificate: {exc}"]
-        else:
-            ok, problems = verify_certificate(payload)
-        status = payload.get("status") if isinstance(payload, dict) else None
-        if status == "Arithmetic":
-            print(INDEX_NOT_REPROVED, file=sys.stderr)
-        if args.json:
-            print(json.dumps({"valid": ok, "problems": problems,
-                              "status": status}))
-        else:
-            print("valid" if ok else "INVALID")
-            for p in problems:
-                print(f"  - {p}")
-        if not ok:
-            return EXIT_ERROR
-        return EXIT_OK if status == "Arithmetic" else EXIT_INCONCLUSIVE
-
-    raise _UsageError(f"unknown command {args.command!r}")
+    # the one command left: verify
+    try:
+        with open(args.certificate, "rb") as fh:
+            content = fh.read()
+    except OSError as exc:
+        raise _UsageError(f"cannot read {args.certificate}: "
+                          f"{exc.strerror}") from None
+    try:
+        payload = json.loads(content)
+    except ValueError as exc:      # not JSON, or not text at all
+        payload = None
+        ok, problems = False, [f"malformed certificate: {exc}"]
+    else:
+        ok, problems = verify_certificate(payload)
+    status = payload.get("status") if isinstance(payload, dict) else None
+    if status == "Arithmetic":
+        print(INDEX_NOT_REPROVED, file=sys.stderr)
+    if args.json:
+        print(json.dumps({"valid": ok, "problems": problems,
+                          "status": status}))
+    else:
+        print("valid" if ok else "INVALID")
+        for p in problems:
+            print(f"  - {p}")
+    if not ok:
+        return EXIT_ERROR
+    return EXIT_OK if status == "Arithmetic" else EXIT_INCONCLUSIVE
 
 
 def main() -> None:

@@ -29,6 +29,7 @@ from typing import Sequence
 
 from .exact import (
     UniModularMatrix,
+    check_count,
     check_moebius_parameters,
     make_moebius_generators,
     prime_factors,
@@ -58,8 +59,7 @@ class ResidueMatrix:
     d: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.n}")
+        check_count("modulus", self.n, least=2)
         if (self.a * self.d - self.b * self.c) % self.n != 1 % self.n:
             raise ValueError(f"determinant is not 1 mod {self.n}")
 
@@ -89,8 +89,7 @@ def reduce_mod(m: UniModularMatrix, n: int) -> ResidueMatrix:
     Multiplicative in m.  Raises ValueError when a denominator is not
     invertible mod n (the modulus must be coprime to the localized base).
     """
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
+    check_count("modulus", n, least=2)
 
     def red(e: Fraction) -> int:
         den = e.denominator
@@ -104,8 +103,7 @@ def reduce_mod(m: UniModularMatrix, n: int) -> ResidueMatrix:
 
 def sl2_order(n: int) -> int:
     """|SL(2, Z_n)| = n^3 * prod_{p | n} (1 - p^-2); sl2_order(1) = 1."""
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
+    check_count("modulus", n)
     if n == 1:
         return 1
     r = n ** 3

@@ -74,7 +74,7 @@ from typing import Callable, Optional, Sequence
 
 from . import _fast
 from .exact import (GroupWord, UniModularMatrix, _extend_reduced,
-                    evaluate_word, word)
+                    check_count, evaluate_word, word)
 from .presentation import Presentation
 
 UNDEF = -1
@@ -105,15 +105,6 @@ _PAIR_CAP = 6_000_000
 _AUGMENTED_MAX_INDEX = 50_000
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless `value` is an int >= 1.  A bool is refused:
-    it would pass as 0 or 1, and the kernel takes no float."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 @dataclass(frozen=True)
 class EnumerationLimits:
     """Budgets of one enumeration.  Both engines hold coset ids as int32,
@@ -125,13 +116,11 @@ class EnumerationLimits:
     time_limit_s: Optional[float] = None
 
     def __post_init__(self):
-        _check_count("max_cosets", self.max_cosets)
+        check_count("max_cosets", self.max_cosets, most=_fast.MAX_COSETS)
         if self.time_limit_s is not None and (
                 isinstance(self.time_limit_s, bool)
                 or not isinstance(self.time_limit_s, numbers.Real)):
             raise ValueError("time_limit_s must be None or a number")
-        if self.max_cosets > _fast.MAX_COSETS:
-            raise ValueError(f"max_cosets must be <= {_fast.MAX_COSETS}")
         if self.time_limit_s is not None and not self.time_limit_s > 0:
             raise ValueError("time_limit_s must be None or > 0")
         if self.strategy not in ("hlt", "felsch"):
@@ -905,7 +894,7 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     B(m) = [[1,0],[m,1]] for one rational m, as `express_generators` spells
     them: the search reads every step off m.
     """
-    _check_count("bound", bound)
+    check_count("bound", bound)
     mat_a = evaluate_word(word_a, pres.assignment)
     mat_b = evaluate_word(word_b, pres.assignment)
     m = mat_a.e12  # the translation length a/b

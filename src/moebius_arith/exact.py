@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 _ENTRY_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -196,13 +196,27 @@ class UniModularMatrix:
 _IDENTITY = _make(1, 0, 0, 1, 1)
 
 
+def check_count(name: str, value, least: int = 1,
+                most: Optional[int] = None) -> int:
+    """`value` if it is an int in least..most (`most` None for no upper
+    bound), else ValueError naming `name`: the one rule for every count.
+    A bool is refused, since it would pass as 0 or 1, and so is a float,
+    which the kernel does not take."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value}")
+    return value
+
+
 def check_moebius_parameters(a: int, b: int) -> None:
-    """Raise ValueError unless a > 0, b > 1 and gcd(a, b) = 1: the one
-    check of Moebius parameters, which every entry point taking them calls."""
-    if a <= 0:
-        raise ValueError(f"numerator must be positive, got {a}")
-    if b <= 1:
-        raise ValueError(f"denominator must exceed 1, got {b}")
+    """Raise ValueError unless the numerator a >= 1 and the denominator
+    b >= 2 are ints with gcd(a, b) = 1: the one check of Moebius
+    parameters, which every entry point taking them calls."""
+    check_count("numerator", a)
+    check_count("denominator", b, least=2)
     if gcd(a, b) != 1:
         raise ValueError(f"gcd({a}, {b}) != 1")
 
@@ -385,7 +399,4 @@ def parse_matrix(text: str) -> UniModularMatrix:
 
 
 def format_matrix(m: UniModularMatrix) -> str:
-    def fmt(e: Fraction) -> str:
-        return str(e)
-    return (f"[[{fmt(m.e11)},{fmt(m.e12)}],"
-            f"[{fmt(m.e21)},{fmt(m.e22)}]]")
+    return f"[[{m.e11!s},{m.e12!s}],[{m.e21!s},{m.e22!s}]]"

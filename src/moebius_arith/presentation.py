@@ -35,6 +35,7 @@ from .congruence import is_prime
 from .exact import (
     GroupWord,
     UniModularMatrix,
+    check_count,
     evaluate_word,
     format_matrix,
     format_word,
@@ -160,8 +161,7 @@ def build_presentation(b: int) -> Presentation:
     sound but present the pushout SL(2,Z[1/p]) *_{SL(2,Z)} SL(2,Z[1/q]),
     which only surjects onto SL(2, Z[1/b]) (see the module docstring).
     The assignment is a read-only mapping, so one build can be shared."""
-    if b <= 1:
-        raise ValueError(f"base must exceed 1, got {b}")
+    check_count("base", b, least=2)
     primes = prime_factors(b)
     generators = ["s", "t"]
     assignment: dict[str, UniModularMatrix] = {"s": MAT_S, "t": MAT_T}

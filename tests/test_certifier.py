@@ -41,6 +41,43 @@ def cert_table_32():
     return certify_with_table(MoebiusSpec(3, 2))
 
 
+def forged_certificates(cert_32):
+    """(payload, reason) pairs: JSON certificates with a field of the wrong
+    type, made from a 1/2 certificate and from `cert_32` for 3/2, and the
+    reason each is malformed.  Every one of them used to verify."""
+    one_half = certify(MoebiusSpec(1, 2)).to_json_dict()
+    three_halves = cert_32.to_json_dict()
+    check_types = "each check needs a name string and a boolean"
+    optional = "witness and reason must be strings or null"
+    forgeries = [
+        (one_half, lambda p: p["spec"].update(a=True),
+         "numerator must be an int, got True"),
+        (three_halves,
+         lambda p: p.update(index=72.0, expected_index=72.0, level=9.0),
+         "level must be an int, got 9.0"),
+        (three_halves, lambda p: p.update(expected_index=72.0),
+         "expected_index must be an int, got 72.0"),
+        (three_halves, lambda p: p.update(index=72.0),
+         "index must be an int, got 72.0"),
+        (three_halves,
+         lambda p: [c.update(passed="false") for c in p["checks"]],
+         check_types),
+        (three_halves, lambda p: p["checks"][0].update(name=1), check_types),
+        (three_halves, lambda p: p["words"].update(B=5),
+         "the words for A and B must be strings"),
+        (three_halves, lambda p: p.update(witness=7), optional),
+        (three_halves, lambda p: p.update(reason=["x"]), optional),
+        (three_halves, lambda p: p.update(resources=[]),
+         "resources must be an object"),
+    ]
+    out = []
+    for base, forge, reason in forgeries:
+        payload = json.loads(json.dumps(base))
+        forge(payload)
+        out.append((payload, reason))
+    return out
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -49,6 +86,11 @@ class TestSpec:
             MoebiusSpec(0, 2)
         with pytest.raises(ValueError):
             MoebiusSpec(1, 1)
+        # True used to pass as 1 and print as True/2
+        with pytest.raises(ValueError, match="numerator must be an int"):
+            MoebiusSpec(True, 2)
+        with pytest.raises(ValueError, match="denominator must be an int"):
+            MoebiusSpec(3, 2.0)
 
 
 class TestExpressGenerators:
@@ -344,8 +386,8 @@ class TestSweep:
             table_sweep(2, [2], EnumerationLimits())
 
     @pytest.mark.parametrize("a_values,match", [
-        ([1, 0], "numerator must be positive"),
-        ([1, -3], "numerator must be positive"),
+        ([1, 0], "numerator must be >= 1"),
+        ([1, -3], "numerator must be >= 1"),
         ([1, 4], r"gcd\(4, 2\) != 1"),
     ])
     def test_bad_numerator_refused_before_any_work(self, monkeypatch,
@@ -406,11 +448,39 @@ class TestSweep:
         assert certs[1].reason.startswith("error: RuntimeError: ")
 
     # one numerator used to run serially whatever the worker count
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.0])
     @pytest.mark.parametrize("a_values", [[1], [1, 3]], ids=["one", "two"])
     def test_workers_below_one_refused(self, workers, a_values):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be (>= 1|an int)"):
             table_sweep(2, a_values, EnumerationLimits(), workers=workers)
+
+    def test_pool_no_larger_than_the_sweep(self, monkeypatch):
+        # a stand-in for the process pool records its size and maps in
+        # this process, so no worker process starts
+        import concurrent.futures
+        opened = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        certs = table_sweep(3, [1, 2], EnumerationLimits(), workers=64)
+        assert opened == [2]
+        assert [(c.spec.a, c.status) for c in certs] == \
+            [(1, "Arithmetic"), (2, "Arithmetic")]
+        # one entry runs here, with no pool at all
+        assert table_sweep(3, [1], EnumerationLimits(), workers=64)[0].index == 1
+        assert opened == [2]
 
     def test_worker_pool(self):
         certs = table_sweep(3, [1, 2], EnumerationLimits(), workers=2)
@@ -459,6 +529,10 @@ class TestOfflineVerification:
         payload["words"]["A"] = "y2^-2"
         ok, problems = verify_certificate(payload)
         assert not ok
+        # a word over a symbol the presentation lacks
+        payload["words"]["A"] = "z"
+        assert verify_certificate(payload) == (False, [
+            "word evaluation failed: no matrix assigned to symbol 'z'"])
 
     def test_presentation_shared_across_verifies(self, cert_table_32,
                                                   monkeypatch):
@@ -530,6 +604,7 @@ class TestOfflineVerification:
     @pytest.mark.parametrize("witness,problem", [
         ("A B", "relator witness does not evaluate to 1"),
         ("A^x", "witness check failed: "),
+        ("A B$", "witness check failed: bad generator symbol 'B$'"),
     ])
     def test_checks_witness_of_inconclusive(self, witness, problem):
         # certify records a witness on an Inconclusive certificate when a
@@ -579,9 +654,14 @@ class TestOfflineVerification:
         ok, problems = verify_certificate(payload)
         assert not ok and "index_formula" not in problems[0]
 
-    def test_rejects_malformed(self):
+    def test_rejects_malformed(self, cert_table_32):
         ok, problems = verify_certificate({"status": "Arithmetic"})
         assert not ok
+        # certificates whose fields have the wrong JSON type, each of which
+        # verified before
+        for payload, reason in forged_certificates(cert_table_32[0]):
+            assert verify_certificate(payload) == (
+                False, [f"malformed certificate: {reason}"])
 
     def test_unknown_status_is_malformed(self, cert_table_32):
         payload = cert_table_32[0].to_json_dict()

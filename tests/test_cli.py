@@ -15,8 +15,10 @@ from moebius_arith.cli import (
     WITNESS_NOT_FOUND,
     run,
 )
-from moebius_arith.coset_enum import DEFAULT_MAX_COSETS
+from moebius_arith.certifier import Certificate
+from moebius_arith.coset_enum import DEFAULT_MAX_COSETS, DEFAULT_WITNESS_BOUND
 from moebius_arith.exact import evaluate_word, make_moebius_generators, parse_word
+from test_certifier import forged_certificates
 
 FAST = ["--max-cosets", "200000", "--time-limit", "60"]
 
@@ -51,7 +53,7 @@ class TestPresent:
 
     def test_bad_base(self, capsys):
         assert run(["present", "1"]) == EXIT_USAGE
-        assert "argument b: must be >= 2, got 1" in capsys.readouterr().err
+        assert "argument b: value must be >= 2, got 1" in capsys.readouterr().err
         assert run(["sweep", "1", "--amax", "2"]) == EXIT_USAGE
 
 
@@ -82,21 +84,32 @@ class TestCertify:
         assert run(["certify", "2/4"]) == EXIT_USAGE
         assert run(["certify", "1.5"]) == EXIT_USAGE
 
-    def test_witness_flag(self, capsys):
+    def test_witness_flag(self, capsys, monkeypatch):
         assert run(["certify", "1/2", "--witness"] + FAST) == EXIT_OK
         captured = capsys.readouterr()
         assert "relator witness" in captured.out
         assert "note:" not in captured.err
+        # the flag alone searches to the default bound, with a value to it
+        real, bounds = cli.certify, []
+
+        def certify(spec, limits, *, witness_bound):
+            bounds.append(witness_bound)
+            return real(spec, limits, witness_bound=witness_bound)
+
+        monkeypatch.setattr(cli, "certify", certify)
+        for flags in (["--witness"], ["--witness", "40"], []):
+            assert run(["certify", "1/2"] + flags + FAST) == EXIT_OK
+        assert bounds == [DEFAULT_WITNESS_BOUND, 40, None]
 
     def test_witness_not_found_noted(self, capsys):
-        args = ["certify", "1/2", "--witness", "--witness-bound", "1"] + FAST
+        args = ["certify", "1/2", "--witness", "1"] + FAST
         assert run(args) == EXIT_OK
         captured = capsys.readouterr()
         assert "status=Arithmetic" in captured.out
         assert "relator witness" not in captured.out
         assert captured.err == WITNESS_NOT_FOUND.format(1) + "\n"
         # a search that was not asked for is not reported
-        assert run(["certify", "1/2", "--witness-bound", "1"] + FAST) == EXIT_OK
+        assert run(["certify", "1/2"] + FAST) == EXIT_OK
         assert capsys.readouterr().err == ""
 
 
@@ -283,12 +296,15 @@ class TestVerify:
     def test_unknown_status_is_malformed(self, tmp_path, capsys):
         path, _ = self._write_cert(tmp_path, ["3/2"])
         payload = json.loads(path.read_text())
+        forged = forged_certificates(Certificate.from_json_dict(payload))
         payload["status"] = "Free"
-        path.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert run(["verify", str(path)]) == EXIT_ERROR == 1
-        assert capsys.readouterr().out == (
-            "INVALID\n  - malformed certificate: bad status 'Free'\n")
+        # and the certificates whose fields have the wrong JSON type
+        for payload, reason in [(payload, "bad status 'Free'")] + forged:
+            path.write_text(json.dumps(payload))
+            capsys.readouterr()
+            assert run(["verify", str(path)]) == EXIT_ERROR == 1
+            assert capsys.readouterr().out == (
+                f"INVALID\n  - malformed certificate: {reason}\n")
 
     @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"],
                              ids=["text", "bytes"])
@@ -335,19 +351,25 @@ class TestEnvironment:
         assert run(["certify", "3/2"] + flags) == EXIT_USAGE
         assert reason in capsys.readouterr().err
 
-    # a count below 1 is a usage error naming its flag, before any work
-    @pytest.mark.parametrize("argv,flag", [
-        (["sweep", "3", "--amax", "2", "--jobs", "0"], "--jobs"),
-        (["sweep", "3", "--amax", "2", "--jobs", "-1"], "--jobs"),
-        (["sweep", "3", "--amax", "0"], "--amax"),
-        (["relator", "1/2", "--bound", "0"], "--bound"),
-        (["certify", "1/2", "--witness", "--witness-bound", "-5"],
-         "--witness-bound"),
-    ], ids=["jobs=0", "jobs=-1", "amax=0", "bound=0", "witness-bound=-5"])
-    def test_count_below_one_is_a_usage_error(self, argv, flag, capsys):
+    # a count below 1, or not an integer, is a usage error naming its
+    # flag, before any work
+    @pytest.mark.parametrize("argv,flag,reason", [
+        (["sweep", "3", "--amax", "2", "--jobs", "0"], "--jobs",
+         "value must be >= 1, got 0"),
+        (["sweep", "3", "--amax", "2", "--jobs", "-1"], "--jobs",
+         "value must be >= 1, got -1"),
+        (["sweep", "3", "--amax", "0"], "--amax", "value must be >= 1"),
+        (["relator", "1/2", "--bound", "0"], "--bound", "value must be >= 1"),
+        (["certify", "1/2", "--witness", "-5"], "--witness",
+         "value must be >= 1, got -5"),
+        (["sweep", "3", "--amax", "2", "--jobs", "x"], "--jobs",
+         "invalid literal for int() with base 10: 'x'"),
+    ], ids=["jobs=0", "jobs=-1", "amax=0", "bound=0", "witness=-5", "jobs=x"])
+    def test_count_below_one_is_a_usage_error(self, argv, flag, reason,
+                                              capsys):
         assert run(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be >= 1" in err
+        assert f"argument {flag}: {reason}" in err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE

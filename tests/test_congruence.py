@@ -76,6 +76,18 @@ class TestSl2Order:
     def test_one(self):
         assert sl2_order(1) == 1
 
+    def test_modulus_must_be_a_count(self):
+        # 2.0 used to give 6.0; a modulus is an int, not a bool or float
+        a, _ = make_moebius_generators(1, 2)
+        for bad in (0, 2.0, True):
+            with pytest.raises(ValueError, match="modulus must be"):
+                sl2_order(bad)
+        for bad in (1, 5.0, True):
+            with pytest.raises(ValueError, match="modulus must be"):
+                reduce_mod(a, bad)
+            with pytest.raises(ValueError, match="modulus must be"):
+                ResidueMatrix(bad, 1, 0, 0, 1)
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_against_brute_force(self, n):
         assert sl2_order(n) == brute_force_sl2_order(n)

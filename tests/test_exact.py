@@ -10,6 +10,7 @@ import pytest
 from moebius_arith.exact import (
     GroupWord,
     UniModularMatrix,
+    check_count,
     check_moebius_parameters,
     evaluate_word,
     format_matrix,
@@ -96,16 +97,34 @@ class TestMatrices:
             make_moebius_generators(a, b)
 
     @pytest.mark.parametrize("a,b,reason", [
-        (0, 2, "numerator must be positive, got 0"),
-        (-1, 2, "numerator must be positive, got -1"),
-        (2, 1, "denominator must exceed 1, got 1"),
+        (0, 2, "numerator must be >= 1, got 0"),
+        (-1, 2, "numerator must be >= 1, got -1"),
+        (2, 1, "denominator must be >= 2, got 1"),
         (2, 4, r"gcd\(2, 4\) != 1"),
+        (True, 2, "numerator must be an int, got True"),
+        (3, 2.0, "denominator must be an int, got 2.0"),
     ])
     def test_moebius_parameter_reasons(self, a, b, reason):
         # one check, with one reason per fault, behind every entry point
         for check in (check_moebius_parameters, make_moebius_generators):
             with pytest.raises(ValueError, match=reason):
                 check(a, b)
+
+    def test_check_count(self):
+        assert check_count("n", 1) == 1
+        assert check_count("n", 7, least=2, most=7) == 7
+        for value, reason in [
+                (0, "n must be >= 1, got 0"),
+                (8, "n must be <= 7, got 8"),
+                (True, "n must be an int, got True"),
+                (False, "n must be an int, got False"),
+                (3.0, "n must be an int, got 3.0"),
+                ("3", "n must be an int, got '3'"),
+                (None, "n must be an int, got None")]:
+            with pytest.raises(ValueError) as info:
+                check_count("n", value, most=7)
+            assert str(info.value) == reason
+
     def test_mul_inv_identity(self):
         a, _ = make_moebius_generators(1, 2)
         assert a * a.inv() == IDENT
@@ -290,6 +309,7 @@ class TestWords:
             syll = [(rng.choice(syms), rng.randint(-9, 9)) for _ in range(6)]
             w = word(syll)
             assert parse_word(format_word(w)) == w
+        assert format_word(GroupWord()) == "1"
         assert parse_word("1").is_empty()
 
     def test_evaluate_empty_word(self):

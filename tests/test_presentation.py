@@ -112,8 +112,9 @@ class TestBuildPresentation:
             build_presentation(2).generators
 
     def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            build_presentation(1)
+        for bad in (1, 4.0, True):
+            with pytest.raises(ValueError, match="base must be"):
+                build_presentation(bad)
 
     def test_b35_shares_st_copy(self):
         pres = build_presentation(35)
