@@ -23,10 +23,14 @@ elements and collisions, in the same order, in int64 entries.
 The kernel is compiled on first use, not at import, with the system C
 compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The library
 lands in `$XDG_CACHE_HOME/moebius_arith/` (else `~/.cache/moebius_arith/`)
-under a name keyed by the SHA-256 of the source and the compile command.
-It is written under a temporary name and renamed into place, so parallel
-processes never load a partial file.  If compiling or loading fails, `run`
-and `ball` return None and the caller runs the Python code.
+under a name keyed by the SHA-256 of the source, the compile command and
+the machine.  It is written under a temporary name and renamed into
+place, so parallel processes never load a partial file.  A cache hit
+costs `ctypes`, `shlex` and one read of the source: the digest comes from
+the interpreter's own SHA-256, not OpenSSL's, and only a miss imports
+`subprocess` and `tempfile`.  If compiling or loading fails, or `$CC`
+cannot be split into words, `run` and `ball` return None and the caller
+runs the Python code.
 
 The kernel keeps no clock.  Every 4096 definitions, and every 4096 live
 cosets a lookahead scans, it calls back into Python, to the poll that
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 from array import array
 
 # read by the certifier benchmark to label its environment; there is no
@@ -69,22 +74,46 @@ def _cache_dir() -> str:
     return os.path.join(base, "moebius_arith")
 
 
+def _sha256(data: bytes):
+    """A SHA-256 of `data` from the interpreter's own module: `hashlib`
+    would load OpenSSL's libcrypto, 3.5 MB of RSS, for this one digest."""
+    # chosen by version, so no import fails and searches the path
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:           # an interpreter built without them
+        from hashlib import sha256
+    return sha256(data)
+
+
 def _build() -> str:
-    """Path of the compiled kernel, compiling it if it is not cached."""
-    # imports here and below run on first use, so importing the package
-    # stays as cheap as it was without the kernel
-    import hashlib
+    """Path of the compiled kernel, compiling it if it is not cached.
+
+    The name is keyed by the SHA-256 of the source, the compile command
+    and the machine (`os.uname().machine`), so hosts of two architectures
+    that share a cache each build their own.  A cache hit imports neither
+    OpenSSL nor `subprocess`.  Raises ValueError for a `$CC` that
+    `shlex` cannot split and OSError for a failed build."""
+    # imports here and in _compile run on first use, so importing the
+    # package stays as cheap as it was without the kernel
     import shlex
-    import subprocess
-    import tempfile
 
     command = [*shlex.split(os.environ.get("CC", "cc")), *FLAGS]
     with open(SOURCE, "rb") as fh:
-        key = hashlib.sha256(fh.read())
-    key.update("\0".join(command).encode())
+        key = _sha256(fh.read())
+    key.update("\0".join([*command, os.uname().machine]).encode())
     target = os.path.join(_cache_dir(), f"_tc-{key.hexdigest()[:24]}.so")
-    if os.path.isfile(target):
-        return target
+    if not os.path.isfile(target):
+        _compile(command, target)
+    return target
+
+
+def _compile(command: list[str], target: str) -> None:
+    import subprocess
+    import tempfile
+
     os.makedirs(os.path.dirname(target), exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
     os.close(fd)
@@ -92,10 +121,11 @@ def _build() -> str:
         subprocess.run([*command, "-o", tmp, SOURCE], check=True,
                        capture_output=True, timeout=300)
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"compiling {SOURCE} failed: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return target
 
 
 def kernel():
@@ -104,11 +134,10 @@ def kernel():
     global _kernel
     if _kernel is _UNSET:
         import ctypes
-        import subprocess
 
         try:
             lib = ctypes.CDLL(_build())
-        except (OSError, subprocess.SubprocessError):
+        except (OSError, ValueError):
             _kernel = None
             return None
         i64, ptr = ctypes.c_int64, ctypes.c_void_p

@@ -13,6 +13,7 @@ checks the kernel's relator search against the Python one.
 
 import ctypes
 import functools
+import hashlib
 import os
 import random
 import shlex
@@ -538,6 +539,18 @@ class TestLoader:
         assert fast[0].resources["defined_cosets"] != \
             fast[1].resources["defined_cosets"]
 
+    def test_unparsable_compiler_falls_back_to_pure(self, monkeypatch,
+                                                   tmp_path):
+        # shlex cannot split an unclosed quote; the loader gives up on the
+        # kernel as it does for a missing compiler
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("CC", 'cc "')
+        monkeypatch.setattr(_fast, "_kernel", _fast._UNSET)
+        cert = certify(MoebiusSpec(3, 2))
+        assert _fast.kernel() is None
+        assert (cert.status, cert.index, cert.resources["engine"]) == \
+            ("Arithmetic", 72, "pure")
+
     def test_kernel_compiles_without_warnings(self, tmp_path):
         # -Wconversion makes every implicit narrowing or sign change an
         # error too
@@ -558,6 +571,45 @@ class TestLoader:
         stamp = os.stat(path).st_mtime_ns
         assert _fast._build() == path
         assert os.stat(path).st_mtime_ns == stamp
+
+    @pytest.mark.parametrize("blocked", [[], ["_sha2", "_sha256"]],
+                             ids=["builtin", "hashlib"])
+    def test_key_is_sha256_of_source_command_and_machine(self, monkeypatch,
+                                                         blocked):
+        # the cache is warm, so _build only names the library; with the
+        # interpreter's own SHA-256 blocked it takes hashlib's
+        for name in blocked:
+            monkeypatch.setitem(sys.modules, name, None)
+        command = [*shlex.split(os.environ.get("CC", "cc")), *_fast.FLAGS]
+        with open(_fast.SOURCE, "rb") as fh:
+            key = hashlib.sha256(fh.read())
+        key.update("\0".join([*command, os.uname().machine]).encode())
+        assert os.path.basename(_fast._build()) == \
+            f"_tc-{key.hexdigest()[:24]}.so"
+
+    def test_key_covers_the_machine(self, monkeypatch, tmp_path):
+        # a cache shared by two architectures holds one library for each
+        built = []
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_fast, "_compile",
+                            lambda command, target: built.append(target))
+        for machine in ("x86_64", "aarch64"):
+            monkeypatch.setattr(os, "uname",
+                                lambda: SimpleNamespace(machine=machine))
+            assert _fast._build() == built[-1]
+        assert len(set(built)) == 2
+
+    def test_cache_hit_imports_no_openssl_or_subprocess(self):
+        # in a fresh interpreter on the cache this process warmed; site
+        # hooks may import some of these before, so only new ones count
+        code = ("import sys, moebius_arith._fast as fast; "
+                "before = set(sys.modules); "
+                "assert fast.kernel() is not None; "
+                "new = set(sys.modules) - before; "
+                "heavy = {'hashlib', '_hashlib', 'subprocess', 'tempfile'}; "
+                "assert not new & heavy, sorted(new & heavy)")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=package_env())
 
     def test_import_loads_no_kernel(self):
         code = ("import sys, moebius_arith, moebius_arith._fast; "
