@@ -4,10 +4,13 @@ the C kernel in `_tc.c`.
 `_tc.c` ports the unlabelled `coset_enum._Engine`, HLT and Felsch alike,
 with the same queue and deduction orders, representatives, tables and
 counters, so a run yields a byte-identical table and the same definition
-count, peak and overflow reason.  Only its union-find links differ: it
-halves paths where the engine compresses them.  The engine's labelled mode,
-which `find_relator`'s fallback uses, stays pure Python.  The pure engine
-stays the specification and the fallback.
+count, peak and overflow reason.  That includes HLT's growth lookahead,
+at 32,768 rows and then at 4 times the rows each one leaves; Felsch runs
+have none (see `_Engine._recover`).  Only its union-find links differ: it
+halves paths where the engine compresses them.  The engine's labelled
+mode, which `find_relator`'s fallback uses and which has no growth
+lookahead either, stays pure Python.  The pure engine stays the
+specification and the fallback.
 
 The kernel's last section, `tc_verify` (wrapped by `verify`), is the
 exhaustive table check that `todd_coxeter` runs on every kernel table.  It
@@ -21,16 +24,16 @@ reference is `coset_enum._SyllableBall` and its `collisions`: the same
 elements and collisions, in the same order, in int64 entries.
 
 The kernel is compiled on first use, not at import, with the system C
-compiler (`$CC`, default `cc`) and `-O2 -shared -fPIC`.  The library
-lands in `$XDG_CACHE_HOME/moebius_arith/` (else `~/.cache/moebius_arith/`)
-under a name keyed by the SHA-256 of the source, the compile command and
-the machine.  It is written under a temporary name and renamed into
-place, so parallel processes never load a partial file.  A cache hit
-costs `ctypes`, `shlex` and one read of the source: the digest comes from
-the interpreter's own SHA-256, not OpenSSL's, and only a miss imports
-`subprocess` and `tempfile`.  If compiling or loading fails, or `$CC`
-cannot be split into words, `run` and `ball` return None and the caller
-runs the Python code.
+compiler (`$CC`, or `cc` when that is unset, empty or blank) and `-O2
+-shared -fPIC`.  The library lands in `$XDG_CACHE_HOME/moebius_arith/`
+(else `~/.cache/moebius_arith/`) under a name keyed by the SHA-256 of the
+source, the compile command and the machine.  It is written under a
+temporary name and renamed into place, so parallel processes never load a
+partial file.  A cache hit costs `ctypes`, `shlex` and one read of the
+source: the digest comes from the interpreter's own SHA-256, not
+OpenSSL's, and only a miss imports `subprocess` and `tempfile`.  If
+compiling or loading fails, or `$CC` cannot be split into words, `run`
+and `ball` return None and the caller runs the Python code.
 
 The kernel keeps no clock.  Every 4096 definitions, and every 4096 live
 cosets a lookahead scans, it calls back into Python, to the poll that
@@ -100,7 +103,8 @@ def _build() -> str:
     # package stays as cheap as it was without the kernel
     import shlex
 
-    command = [*shlex.split(os.environ.get("CC", "cc")), *FLAGS]
+    # an empty or blank $CC splits into no words and means cc, as unset
+    command = [*(shlex.split(os.environ.get("CC", "")) or ["cc"]), *FLAGS]
     with open(SOURCE, "rb") as fh:
         key = _sha256(fh.read())
     key.update("\0".join([*command, os.uname().machine]).encode())

@@ -4,14 +4,25 @@
    Every function below mirrors the method of the same name in the pure
    engine: the same seeding, definition order, coincidence queue,
    deduction stack, lookahead and where it starts, compaction policy,
-   table-full recovery and peak accounting (peak is the allocation
-   high-water mark, counted at compaction and at the end).  A run therefore
-   produces a byte-identical table and identical counters; the pure engine
-   is the specification, so change both together.  Only the union-find
-   links inside p differ: rep halves paths where _Engine._rep compresses
-   them, and merge takes the representatives that coincide already holds
-   instead of finding them again.  Classes and their representatives, the
-   least members, are the same.
+   table-full recovery, growth lookaheads and peak accounting (peak is the
+   allocation high-water mark, counted at compaction and at the end).  A
+   run therefore produces a byte-identical table and identical counters;
+   the pure engine is the specification, so change both together.  Only
+   the union-find links inside p differ: rep halves paths where
+   _Engine._rep compresses them, and merge takes the representatives that
+   coincide already holds instead of finding them again.  Classes and
+   their representatives, the least members, are the same.
+
+   HLT stops for a growth lookahead before the table is full: define
+   refuses a row at e->limit, which stays below max_cosets until the
+   growth lookaheads reach it, and recover runs the table-full recovery's
+   lookahead from the walk position and compacts, without its overflow
+   test.  The first comes at LOOKAHEAD_MIN_ROWS rows, each next at
+   LOOKAHEAD_GROWTH times the rows the last one left; it finds a collapse
+   while the table is small.
+   Felsch has none: its limit is max_cosets, and define makes one
+   comparison under either strategy.  Neither have the engine's labelled
+   runs, in which a lookahead would change the labels and the witnesses.
 
    The last section, tc_verify, checks a completed table exhaustively.  It
    shares no code with the enumerator: it is the port of
@@ -32,6 +43,11 @@
 #define POLL_EVERY 4096
 #define FIRST_CAPACITY 1024
 #define STACK_FLOOR 4096
+/* unlabelled HLT's growth lookaheads: the first at LOOKAHEAD_MIN_ROWS
+   rows (8 * COMPACT_MIN_ROWS), each next at LOOKAHEAD_GROWTH times the
+   rows the last one left */
+#define LOOKAHEAD_MIN_ROWS 32768
+#define LOOKAHEAD_GROWTH 4
 
 /* a hint only, so a compiler without the builtin simply skips it */
 #if defined(__GNUC__) || defined(__clang__)
@@ -81,6 +97,11 @@ struct Engine {
     int32_t *ded;
     int64_t nded;
     int64_t ded_cap;
+    /* define stops at `limit` rows: max_cosets, or for HLT the rows of the
+       next growth lookahead if that is less.  Last, so that the fields
+       above keep their offsets: placed after max_cosets it cost Felsch
+       runs 6-7 % of their time on one x86-64 host */
+    int64_t limit;
 };
 
 /* -- primitive operations ------------------------------------------------ */
@@ -192,10 +213,12 @@ static int grow(Engine *e)
     return TC_OK;
 }
 
+/* At the row limit define returns TC_MAX_COSETS, which run hands to
+   recover: the table is full, or a growth lookahead is due. */
 static int define(Engine *e, int32_t alpha, int64_t x)
 {
     const int64_t w = e->w;
-    if (e->n >= e->max_cosets)
+    if (e->n >= e->limit)
         return TC_MAX_COSETS;
     if (e->n == e->cap && grow(e) != TC_OK)
         return TC_NO_MEMORY;
@@ -433,9 +456,13 @@ static int felsch_step(Engine *e, int32_t alpha)
     return TC_OK;
 }
 
-/* Lookahead plus compaction after the table filled, which also empties the
-   deduction stack; overflow if the space recovered is too small to make
-   progress.
+/* Lookahead plus compaction once the rows reach the row limit, which also
+   empties the deduction stack.  At max_cosets the table is full: overflow
+   if the space recovered is too small to make progress.  Below it, this
+   is unlabelled HLT's growth lookahead, and the next one comes when the
+   rows reach LOOKAHEAD_GROWTH times those left now, and never before the
+   rows of this one.  Felsch stops only at max_cosets (see _Engine._recover
+   for why).
 
    Under HLT the lookahead starts at the walk position `alpha`, and skipping
    the cosets below it changes nothing.  The walk leaves a coset c < alpha
@@ -452,12 +479,18 @@ static int felsch_step(Engine *e, int32_t alpha)
    again. */
 static int recover(Engine *e, int64_t *alpha)
 {
+    const int full = e->n >= e->max_cosets;
     int rc = lookahead(e, e->deduce ? 0 : *alpha);
     if (rc != TC_OK)
         return rc;
     *alpha = compact(e, *alpha);
-    if ((double)e->n >= (double)e->max_cosets * 0.98)
-        return TC_MAX_COSETS;
+    if (full)
+        return (double)e->n >= (double)e->max_cosets * 0.98 ? TC_MAX_COSETS
+                                                             : TC_OK;
+    if (LOOKAHEAD_GROWTH * e->n > e->limit)
+        e->limit = LOOKAHEAD_GROWTH * e->n;
+    if (e->limit > e->max_cosets)
+        e->limit = e->max_cosets;
     return TC_OK;
 }
 
@@ -527,6 +560,8 @@ int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
         .step = strategy == TC_FELSCH ? felsch_step : hlt_step,
         .deduce = strategy == TC_FELSCH,
         .max_cosets = max_cosets, .poll = poll,
+        .limit = strategy != TC_FELSCH && LOOKAHEAD_MIN_ROWS < max_cosets
+                     ? LOOKAHEAD_MIN_ROWS : max_cosets,
         .n = 1, .live = 1, .defined = 1, .peak = 1,
     };
     int rc = TC_NO_MEMORY;

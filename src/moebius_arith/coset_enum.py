@@ -10,7 +10,14 @@ away once they exceed a quarter of the table.
 One loop serves both strategies.  It seeds the subgroup words at coset 0,
 walks the live cosets in order, recovers a full table with one lookahead
 pass and resumes, compacts, and ends with a closing pass that restarts the
-walk if it re-opens the table.  A strategy is the step taken at each coset:
+walk if it re-opens the table.  Unlabelled HLT also makes that recovery
+at growth points, before the table is full: first at
+`_LOOKAHEAD_MIN_ROWS` rows, then each time the rows reach
+`_LOOKAHEAD_GROWTH` times those the last one left (HLT with lookahead, as
+in Havas, "Coset enumeration strategies", ISSAC 1991).  Such a lookahead
+finds a collapse while the table is small; 7/4 defines 276,938 cosets
+with it and 478,722 without.  Felsch and labelled runs wait for a full
+table (see `_recover`).  A strategy is the step taken at each coset:
 HLT (default) scans every relator there with fill, then defines the open
 entries; Felsch defines each open entry and propagates its deductions
 against the relators' cyclic conjugates before the next one.  The step
@@ -91,6 +98,11 @@ DEFAULT_WITNESS_BOUND = 300
 # dead-row fraction that triggers compaction
 _COMPACT_FRACTION = 0.25
 _COMPACT_MIN_ROWS = 4096
+# unlabelled HLT stops for a growth lookahead when its rows first reach
+# _LOOKAHEAD_MIN_ROWS, and then each time they reach _LOOKAHEAD_GROWTH times
+# the rows that the last one left
+_LOOKAHEAD_MIN_ROWS = 8 * _COMPACT_MIN_ROWS
+_LOOKAHEAD_GROWTH = 4
 # Felsch's deduction stack is dropped for a full lookahead once it holds
 # more than this many entries, or twice the live cosets if that is more
 _STACK_FLOOR = 4096
@@ -196,7 +208,8 @@ def _cyclic_reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
 
 
 class _TableFull(Exception):
-    pass
+    """Raised by `_define` at the row limit; it ends the run only from
+    `_recover`, for a table full at `max_cosets`."""
 
 
 class _TimeLimit(Exception):
@@ -315,9 +328,14 @@ class _Engine:
         self._step = self._felsch_step if felsch else self._hlt_step
         self.deductions: Optional[list] = [] if felsch else None
         self.buckets = _rotation_buckets(self.relators, width) if felsch else None
+        labelled = symbols is not None
+        # `_define` stops at row_limit rows: at max_cosets, or for unlabelled
+        # HLT earlier, at the rows of the next growth lookahead (see
+        # `_recover`)
+        self.row_limit = (self.max_cosets if felsch or labelled
+                          else min(self.max_cosets, _LOOKAHEAD_MIN_ROWS))
         # labelled mode: entry labels parallel to tab, coset labels
         # parallel to p
-        labelled = symbols is not None
         self.labels: Optional[list] = [None] * width if labelled else None
         self.coset_labels: Optional[list] = [None] if labelled else None
         self.subgroup_labels = ([("syl", sym, 1) for sym in symbols]
@@ -417,7 +435,7 @@ class _Engine:
 
     def _define(self, alpha: int, x: int) -> None:
         ncosets = len(self.p)
-        if ncosets >= self.max_cosets:
+        if ncosets >= self.row_limit:
             raise _TableFull
         beta = ncosets
         self.tab.extend(self._blank_row)
@@ -656,9 +674,18 @@ class _Engine:
                 self._drain_deductions()
 
     def _recover(self, alpha: int) -> int:
-        """Lookahead plus compaction after the table filled, which also
-        empties the deduction stack; overflow if the space recovered is too
-        small to make progress.
+        """Lookahead plus compaction once the rows reach the row limit,
+        which also empties the deduction stack.  At `max_cosets` the table
+        is full: overflow if the space recovered is too small to make
+        progress.  Below it, this is unlabelled HLT's growth lookahead, and
+        the next one comes when the rows reach `_LOOKAHEAD_GROWTH` times
+        those left now, and never before the rows of this one.  It finds
+        coincidences while the table is small, which a walk that only
+        fills meets after defining far more rows.  Felsch and labelled runs
+        stop only at `max_cosets`: Felsch's deductions already close the
+        relator cycles through each new entry, and in a labelled run the
+        growth lookahead changes the labels, and so the witnesses, and
+        slows reading the relators off them.
 
         Under HLT the lookahead starts at the walk position `alpha`, and
         skipping the cosets below it changes nothing.  The walk leaves a
@@ -674,10 +701,16 @@ class _Engine:
         nor find a coincidence.  Felsch starts at 0: it never scans with
         fill, and compaction drops its queued deductions, which this
         lookahead has to find again."""
+        full = len(self.p) >= self.max_cosets
         self._lookahead(0 if self.deductions is not None else alpha)
         new_alpha = self._compact(alpha)
-        if len(self.p) >= self.max_cosets * 0.98:
-            raise _TableFull
+        if full:
+            if len(self.p) >= self.max_cosets * 0.98:
+                raise _TableFull
+        else:
+            self.row_limit = min(self.max_cosets,
+                                 max(self.row_limit,
+                                     _LOOKAHEAD_GROWTH * len(self.p)))
         return new_alpha
 
     def _drain_deductions(self) -> None:

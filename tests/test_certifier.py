@@ -272,16 +272,16 @@ class TestCertify:
             certify_with_table(MoebiusSpec(3, 2))
 
     def test_progress_reported(self):
-        # 7/4 makes 478,722 definitions, so `progress` hears of every
+        # 7/4 makes 276,938 definitions, so `progress` hears of every
         # multiple of PROGRESS_EVERY up to that
         from moebius_arith.coset_enum import PROGRESS_EVERY
         calls = []
         cert = certify(MoebiusSpec(7, 4), EnumerationLimits(),
                        progress=lambda defined, live: calls.append(defined))
         assert cert.status == "Arithmetic"
-        assert cert.resources["defined_cosets"] == 478_722
+        assert cert.resources["defined_cosets"] == 276_938
         assert calls == [k * PROGRESS_EVERY
-                         for k in range(1, 478_722 // PROGRESS_EVERY + 1)]
+                         for k in range(1, 276_938 // PROGRESS_EVERY + 1)]
 
     def test_certificate_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from moebius_arith.coset_enum import (
     PROGRESS_EVERY,
     CosetTable,
     EnumerationLimits,
+    _LOOKAHEAD_MIN_ROWS,
     _Engine,
     _VERIFY_MESSAGES,
     _cyclic_reduce_letters,
@@ -1080,10 +1081,12 @@ class TestLabelledRun:
     @pytest.mark.parametrize("a, b", [(3, 2), (5, 3), (4, 11)])
     def test_labels_never_steer_the_walk(self, a, b):
         # the same table bytes, rows, peak and definitions with and
-        # without labels
+        # without labels.  At this budget the plain run meets no growth
+        # lookahead, which labelled runs skip: 4/11 fills its table there
+        # and both runs recover alike
         pres, words = self._setup(a, b)
         width, relators, subgroup = _enumeration_letters(pres, words)
-        limits = EnumerationLimits(max_cosets=200_000)
+        limits = EnumerationLimits(max_cosets=_LOOKAHEAD_MIN_ROWS)
         plain = _run_pure(_Engine(width, relators, subgroup, limits))
         labelled = _Engine(width, relators, subgroup, limits,
                            symbols=("A", "B"))
@@ -1092,6 +1095,19 @@ class TestLabelledRun:
         assert run[0].tobytes() == plain[0].tobytes()
         assert run[1:] == plain[1:]
         assert len(labelled.labels) == len(run[0])
+
+    def test_growth_lookahead_is_unlabelled_only(self):
+        # at the default budget the plain 7/5 run stops for a growth
+        # lookahead at 32,768 rows, which closes its table; the labelled
+        # run has none and goes on to 38,269 definitions
+        pres, words = self._setup(7, 5)
+        width, relators, subgroup = _enumeration_letters(pres, words)
+        limits = EnumerationLimits()
+        plain = _run_pure(_Engine(width, relators, subgroup, limits))
+        labelled = _run_pure(_Engine(width, relators, subgroup, limits,
+                                     symbols=("A", "B")))
+        assert plain[1:] == (2_352, 32_768, 32_768, None)
+        assert labelled[1:] == (2_352, 38_260, 38_269, None)
 
     @pytest.mark.parametrize("a, b", [(3, 2), (4, 3)])
     def test_every_labelled_word_is_a_relator(self, a, b):

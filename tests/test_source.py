@@ -177,6 +177,8 @@ def test_kernel_constants_match_python():
         "TV_NO_MEMORY": _fast._VERIFY_NO_MEMORY,
         "POLL_EVERY": coset_enum._POLL_EVERY,
         "COMPACT_MIN_ROWS": coset_enum._COMPACT_MIN_ROWS,
+        "LOOKAHEAD_MIN_ROWS": coset_enum._LOOKAHEAD_MIN_ROWS,
+        "LOOKAHEAD_GROWTH": coset_enum._LOOKAHEAD_GROWTH,
         "STACK_FLOOR": coset_enum._STACK_FLOOR,
         "UNDEF": coset_enum.UNDEF,
     }
