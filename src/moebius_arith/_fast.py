@@ -19,9 +19,13 @@ enumerator's functions, makes the same five checks in the same order and
 raises the same messages.  `_verify_table` checks the pure engine's tables.
 
 The section before it, `tc_ball` and `tc_collide` (wrapped by `ball` and
-`Ball`), ports the relator search's ball and collision phases, whose
-reference is `coset_enum._SyllableBall` and its `collisions`: the same
-elements and collisions, in the same order, in int64 entries.
+`Ball`), builds the relator search's ball and finds its equal
+evaluations, whose reference is `coset_enum._SyllableBall` and its
+`equal_evaluations`: the same elements and records, in the same order, in
+int64 entries.  The conjugation collisions are found in Python, by
+`coset_enum._conjugation_collisions` on either kind of ball, which reads
+`Ball.nums` and `Ball.weights`, lists built from the arrays on first read
+(3-11 ms for b <= 13).
 
 The kernel is compiled on first use, not at import, with the system C
 compiler (`$CC`, or `cc` when that is unset, empty or blank) and `-O2
@@ -51,6 +55,7 @@ import os
 import signal
 import sys
 from array import array
+from functools import cached_property
 
 # read by the certifier benchmark to label its environment; there is no
 # numba engine
@@ -157,7 +162,7 @@ def kernel():
         lib.tc_verify.restype = ctypes.c_int
         lib.tc_ball.argtypes = [i64] * 6 + [ptr] * 5
         lib.tc_ball.restype = ctypes.c_int
-        lib.tc_collide.argtypes = [i64] + [ptr] * 4 + [i64] * 5 + [ptr] * 2
+        lib.tc_collide.argtypes = [i64, ptr, i64, ptr, ptr]
         lib.tc_collide.restype = ctypes.c_int
         _kernel = lib
     return _kernel
@@ -294,19 +299,18 @@ def verify(table, relators, subgroup) -> None:
 
 # tc_ball's codes besides _OK, which reports a complete ball
 _CAPPED, _DETERMINANT = 1, 2
-_INT64_MAX = 2 ** 63 - 1
-# collision records a first tc_collide run has room for; the grid of
-# 114 specs with b <= 13 needs at most 476
+# equal evaluations a first tc_collide run has room for; the grid of 114
+# specs with b <= 13 needs at most 476
 _FIRST_ROOM = 1024
 
 
 def ball(m, depth: int, erange: int, cap: int):
     """`coset_enum._SyllableBall(m, depth, erange)` under the growth cap
     `cap`, built by tc_ball, or None when the kernel is unavailable or an
-    entry could pass 2^30 in absolute value, the bound under which every
-    product the kernel forms fits in int64.  An entry is at most
-    2^(depth-1) c^depth with c = den(m) + erange * |num(m)|, the largest
-    entry of a scaled step."""
+    entry could pass 2^30 in absolute value, the bound that keeps
+    tc_ball's shears and its determinant products within 2^60.  An entry
+    is at most 2^(depth-1) c^depth with c = den(m) + erange * |num(m)|,
+    the largest entry of a scaled step."""
     lib = kernel()
     c = m.denominator + erange * abs(m.numerator)
     if lib is None or not m or 2 ** (depth - 1) * c ** depth > 2 ** 30:
@@ -316,7 +320,9 @@ def ball(m, depth: int, erange: int, cap: int):
 
 class Ball:
     """A syllable ball in arrays: four entries, a weight, a parent and a
-    last syllable coded 2*e + (0 for A, 1 for B) per element."""
+    last syllable coded 2*e + (0 for A, 1 for B) per element.  `nums` and
+    `weights` give the entries and weights as `_SyllableBall`'s lists, for
+    the conjugation search, built on first read."""
 
     def __init__(self, lib, m, depth, erange, cap):
         # the whole ball, or at most one parent's children past the cap
@@ -347,20 +353,27 @@ class Ball:
         out.reverse()
         return out
 
-    def collisions(self, m, bound: int, pair_cap: int):
-        """`coset_enum._SyllableBall.collisions` on this ball, in its
-        order, as (sym, k, u, v) for the relator sym^k u sym^-k v^-1; k is
-        0 for an equal evaluation."""
+    @cached_property
+    def nums(self) -> list[tuple[int, int, int, int]]:
+        flat = self.arrays[0][:4 * self.n]
+        return list(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+
+    @cached_property
+    def weights(self) -> list[int]:
+        return self.arrays[1][:self.n].tolist()
+
+    def equal_evaluations(self) -> list[tuple[str, int, int, int]]:
+        """`coset_enum._SyllableBall.equal_evaluations` on this ball, by
+        tc_collide, in its order."""
         count, room = array("q", [0]), _FIRST_ROOM
         while True:
-            hits = array("q", [0]) * (4 * room)
+            hits = array("q", [0]) * (2 * room)
             if self.lib.tc_collide(
-                    self.n, *self._pointers(), m.numerator, m.denominator,
-                    min(bound, _INT64_MAX), min(pair_cap, _INT64_MAX), room,
+                    self.n, self.arrays[0].buffer_info()[0], room,
                     hits.buffer_info()[0], count.buffer_info()[0]) != _OK:
                 raise MemoryError("relator search allocation failed")
             if count[0] <= room:
                 break
             room = count[0]   # too many to hold: run it again
-        return [("AB"[hits[j]], *hits[j + 1:j + 4])
-                for j in range(0, 4 * count[0], 4)]
+        return [("A", 0, hits[j], hits[j + 1])
+                for j in range(0, 2 * count[0], 2)]

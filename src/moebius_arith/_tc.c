@@ -598,36 +598,30 @@ void tc_free(int32_t *table)
 
 /* -- relator search -----------------------------------------------------------
 
-   The syllable ball of coset_enum._SyllableBall and both collision phases
-   of its collisions method, which stay the reference: the same elements in
-   the same order, the same collisions in the same order.
+   The syllable ball of coset_enum._SyllableBall and its equal evaluations,
+   which stay the reference: the same elements in the same order, the same
+   equal evaluations in the same order.  The conjugation collisions are
+   found in Python, on this ball as on the reference's.
    It shares no state with the enumerator above.
 
    A ball element is four int64 entries over the fixed denominator
    den = l^depth, a weight, a parent (-1 for the empty word) and a last
    syllable coded as 2*e + s, with s = 0 for A and 1 for B.  _fast.ball
    sends a ball here only when no entry can exceed 2^30 in absolute value,
-   so every product below, determinants included, stays within 2^60 and
-   every sum within int64.  Divisions floor, as Python's // and divmod do.  The reference's dicts
-   become hash tables that number their keys in first-seen order, so
-   buckets and classes are visited in the reference's order.  */
+   so every shear below and every determinant product stays within 2^60.
+   Divisions floor, as Python's // does.  The reference's dict becomes a
+   hash table that numbers its keys in first-seen order.  */
 
 #define RS_MAX_DEPTH 8
 
 /* tc_ball's return codes */
 enum { RS_COMPLETE = 0, RS_CAPPED, RS_DETERMINANT, RS_BAD_ARGUMENT };
 
-/* floor(a / b), and a - b * floor(a / b) in *rem when rem is not NULL */
-static int64_t rs_floordiv(int64_t a, int64_t b, int64_t *rem)
+/* floor(a / b) */
+static int64_t rs_floordiv(int64_t a, int64_t b)
 {
     int64_t q = a / b, r = a % b;
-    if (r != 0 && (r < 0) != (b < 0)) {
-        q--;
-        r += b;
-    }
-    if (rem)
-        *rem = r;
-    return q;
+    return r != 0 && (r < 0) != (b < 0) ? q - 1 : q;
 }
 
 /* The ball of coset_enum._SyllableBall(mnum / l, depth, erange) whose
@@ -669,13 +663,13 @@ int tc_ball(int64_t mnum, int64_t l, int64_t depth, int64_t erange,
                        column gains the second */
                     if (s == 0) {
                         c[0] = p[0];
-                        c[1] = p[1] + rs_floordiv(p[0] * x, l, NULL);
+                        c[1] = p[1] + rs_floordiv(p[0] * x, l);
                         c[2] = p[2];
-                        c[3] = p[3] + rs_floordiv(p[2] * x, l, NULL);
+                        c[3] = p[3] + rs_floordiv(p[2] * x, l);
                     } else {
-                        c[0] = p[0] + rs_floordiv(p[1] * x, l, NULL);
+                        c[0] = p[0] + rs_floordiv(p[1] * x, l);
                         c[1] = p[1];
-                        c[2] = p[2] + rs_floordiv(p[3] * x, l, NULL);
+                        c[2] = p[2] + rs_floordiv(p[3] * x, l);
                         c[3] = p[3];
                     }
                     if (c[0] * c[3] - c[1] * c[2] != dd)
@@ -698,35 +692,11 @@ int tc_ball(int64_t mnum, int64_t l, int64_t depth, int64_t erange,
     return RS_COMPLETE;
 }
 
-typedef struct {
-    int64_t n;
-    const int64_t *nums;
-    const int64_t *weights;
-    const int32_t *parents;
-    const int32_t *syls;
-    int64_t mnum, mden, bound, pair_cap;
-    int64_t *hits;      /* room for `room` records of (s, k, u, v) */
-    int64_t room;
-    int64_t nhits;      /* collisions found, also those past the room */
-} Search;
-
-static void rs_push(Search *s, int64_t sym, int64_t k, int64_t u, int64_t v)
-{
-    if (s->nhits < s->room) {
-        int64_t *rec = s->hits + 4 * s->nhits;
-        rec[0] = sym;
-        rec[1] = k;
-        rec[2] = u;
-        rec[3] = v;
-    }
-    s->nhits++;
-}
-
-/* any hash numbers the keys alike; this one only keeps probes short */
-static uint64_t rs_hash(const int64_t *key, int64_t width)
+/* any hash numbers the entries alike; this one only keeps probes short */
+static uint64_t rs_hash(const int64_t *key)
 {
     uint64_t h = 0x9E3779B97F4A7C15u;
-    for (int64_t k = 0; k < width; k++) {
+    for (int k = 0; k < 4; k++) {
         h ^= (uint64_t)key[k];
         h *= 0xBF58476D1CE4E5B9u;
         h ^= h >> 31;
@@ -734,11 +704,12 @@ static uint64_t rs_hash(const int64_t *key, int64_t width)
     return h;
 }
 
-/* Number the n keys of `width` int64s at keys + width * i in first-seen
-   order: id[i] is key i's number and first[j] the first key numbered j.
-   Returns how many distinct keys there are, -1 when out of memory. */
-static int64_t rs_number(const int64_t *keys, int64_t width, int64_t n,
-                         int64_t *id, int64_t *first)
+/* Number the entries of the n elements at nums + 4 * i in first-seen
+   order: id[i] is element i's number and first[j] the first element
+   numbered j.  Returns how many distinct entries there are, -1 when out
+   of memory. */
+static int64_t rs_number(const int64_t *nums, int64_t n, int64_t *id,
+                         int64_t *first)
 {
     int64_t size = 2, count = 0;
     while (size < 2 * n)
@@ -748,12 +719,12 @@ static int64_t rs_number(const int64_t *keys, int64_t width, int64_t n,
         return -1;
     for (int64_t j = 0; j < size; j++)
         slot[j] = -1;
-    size_t bytes = (size_t)width * sizeof(int64_t);
     for (int64_t i = 0; i < n; i++) {
-        const int64_t *key = keys + width * i;
-        int64_t j = (int64_t)(rs_hash(key, width) & (uint64_t)(size - 1));
+        const int64_t *key = nums + 4 * i;
+        int64_t j = (int64_t)(rs_hash(key) & (uint64_t)(size - 1));
         while (slot[j] >= 0
-               && memcmp(keys + width * first[slot[j]], key, bytes) != 0)
+               && memcmp(nums + 4 * first[slot[j]], key,
+                         4 * sizeof(int64_t)) != 0)
             j = (j + 1) & (size - 1);
         if (slot[j] < 0) {
             slot[j] = count;
@@ -765,204 +736,38 @@ static int64_t rs_number(const int64_t *keys, int64_t width, int64_t n,
     return count;
 }
 
-/* Group 0..n-1 by id (ids 0..nid-1), each group in increasing order:
-   group j is order[start[j]] .. order[start[j + 1] - 1]; `fill` is
-   scratch of nid entries. */
-static void rs_group(const int64_t *id, int64_t n, int64_t nid,
-                     int64_t *start, int64_t *order, int64_t *fill)
+/* The equal evaluations of coset_enum._SyllableBall.equal_evaluations,
+   in its order, on a ball of n elements from tc_ball: a record (i, first)
+   for each element i with the same entries as an earlier one, the first
+   of them.  The first `room` records go to `hits`, two int64 each, and
+   *nhits receives the number found: past `room`, the caller runs the
+   search again with room for them all.  TC_OK, or TC_NO_MEMORY when
+   scratch cannot be allocated. */
+int tc_collide(int64_t n, const int64_t *nums, int64_t room, int64_t *hits,
+               int64_t *nhits)
 {
-    for (int64_t j = 0; j <= nid; j++)
-        start[j] = 0;
-    for (int64_t i = 0; i < n; i++)
-        start[id[i] + 1]++;
-    for (int64_t j = 0; j < nid; j++) {
-        start[j + 1] += start[j];
-        fill[j] = start[j];
-    }
-    for (int64_t i = 0; i < n; i++)
-        order[fill[id[i]]++] = i;
-}
-
-/* coset_enum._split_at(sym, ...) of element i with quotient q, as the key
-   (core, lead + trail, q - lead) that the reference compares */
-typedef struct {
-    int32_t core[RS_MAX_DEPTH];
-    int64_t ncore, turn, shift;
-} Key;
-
-static void rs_key(const Search *s, int64_t i, int sym, int64_t q, Key *key)
-{
-    int32_t back[RS_MAX_DEPTH];     /* the syllables, last first */
-    int64_t len = 0, lo = 0, lead = 0, trail = 0;
-    for (int64_t j = i; j >= 0 && len < RS_MAX_DEPTH; j = s->parents[j])
-        back[len++] = s->syls[j];
-    int64_t hi = len;
-    if (hi > 0 && (back[len - 1] & 1) == sym) {
-        lead = (back[len - 1] - sym) / 2;
-        lo = 1;
-    }
-    if (hi > lo && (back[len - hi] & 1) == sym) {
-        trail = (back[len - hi] - sym) / 2;
-        hi--;
-    }
-    key->ncore = hi - lo;
-    for (int64_t t = lo; t < hi; t++)
-        key->core[t - lo] = back[len - 1 - t];
-    key->turn = lead + trail;
-    key->shift = q - lead;
-}
-
-static int rs_same_key(const Key *a, const Key *b)
-{
-    return a->ncore == b->ncore && a->turn == b->turn
-           && a->shift == b->shift
-           && memcmp(a->core, b->core,
-                     (size_t)a->ncore * sizeof(int32_t)) == 0;
-}
-
-/* equal evaluations: (0, 0, i, first) for each element i that has the
-   same entries as an earlier one, the first of them */
-static int rs_equal(Search *s, int64_t *id, int64_t *first)
-{
-    if (rs_number(s->nums, 4, s->n, id, first) < 0)
+    /* id[i] numbers element i's entries; first[j] is the first element
+       numbered j */
+    int64_t *id = malloc((size_t)(2 * n + 1) * sizeof(int64_t));
+    int64_t found = 0;
+    *nhits = 0;
+    if (!id || rs_number(nums, n, id, id + n) < 0) {
+        free(id);
         return TC_NO_MEMORY;
-    for (int64_t i = 0; i < s->n; i++)
-        if (first[id[i]] != i)
-            rs_push(s, 0, 0, i, first[id[i]]);
-    return TC_OK;
-}
-
-/* the conjugation phase's scratch: n entries each unless noted */
-typedef struct {
-    int64_t *sel, *bkey /* 2n */, *bid, *bfill, *bstart /* n + 1 */,
-            *members, *q, *rem, *cid, *cfill, *cstart /* n + 1 */, *cmem;
-    unsigned char *keyed;
-    Key *keys;
-} Scratch;
-
-/* The conjugation collisions of symbol `sym` (0 for A, 1 for B): bucket
-   the elements by (fixed corner, trace), visit the buckets in first-seen
-   order until the pair count passes pair_cap, split each moved entry by
-   the bucket's step into (quotient, remainder), and pair the members of
-   one remainder class, u in bucket order and v in class order, as the
-   reference does.  Stops after the first bucket that gives a collision. */
-static int rs_conjugations(Search *s, const Scratch *w, int sym)
-{
-    int corner = sym == 0 ? 2 : 1, moved = sym == 0 ? 0 : 3;
-    int64_t m = 0, pairs = 0;
-    for (int64_t i = 0; i < s->n; i++) {
-        const int64_t *num = s->nums + 4 * i;
-        if (num[corner] == 0)
+    }
+    const int64_t *first = id + n;
+    for (int64_t i = 0; i < n; i++) {
+        if (first[id[i]] == i)
             continue;
-        w->sel[m] = i;
-        w->bkey[2 * m] = num[corner];
-        w->bkey[2 * m + 1] = num[0] + num[3];
-        m++;
-    }
-    int64_t nb = rs_number(w->bkey, 2, m, w->bid, w->bfill);
-    if (nb < 0)
-        return TC_NO_MEMORY;
-    rs_group(w->bid, m, nb, w->bstart, w->members, w->bfill);
-    for (int64_t t = 0; t < m; t++)
-        w->members[t] = w->sel[w->members[t]];
-    for (int64_t b = 0; b < nb; b++) {
-        const int64_t *items = w->members + w->bstart[b];
-        int64_t ni = w->bstart[b + 1] - w->bstart[b];
-        if (ni < 2)
-            continue;
-        pairs += ni * (ni - 1) / 2;
-        if (pairs > s->pair_cap)
-            break;
-        /* entry * mden split by r * mnum, as the reference scales both */
-        int64_t step = s->nums[4 * items[0] + corner] * s->mnum;
-        for (int64_t j = 0; j < ni; j++)
-            w->q[j] = rs_floordiv(s->nums[4 * items[j] + moved] * s->mden,
-                                  step, &w->rem[j]);
-        int64_t nc = rs_number(w->rem, 1, ni, w->cid, w->cfill);
-        if (nc < 0)
-            return TC_NO_MEMORY;
-        rs_group(w->cid, ni, nc, w->cstart, w->cmem, w->cfill);
-        /* a class of two or more is keyed when its members' keys differ;
-           one whose keys all agree holds only literal conjugates */
-        for (int64_t c = 0; c < nc; c++) {
-            const int64_t *cls = w->cmem + w->cstart[c];
-            int64_t size = w->cstart[c + 1] - w->cstart[c];
-            w->keyed[c] = 0;
-            for (int64_t t = 0; size > 1 && t < size; t++) {
-                int64_t j = cls[t];
-                rs_key(s, items[j], sym, w->q[j], &w->keys[j]);
-                if (t > 0 && !rs_same_key(&w->keys[j], &w->keys[cls[0]]))
-                    w->keyed[c] = 1;
-            }
+        if (found < room) {
+            hits[2 * found] = i;
+            hits[2 * found + 1] = first[id[i]];
         }
-        for (int64_t ju = 0; ju < ni; ju++) {
-            int64_t c = w->cid[ju], u = items[ju];
-            if (!w->keyed[c])
-                continue;
-            for (int64_t t = w->cstart[c]; t < w->cstart[c + 1]; t++) {
-                int64_t jv = w->cmem[t], v = items[jv];
-                int64_t k = w->q[jv] - w->q[ju];
-                /* k = 0 also covers v = u */
-                if (k == 0)
-                    continue;
-                if (2 * (k < 0 ? -k : k) + s->weights[u] + s->weights[v]
-                        > s->bound)
-                    continue;
-                if (!rs_same_key(&w->keys[jv], &w->keys[ju]))
-                    rs_push(s, sym, k, u, v);
-            }
-        }
-        if (s->nhits)
-            break;
+        found++;
     }
+    free(id);
+    *nhits = found;
     return TC_OK;
-}
-
-/* The collisions of coset_enum._SyllableBall.collisions, in its order,
-   on a ball of n elements from tc_ball, for m = mnum / mden: each equal
-   evaluation as (0, 0, i, first); when there is none, the conjugation
-   collisions of A as (0, k, u, v), and when there is none of those, of B
-   as (1, k, u, v).  A record (s, k, u, v) stands for the relator
-   s^k u s^-k v^-1.  The first `room` records go to `hits`, four int64
-   each, and *nhits receives the number found: past `room`, the caller
-   runs the search again with room for them all.  TC_OK, or TC_NO_MEMORY
-   when scratch cannot be allocated. */
-int tc_collide(int64_t n, const int64_t *nums, const int64_t *weights,
-               const int32_t *parents, const int32_t *syls, int64_t mnum,
-               int64_t mden, int64_t bound, int64_t pair_cap, int64_t room,
-               int64_t *hits, int64_t *nhits)
-{
-    Search s = {
-        .n = n, .nums = nums, .weights = weights, .parents = parents,
-        .syls = syls, .mnum = mnum, .mden = mden, .bound = bound,
-        .pair_cap = pair_cap, .hits = hits, .room = room,
-    };
-    Scratch w;
-    int64_t *block = malloc((size_t)(13 * n + 2) * sizeof(int64_t));
-    int64_t *cut = block;
-    int rc = TC_NO_MEMORY;
-    w.keyed = malloc((size_t)n + 1);
-    w.keys = malloc((size_t)(n + 1) * sizeof(Key));
-    if (block && w.keyed && w.keys) {
-        int64_t **arrays[] = {&w.sel, &w.bid, &w.bfill, &w.members, &w.q,
-                              &w.rem, &w.cid, &w.cfill, &w.cmem};
-        for (size_t a = 0; a < sizeof arrays / sizeof *arrays; a++) {
-            *arrays[a] = cut;
-            cut += n;
-        }
-        w.bkey = cut;
-        w.bstart = cut + 2 * n;
-        w.cstart = cut + 3 * n + 1;
-        /* the bucket numbering's arrays are free until then */
-        rc = rs_equal(&s, w.bid, w.bfill);
-        for (int sym = 0; rc == TC_OK && s.nhits == 0 && sym < 2; sym++)
-            rc = rs_conjugations(&s, &w, sym);
-    }
-    free(block);
-    free(w.keyed);
-    free(w.keys);
-    *nhits = s.nhits;
-    return rc;
 }
 
 /* -- table check --------------------------------------------------------------

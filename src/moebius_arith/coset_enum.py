@@ -57,12 +57,15 @@ search's equal evaluations already rule out every relator within the bound.
 The search's ball of short words is integer arithmetic over one fixed
 denominator, each word its parent sheared by a step A(m)^e = A(e*m) or
 B(m)^e = B(e*m) read off the translation length m, with every word's
-determinant checked.  The ball and both collision phases run in the kernel
-when it loads and the entries fit in int64 (`_fast.ball`); `_SyllableBall`
-and its `collisions` here are its reference and its fallback, as `_Engine`
-is for the enumerator.  Both kinds of ball give the same collision
-records, (sym, k, u, v) for the relator sym^k u sym^-k v^-1, and
-`_collision_relator_search` spells the candidates from them.  The
+determinant checked.  The kernel builds the ball and finds its equal
+evaluations when it loads and the entries fit in int64 (`_fast.ball`);
+`_SyllableBall` and its `equal_evaluations` here are its reference and
+its fallback, as `_Engine` is for the enumerator.  The conjugation
+collisions, the second phase, run only in Python
+(`_conjugation_collisions`), on either kind of ball: 20-230 ms per call
+for b <= 13 when the equal evaluations give none.  Both phases give
+collision records, (sym, k, u, v) for the relator sym^k u sym^-k v^-1,
+and `_collision_relator_search` spells the candidates from them.  The
 candidates are verified in Python, lightest first, by exact evaluation,
 each rotated to start with A only when it is evaluated.
 """
@@ -915,9 +918,12 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     equal evaluations, which the equal-evaluation phase, uncapped, turns
     into a candidate.
 
-    The ball and its collisions come from the kernel (`_fast.ball`) when
-    it loads and the entries fit in int64, else from `_SyllableBall`, its
-    reference: the same collision records, in the same order.
+    The ball and its equal evaluations come from the kernel
+    (`_fast.ball`) when it loads and the entries fit in int64, else from
+    `_SyllableBall`, its reference: the same records, in the same order.
+    The conjugation collisions are found in Python on either ball, which
+    costs 20-230 ms per call for b <= 13 when the equal evaluations give
+    none.
     `time_limit_s`, unless None, is the fallback's budget in seconds; a
     fallback that runs out of it, or has none, gives no candidates, like
     one that overflows.
@@ -1049,93 +1055,94 @@ class _SyllableBall:
         out.reverse()
         return out
 
-    def collisions(self, m: Fraction, bound: int, pair_cap: int
-                   ) -> list[tuple[str, int, int, int]]:
-        """Collision records (sym, k, u, v), each standing for the relator
-        sym^k u sym^-k v^-1 between ball elements u and v.  First the equal
-        evaluations, as ("A", 0, i, first) for each element i that equals
-        an earlier one, the first of them; when there is none, the
-        conjugation collisions of A, and when there is none of those, of
-        B, within `bound` and up to the bucket where the pairs examined
-        pass `pair_cap`.  The kernel's `tc_collide` ports this."""
-        nums, weights = self.nums, self.weights
-        mnum, mden = m.numerator, m.denominator
-        out: list[tuple[str, int, int, int]] = []
-
-        # equal evaluations; the denominator is fixed, so equal tuples are
-        # equal matrices, and distinct elements are distinct reduced words
+    def equal_evaluations(self) -> list[tuple[str, int, int, int]]:
+        """Collision records ("A", 0, i, first), one for each element i
+        that equals an earlier one, the first of them: the relator i
+        first^-1.  The denominator is fixed, so equal tuples are equal
+        matrices, and distinct elements are distinct reduced words.  The
+        kernel's `tc_collide` ports this."""
+        out = []
         seen: dict[tuple, int] = {}
-        for i, key in enumerate(nums):
+        for i, key in enumerate(self.nums):
             first = seen.setdefault(key, i)
             if first != i:
                 out.append(("A", 0, i, first))
-        if out:
-            return out
-
-        # conjugation collisions: bucket by the entry a translation power
-        # fixes together with the trace, then solve for the conjugating
-        # exponent.  Indices into the tuples: (fixed corner, row entry it
-        # moves)
-        for sym, corner, row_entry in (("A", 2, 0), ("B", 1, 3)):
-            buckets: dict[tuple, list[int]] = {}
-            for i, num in enumerate(nums):
-                r = num[corner]
-                if r == 0:
-                    continue
-                buckets.setdefault((r, num[0] + num[3]), []).append(i)
-            pairs = 0
-            for (r, _), items in buckets.items():
-                n = len(items)
-                if n < 2:
-                    continue
-                pairs += n * (n - 1) // 2
-                if pairs > pair_cap:
-                    break
-                # for M = [[p, q], [r, s]], conjugation by A(c) adds c*r to
-                # p and takes it from s; by B(c) it adds c*q to s and takes
-                # it from p.  The fixed corner (r below, for either symbol)
-                # is not 0, so it, the trace and det = 1 give the other
-                # entries: u, v in one bucket satisfy v = sym^k u sym^-k
-                # exactly when their moved entries agree mod r*m, and k is
-                # the difference of the entries' quotients by r*m.  Both
-                # sides scaled by den*mden: entry*mden split by r*mnum
-                step = r * mnum
-                split = {i: divmod(nums[i][row_entry] * mden, step)
-                         for i in items}
-                classes: dict = {}
-                for i in items:
-                    classes.setdefault(split[i][1], []).append(i)
-                # by `_split_at`, v is spelled sym^k u sym^-k, which gives
-                # the empty relator, exactly when the cores agree, lead_v -
-                # lead_u = k = q_v - q_u and lead + trail agree: when the
-                # keys below agree.  A class whose members all share one key
-                # gives none
-                keys: dict[int, tuple] = {}
-                for same in classes.values():
-                    if len(same) < 2:
-                        continue
-                    class_keys = {}
-                    for i in same:
-                        lead, core, trail = _split_at(sym,
-                                                      self.syllables_of(i))
-                        class_keys[i] = (core, lead + trail,
-                                         split[i][0] - lead)
-                    if len(set(class_keys.values())) > 1:
-                        keys.update(class_keys)
-                for u in items:
-                    key_u = keys.get(u)
-                    if key_u is None:
-                        continue
-                    q_u, rem_u = split[u]
-                    for v in classes[rem_u]:
-                        # k = 0 also covers v = u
-                        k = split[v][0] - q_u
-                        if (k and 2 * abs(k) + weights[u] + weights[v] <= bound
-                                and keys[v] != key_u):
-                            out.append((sym, k, u, v))
-                if out:
-                    return out
         return out
+
+
+def _conjugation_collisions(ball: _SyllableBall | _fast.Ball, m: Fraction,
+                            bound: int, pair_cap: int
+                            ) -> list[tuple[str, int, int, int]]:
+    """Collision records (sym, k, u, v), each standing for the relator
+    sym^k u sym^-k v^-1 between elements u and v of `ball`: the conjugation
+    collisions of A, and when there is none of those, of B, within `bound`
+    and up to the bucket where the pairs examined pass `pair_cap`.  Either
+    kind of ball serves: this reads only its `nums`, `weights` and
+    `syllables_of`."""
+    nums, weights = ball.nums, ball.weights
+    mnum, mden = m.numerator, m.denominator
+    out: list[tuple[str, int, int, int]] = []
+    # bucket by the entry a translation power fixes together with the
+    # trace, then solve for the conjugating exponent.  Indices into the
+    # tuples: (fixed corner, row entry it moves)
+    for sym, corner, row_entry in (("A", 2, 0), ("B", 1, 3)):
+        buckets: dict[tuple, list[int]] = {}
+        for i, num in enumerate(nums):
+            r = num[corner]
+            if r == 0:
+                continue
+            buckets.setdefault((r, num[0] + num[3]), []).append(i)
+        pairs = 0
+        for (r, _), items in buckets.items():
+            n = len(items)
+            if n < 2:
+                continue
+            pairs += n * (n - 1) // 2
+            if pairs > pair_cap:
+                break
+            # for M = [[p, q], [r, s]], conjugation by A(c) adds c*r to
+            # p and takes it from s; by B(c) it adds c*q to s and takes
+            # it from p.  The fixed corner (r below, for either symbol)
+            # is not 0, so it, the trace and det = 1 give the other
+            # entries: u, v in one bucket satisfy v = sym^k u sym^-k
+            # exactly when their moved entries agree mod r*m, and k is
+            # the difference of the entries' quotients by r*m.  Both
+            # sides scaled by den*mden: entry*mden split by r*mnum
+            step = r * mnum
+            split = {i: divmod(nums[i][row_entry] * mden, step)
+                     for i in items}
+            classes: dict = {}
+            for i in items:
+                classes.setdefault(split[i][1], []).append(i)
+            # by `_split_at`, v is spelled sym^k u sym^-k, which gives
+            # the empty relator, exactly when the cores agree, lead_v -
+            # lead_u = k = q_v - q_u and lead + trail agree: when the
+            # keys below agree.  A class whose members all share one key
+            # gives none
+            keys: dict[int, tuple] = {}
+            for same in classes.values():
+                if len(same) < 2:
+                    continue
+                class_keys = {}
+                for i in same:
+                    lead, core, trail = _split_at(sym, ball.syllables_of(i))
+                    class_keys[i] = (core, lead + trail, split[i][0] - lead)
+                if len(set(class_keys.values())) > 1:
+                    keys.update(class_keys)
+            for u in items:
+                key_u = keys.get(u)
+                if key_u is None:
+                    continue
+                q_u, rem_u = split[u]
+                for v in classes[rem_u]:
+                    # k = 0 also covers v = u
+                    k = split[v][0] - q_u
+                    if (k and 2 * abs(k) + weights[u] + weights[v] <= bound
+                            and keys[v] != key_u):
+                        out.append((sym, k, u, v))
+            if out:
+                return out
+    return out
 
 
 def _split_at(sym: str, syllables: Sequence) -> tuple[int, tuple, int]:
@@ -1156,11 +1163,14 @@ def _collision_relator_search(ball: _SyllableBall | _fast.Ball, m: Fraction,
                                bound: int) -> list[GroupWord]:
     """The candidate relators of `ball`'s collisions, in their order: the
     word sym^k u sym^-k v^-1, freely reduced, for each record (sym, k, u,
-    v) of `ball.collisions`, which the kernel's `_fast.Ball` and
-    `_SyllableBall` both give."""
+    v) of its equal evaluations, which the kernel's `_fast.Ball` and
+    `_SyllableBall` both give, or when there is none, of its conjugation
+    collisions, which Python finds on either."""
+    records = (ball.equal_evaluations()
+               or _conjugation_collisions(ball, m, bound, _PAIR_CAP))
     return [word([(sym, k), *ball.syllables_of(u), (sym, -k),
                   *((s, -e) for s, e in reversed(ball.syllables_of(v)))])
-            for sym, k, u, v in ball.collisions(m, bound, _PAIR_CAP)]
+            for sym, k, u, v in records]
 
 
 def _labelled_relator_search(pres: Presentation,

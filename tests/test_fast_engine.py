@@ -669,9 +669,10 @@ class TestLoader:
 
 
 class TestRelatorSearch:
-    """The kernel's syllable ball and collisions (`_fast.ball`) against the
-    Python reference (`_SyllableBall`, `_collision_relator_search`): the
-    same ball and the same candidates, in content and order."""
+    """The kernel's syllable ball and equal evaluations (`_fast.ball`)
+    against the Python reference (`_SyllableBall`), and the candidates of
+    `_collision_relator_search` on both: the same ball, records and
+    candidates, in content and order."""
 
     @staticmethod
     def both(m, bound):
@@ -718,6 +719,15 @@ class TestRelatorSearch:
         assert parents.tolist() == ref.parents
         assert all(ball.syllables_of(i) == ref.syllables_of(i)
                    for i in range(0, ball.n, 7))
+        # the conjugation search reads these lists off either ball
+        assert ball.nums == ref.nums and ball.weights == ref.weights
+
+    @pytest.mark.parametrize("a, b, found", [(1, 2, 426), (4, 11, 0)],
+                             ids=["1/2", "4/11"])
+    def test_equal_evaluations_match_reference(self, a, b, found):
+        ball, ref, _, _ = self.both(Fraction(a, b), 300)
+        got = ball.equal_evaluations()
+        assert got == ref.equal_evaluations() and len(got) == found
 
     @pytest.mark.parametrize("cap", [0, 1_000, 5_000, 28_847, 28_848])
     @pytest.mark.parametrize("a, b", [(1, 2), (4, 5)], ids=str)
@@ -727,6 +737,7 @@ class TestRelatorSearch:
         monkeypatch.setattr(coset_enum, "_BALL_CAP", cap)
         ball, ref, got, want = self.both(Fraction(a, b), 300)
         assert ball.complete == (cap >= 28_848)
+        assert ball.nums == ref.nums and ball.weights == ref.weights
         assert got == want
 
     @pytest.mark.parametrize("pair_cap", [0, 1_000, 100_000])
@@ -739,19 +750,19 @@ class TestRelatorSearch:
             assert got == []
 
     def test_collisions_past_the_room_run_again(self, monkeypatch):
-        # tc_collide counts every collision but writes only those it has
-        # room for; with room for one, 1/2's 426 need a second run
+        # tc_collide counts every equal evaluation but writes only those
+        # it has room for; with room for one, 1/2's 426 need a second run
         runs = []
         collide = _fast.kernel().tc_collide
 
         def counting(*args):
-            runs.append(args[9])
+            runs.append(args[2])
             return collide(*args)
-        ball, _, _, want = self.both(Fraction(1, 2), 40)
+        ball, ref, _, _ = self.both(Fraction(1, 2), 40)
         monkeypatch.setattr(_fast, "_FIRST_ROOM", 1)
         monkeypatch.setattr(ball, "lib", SimpleNamespace(tc_collide=counting))
-        got = coset_enum._collision_relator_search(ball, Fraction(1, 2), 40)
-        assert runs == [1, 426] and got == want
+        got = ball.equal_evaluations()
+        assert runs == [1, 426] and got == ref.equal_evaluations()
 
     def test_no_kernel_path_gives_reference(self, monkeypatch):
         seen = self.record_searches(monkeypatch)
