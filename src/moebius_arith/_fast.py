@@ -18,14 +18,15 @@ ports `coset_enum._verify_table`, not the enumerator: it calls none of the
 enumerator's functions, makes the same five checks in the same order and
 raises the same messages.  `_verify_table` checks the pure engine's tables.
 
-The section before it, `tc_ball` and `tc_collide` (wrapped by `ball` and
-`Ball`), builds the relator search's ball and finds its equal
-evaluations, whose reference is `coset_enum._SyllableBall` and its
-`equal_evaluations`: the same elements and records, in the same order, in
-int64 entries.  The conjugation collisions are found in Python, by
-`coset_enum._conjugation_collisions` on either kind of ball, which reads
-`Ball.nums` and `Ball.weights`, lists built from the arrays on first read
-(3-11 ms for b <= 13).
+The section before it, `tc_ball` (wrapped by `ball` and `Ball`), is the
+relator search's: one call builds the ball and records its equal
+evaluations, the elements and records of `coset_enum._SyllableBall` and
+its `equal_evaluations` in the same order, in int64 entries.  `Ball`
+copies the records out of the kernel's buffer and releases it with
+`tc_free`, as `run` does the table.  The conjugation collisions are found
+in Python, by `coset_enum._conjugation_collisions` on either kind of
+ball, which reads `Ball.nums` and `Ball.weights`, lists built from the
+arrays on first read (3-11 ms for b <= 13).
 
 The kernel is compiled on first use, not at import, with the system C
 compiler (`$CC`, or `cc` when that is unset, empty or blank) and `-O2
@@ -156,14 +157,12 @@ def kernel():
             i64, lib.poll_type,
             ctypes.POINTER(ctypes.POINTER(ctypes.c_int32)), ptr]
         lib.tc_enumerate.restype = ctypes.c_int
-        lib.tc_free.argtypes = [ctypes.POINTER(ctypes.c_int32)]
+        lib.tc_free.argtypes = [ptr]
         lib.tc_free.restype = None
         lib.tc_verify.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, i64]
         lib.tc_verify.restype = ctypes.c_int
-        lib.tc_ball.argtypes = [i64] * 6 + [ptr] * 5
+        lib.tc_ball.argtypes = [i64] * 6 + [ptr] * 7
         lib.tc_ball.restype = ctypes.c_int
-        lib.tc_collide.argtypes = [i64, ptr, i64, ptr, ptr]
-        lib.tc_collide.restype = ctypes.c_int
         _kernel = lib
     return _kernel
 
@@ -297,11 +296,8 @@ def verify(table, relators, subgroup) -> None:
         raise RuntimeError(_VERIFY_MESSAGES[code - 1])
 
 
-# tc_ball's codes besides _OK, which reports a complete ball
+# tc_ball's codes besides _OK (a complete ball) and _NO_MEMORY
 _CAPPED, _DETERMINANT = 1, 2
-# equal evaluations a first tc_collide run has room for; the grid of 114
-# specs with b <= 13 needs at most 476
-_FIRST_ROOM = 1024
 
 
 def ball(m, depth: int, erange: int, cap: int):
@@ -320,28 +316,39 @@ def ball(m, depth: int, erange: int, cap: int):
 
 class Ball:
     """A syllable ball in arrays: four entries, a weight, a parent and a
-    last syllable coded 2*e + (0 for A, 1 for B) per element.  `nums` and
-    `weights` give the entries and weights as `_SyllableBall`'s lists, for
-    the conjugation search, built on first read."""
+    last syllable coded 2*e + (0 for A, 1 for B) per element, and its equal
+    evaluations, found by the same tc_ball call.  `nums` and `weights` give
+    the entries and weights as `_SyllableBall`'s lists, for the conjugation
+    search, built on first read."""
 
     def __init__(self, lib, m, depth, erange, cap):
+        import ctypes
+
         # the whole ball, or at most one parent's children past the cap
         size = min(sum(4 * erange * (2 * erange) ** k for k in range(depth)),
                    max(cap, 0) + 4 * erange)
-        self.lib, count = lib, array("q", [0])
+        count, nhits = array("q", [0]), array("q", [0])
+        hits = ctypes.POINTER(ctypes.c_int64)()
         self.arrays = (array("q", [0]) * (4 * size), array("q", [0]) * size,
                        array("i", [0]) * size, array("i", [0]) * size)
         code = lib.tc_ball(m.numerator, m.denominator, depth, erange,
-                           min(cap, size), size, *self._pointers(),
-                           count.buffer_info()[0])
+                           min(cap, size), size,
+                           *(a.buffer_info()[0] for a in self.arrays),
+                           count.buffer_info()[0], ctypes.byref(hits),
+                           nhits.buffer_info()[0])
         if code == _DETERMINANT:
             raise ValueError("syllable ball product has determinant != 1")
+        if code == _NO_MEMORY:
+            raise MemoryError("relator search allocation failed")
         if code not in (_OK, _CAPPED):
             raise ValueError("the syllable ball does not fit its arrays")
+        try:
+            flat = hits[:2 * nhits[0]]
+        finally:
+            lib.tc_free(hits)
         self.n, self.complete = count[0], code == _OK
-
-    def _pointers(self):
-        return [a.buffer_info()[0] for a in self.arrays]
+        self._equal = [("A", 0, flat[j], flat[j + 1])
+                       for j in range(0, len(flat), 2)]
 
     def syllables_of(self, i: int) -> list[tuple[str, int]]:
         _, _, parents, syls = self.arrays
@@ -363,17 +370,6 @@ class Ball:
         return self.arrays[1][:self.n].tolist()
 
     def equal_evaluations(self) -> list[tuple[str, int, int, int]]:
-        """`coset_enum._SyllableBall.equal_evaluations` on this ball, by
-        tc_collide, in its order."""
-        count, room = array("q", [0]), _FIRST_ROOM
-        while True:
-            hits = array("q", [0]) * (2 * room)
-            if self.lib.tc_collide(
-                    self.n, self.arrays[0].buffer_info()[0], room,
-                    hits.buffer_info()[0], count.buffer_info()[0]) != _OK:
-                raise MemoryError("relator search allocation failed")
-            if count[0] <= room:
-                break
-            room = count[0]   # too many to hold: run it again
-        return [("A", 0, hits[j], hits[j + 1])
-                for j in range(0, 2 * count[0], 2)]
+        """`coset_enum._SyllableBall.equal_evaluations` on this ball, in its
+        order, as tc_ball recorded them."""
+        return self._equal

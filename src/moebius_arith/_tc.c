@@ -591,54 +591,124 @@ int tc_enumerate(int64_t w, const int32_t *rel, const int64_t *rel_off,
     return rc;
 }
 
-void tc_free(int32_t *table)
+/* release a buffer handed over by tc_enumerate or tc_ball */
+void tc_free(void *buffer)
 {
-    free(table);
+    free(buffer);
 }
 
 /* -- relator search -----------------------------------------------------------
 
    The syllable ball of coset_enum._SyllableBall and its equal evaluations,
    which stay the reference: the same elements in the same order, the same
-   equal evaluations in the same order.  The conjugation collisions are
-   found in Python, on this ball as on the reference's.
-   It shares no state with the enumerator above.
+   equal evaluations in the same order.  One call builds the ball and
+   records its equal evaluations, entering each element in a hash table,
+   the reference's dict, as it is written.  The conjugation collisions are
+   found in Python, on this ball as on the reference's.  It shares no
+   state with the enumerator above.
 
    A ball element is four int64 entries over the fixed denominator
    den = l^depth, a weight, a parent (-1 for the empty word) and a last
    syllable coded as 2*e + s, with s = 0 for A and 1 for B.  _fast.ball
    sends a ball here only when no entry can exceed 2^30 in absolute value,
    so every shear below and every determinant product stays within 2^60.
-   Divisions floor, as Python's // does.  The reference's dict becomes a
-   hash table that numbers its keys in first-seen order.  */
+   Divisions floor, as Python's // does.  */
 
 #define RS_MAX_DEPTH 8
+/* the records a ball's buffer has room for at first; it doubles when full */
+#define RS_FIRST_ROOM 64
 
 /* tc_ball's return codes */
-enum { RS_COMPLETE = 0, RS_CAPPED, RS_DETERMINANT, RS_BAD_ARGUMENT };
+enum {
+    RS_COMPLETE = 0, RS_CAPPED, RS_DETERMINANT, RS_BAD_ARGUMENT, RS_NO_MEMORY
+};
 
-/* floor(a / b) */
+/* floor(a / b) for b > 0: C's division truncates towards 0 */
 static int64_t rs_floordiv(int64_t a, int64_t b)
 {
-    int64_t q = a / b, r = a % b;
-    return r != 0 && (r < 0) != (b < 0) ? q - 1 : q;
+    return a / b - (a % b < 0);
+}
+
+/* slot[j] is -1 or the first element with some entries, probed linearly
+   from a hash of them; hits holds nhits records (i, first), room for room */
+typedef struct { int64_t *slot, mask, *hits, nhits, room; } Seen;
+
+/* Enter element i, whose entries are at nums + 4 * i, recording (i, first)
+   if an earlier element has them.  0 when the records cannot grow. */
+static int rs_enter(Seen *seen, const int64_t *nums, int64_t i)
+{
+    /* any hash finds the same equal entries; this one keeps probes short */
+    const int64_t *key = nums + 4 * i;
+    uint64_t h = 0x9E3779B97F4A7C15u;
+    for (int k = 0; k < 4; k++) {
+        h ^= (uint64_t)key[k];
+        h *= 0xBF58476D1CE4E5B9u;
+        h ^= h >> 31;
+    }
+    int64_t j = (int64_t)(h & (uint64_t)seen->mask);
+    while (seen->slot[j] >= 0
+           && memcmp(nums + 4 * seen->slot[j], key, 4 * sizeof(int64_t)) != 0)
+        j = (j + 1) & seen->mask;
+    if (seen->slot[j] < 0) {
+        seen->slot[j] = i;
+        return 1;
+    }
+    if (seen->nhits == seen->room) {
+        int64_t *more = realloc(seen->hits,
+                                (size_t)(4 * seen->room) * sizeof(int64_t));
+        if (!more)
+            return 0;
+        seen->hits = more;
+        seen->room *= 2;
+    }
+    seen->hits[2 * seen->nhits] = i;
+    seen->hits[2 * seen->nhits + 1] = seen->slot[j];
+    seen->nhits++;
+    return 1;
+}
+
+/* release `seen`, handing its records over on success, and return rc */
+static int rs_end(Seen *seen, int rc, int64_t **hits, int64_t *nhits)
+{
+    free(seen->slot);
+    if (rc == RS_COMPLETE || rc == RS_CAPPED) {
+        *hits = seen->hits;
+        *nhits = seen->nhits;
+    } else {
+        free(seen->hits);
+    }
+    return rc;
 }
 
 /* The ball of coset_enum._SyllableBall(mnum / l, depth, erange) whose
    growth stops once it holds more than `cap` words, after the children of
    one parent, written to the caller's arrays of `capacity` elements;
    *count receives its size.  RS_COMPLETE or RS_CAPPED as growth ran to
-   the end or stopped; RS_DETERMINANT when a child's determinant is not
-   den^2; RS_BAD_ARGUMENT for a depth outside [0, RS_MAX_DEPTH], l < 1, or
-   a ball larger than `capacity`. */
+   the end or stopped, with its equal evaluations in *hits: *nhits records
+   (i, first) in element order, which the caller releases with tc_free.
+   RS_DETERMINANT when a child's determinant is not den^2; RS_BAD_ARGUMENT
+   for a depth outside [0, RS_MAX_DEPTH], l < 1, a capacity outside [0,
+   INT32_MAX] or a ball larger than it; RS_NO_MEMORY when an allocation
+   fails.  On these nothing is handed over. */
 int tc_ball(int64_t mnum, int64_t l, int64_t depth, int64_t erange,
             int64_t cap, int64_t capacity, int64_t *nums, int64_t *weights,
-            int32_t *parents, int32_t *syls, int64_t *count)
+            int32_t *parents, int32_t *syls, int64_t *count,
+            int64_t **hits, int64_t *nhits)
 {
-    int64_t den = 1, n = 0, lo = -1, hi = 0;
-    *count = 0;
-    if (depth < 0 || depth > RS_MAX_DEPTH || l < 1)
+    int64_t den = 1, n = 0, lo = -1, hi = 0, size = 2;
+    *count = *nhits = 0;
+    *hits = NULL;
+    if (depth < 0 || depth > RS_MAX_DEPTH || l < 1 || capacity < 0
+            || capacity > INT32_MAX)
         return RS_BAD_ARGUMENT;
+    while (size < 2 * capacity)
+        size *= 2;
+    Seen seen = {.slot = malloc((size_t)size * sizeof(int64_t)),
+                 .mask = size - 1, .room = RS_FIRST_ROOM,
+                 .hits = malloc(2 * RS_FIRST_ROOM * sizeof(int64_t))};
+    if (!seen.slot || !seen.hits)
+        return rs_end(&seen, RS_NO_MEMORY, hits, nhits);
+    memset(seen.slot, 0xff, (size_t)size * sizeof(int64_t));   /* -1 */
     for (int64_t k = 0; k < depth; k++)
         den *= l;
     const int64_t root[4] = {den, 0, 0, den}, dd = den * den;
@@ -656,7 +726,7 @@ int tc_ball(int64_t mnum, int64_t l, int64_t depth, int64_t erange,
                     if (e == 0)
                         continue;
                     if (n == capacity)
-                        return RS_BAD_ARGUMENT;
+                        return rs_end(&seen, RS_BAD_ARGUMENT, hits, nhits);
                     int64_t x = e * mnum, *c = nums + 4 * n;
                     /* a shear of the parent: under A its second column
                        gains the first times x / l, under B the first
@@ -673,7 +743,9 @@ int tc_ball(int64_t mnum, int64_t l, int64_t depth, int64_t erange,
                         c[3] = p[3];
                     }
                     if (c[0] * c[3] - c[1] * c[2] != dd)
-                        return RS_DETERMINANT;
+                        return rs_end(&seen, RS_DETERMINANT, hits, nhits);
+                    if (!rs_enter(&seen, nums, n))
+                        return rs_end(&seen, RS_NO_MEMORY, hits, nhits);
                     weights[n] = weight + (e < 0 ? -e : e);
                     parents[n] = (int32_t)parent;
                     syls[n] = (int32_t)(2 * e + s);
@@ -682,92 +754,14 @@ int tc_ball(int64_t mnum, int64_t l, int64_t depth, int64_t erange,
             }
             if (n > cap) {
                 *count = n;
-                return RS_CAPPED;
+                return rs_end(&seen, RS_CAPPED, hits, nhits);
             }
         }
         lo = start;
         hi = n;
     }
     *count = n;
-    return RS_COMPLETE;
-}
-
-/* any hash numbers the entries alike; this one only keeps probes short */
-static uint64_t rs_hash(const int64_t *key)
-{
-    uint64_t h = 0x9E3779B97F4A7C15u;
-    for (int k = 0; k < 4; k++) {
-        h ^= (uint64_t)key[k];
-        h *= 0xBF58476D1CE4E5B9u;
-        h ^= h >> 31;
-    }
-    return h;
-}
-
-/* Number the entries of the n elements at nums + 4 * i in first-seen
-   order: id[i] is element i's number and first[j] the first element
-   numbered j.  Returns how many distinct entries there are, -1 when out
-   of memory. */
-static int64_t rs_number(const int64_t *nums, int64_t n, int64_t *id,
-                         int64_t *first)
-{
-    int64_t size = 2, count = 0;
-    while (size < 2 * n)
-        size *= 2;
-    int64_t *slot = malloc((size_t)size * sizeof(int64_t));
-    if (!slot)
-        return -1;
-    for (int64_t j = 0; j < size; j++)
-        slot[j] = -1;
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t *key = nums + 4 * i;
-        int64_t j = (int64_t)(rs_hash(key) & (uint64_t)(size - 1));
-        while (slot[j] >= 0
-               && memcmp(nums + 4 * first[slot[j]], key,
-                         4 * sizeof(int64_t)) != 0)
-            j = (j + 1) & (size - 1);
-        if (slot[j] < 0) {
-            slot[j] = count;
-            first[count++] = i;
-        }
-        id[i] = slot[j];
-    }
-    free(slot);
-    return count;
-}
-
-/* The equal evaluations of coset_enum._SyllableBall.equal_evaluations,
-   in its order, on a ball of n elements from tc_ball: a record (i, first)
-   for each element i with the same entries as an earlier one, the first
-   of them.  The first `room` records go to `hits`, two int64 each, and
-   *nhits receives the number found: past `room`, the caller runs the
-   search again with room for them all.  TC_OK, or TC_NO_MEMORY when
-   scratch cannot be allocated. */
-int tc_collide(int64_t n, const int64_t *nums, int64_t room, int64_t *hits,
-               int64_t *nhits)
-{
-    /* id[i] numbers element i's entries; first[j] is the first element
-       numbered j */
-    int64_t *id = malloc((size_t)(2 * n + 1) * sizeof(int64_t));
-    int64_t found = 0;
-    *nhits = 0;
-    if (!id || rs_number(nums, n, id, id + n) < 0) {
-        free(id);
-        return TC_NO_MEMORY;
-    }
-    const int64_t *first = id + n;
-    for (int64_t i = 0; i < n; i++) {
-        if (first[id[i]] == i)
-            continue;
-        if (found < room) {
-            hits[2 * found] = i;
-            hits[2 * found + 1] = first[id[i]];
-        }
-        found++;
-    }
-    free(id);
-    *nhits = found;
-    return TC_OK;
+    return rs_end(&seen, RS_COMPLETE, hits, nhits);
 }
 
 /* -- table check --------------------------------------------------------------

@@ -57,8 +57,8 @@ search's equal evaluations already rule out every relator within the bound.
 The search's ball of short words is integer arithmetic over one fixed
 denominator, each word its parent sheared by a step A(m)^e = A(e*m) or
 B(m)^e = B(e*m) read off the translation length m, with every word's
-determinant checked.  The kernel builds the ball and finds its equal
-evaluations when it loads and the entries fit in int64 (`_fast.ball`);
+determinant checked.  When the kernel loads and the entries fit in int64,
+one call builds the ball and records its equal evaluations (`_fast.ball`);
 `_SyllableBall` and its `equal_evaluations` here are its reference and
 its fallback, as `_Engine` is for the enumerator.  The conjugation
 collisions, the second phase, run only in Python
@@ -405,34 +405,29 @@ class _Engine:
                 tab[delta * w + (x ^ 1)] = UNDEF
                 mu = self._rep(gamma)
                 nu = self._rep(delta)
-                # labelled: the edge moves to tau(mu) x = g^-1 e d tau(nu)
-                # with g, e, d the labels of gamma, of the edge, of delta
+                if labels is not None:
+                    # the edge moves to tau(mu) x = e tau(nu), e = g^-1 l d
+                    # with g, l, d the labels of gamma, of the edge, of delta
+                    lab = self.coset_labels
+                    e = _wmul(_wmul(_winv(lab[gamma]), labels[row + x]),
+                              lab[delta])
                 tmu = tab[mu * w + x]
                 if tmu != UNDEF:
                     if labels is not None:
-                        lab = self.coset_labels
-                        wrd = _wmul(_wmul(_winv(lab[delta]),
-                                          _winv(labels[row + x])),
-                                    _wmul(lab[gamma], labels[mu * w + x]))
+                        wrd = _wmul(_winv(e), labels[mu * w + x])
                     self._merge(nu, tmu, queue, wrd)
                 else:
                     tnu = tab[nu * w + (x ^ 1)]
                     if tnu != UNDEF:
                         if labels is not None:
-                            lab = self.coset_labels
-                            wrd = _wmul(_wmul(_winv(lab[gamma]), labels[row + x]),
-                                        _wmul(lab[delta],
-                                              labels[nu * w + (x ^ 1)]))
+                            wrd = _wmul(e, labels[nu * w + (x ^ 1)])
                         self._merge(mu, tnu, queue, wrd)
                     else:
                         tab[mu * w + x] = nu
                         tab[nu * w + (x ^ 1)] = mu
                         if labels is not None:
-                            lab = self.coset_labels
-                            wrd = _wmul(_wmul(_winv(lab[gamma]), labels[row + x]),
-                                        lab[delta])
-                            labels[mu * w + x] = wrd
-                            labels[nu * w + (x ^ 1)] = _winv(wrd)
+                            labels[mu * w + x] = e
+                            labels[nu * w + (x ^ 1)] = _winv(e)
                         if self.deductions is not None:
                             self.deductions.append((mu, x))
 
@@ -918,9 +913,9 @@ def find_relator(pres: Presentation, word_a: GroupWord, word_b: GroupWord,
     equal evaluations, which the equal-evaluation phase, uncapped, turns
     into a candidate.
 
-    The ball and its equal evaluations come from the kernel
-    (`_fast.ball`) when it loads and the entries fit in int64, else from
-    `_SyllableBall`, its reference: the same records, in the same order.
+    When the kernel loads and the entries fit in int64, one call builds the
+    ball and records its equal evaluations (`_fast.ball`); else its
+    reference `_SyllableBall` gives the same records in the same order.
     The conjugation collisions are found in Python on either ball, which
     costs 20-230 ms per call for b <= 13 when the equal evaluations give
     none.
@@ -1060,7 +1055,7 @@ class _SyllableBall:
         that equals an earlier one, the first of them: the relator i
         first^-1.  The denominator is fixed, so equal tuples are equal
         matrices, and distinct elements are distinct reduced words.  The
-        kernel's `tc_collide` ports this."""
+        kernel's `tc_ball` records the same as it builds the ball."""
         out = []
         seen: dict[tuple, int] = {}
         for i, key in enumerate(self.nums):

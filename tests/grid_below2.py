@@ -2,13 +2,13 @@
 
 For each b in 2, 3, 4, 5, 7, 8, 9, 11 and 13 this runs
 
-    python -m moebius_arith.cli sweep b --amax min(13, 2b - 1) --json
+    python -m moebius_arith.cli sweep b --amax min(20, 2b - 1) --json
 
-with `src` on PYTHONPATH, which certifies the 70 specs a/b < 2 with a <= 13
+with `src` on PYTHONPATH, which certifies the 88 specs a/b < 2 with a <= 20
 and gcd(a, b) = 1 at the default budget, and compares the status, reason,
 index, `defined_cosets` and `peak_cosets` of every spec with the file.  It
 prints each difference and exits 1 if there is any.  With the C kernel the
-grid takes about a minute.  `--write` rewrites the file from the runs
+grid takes about two minutes.  `--write` rewrites the file from the runs
 instead, for a change that is meant to move these counts.
 
 Usage: python tests/grid_below2.py [--write]
@@ -31,7 +31,7 @@ def sweep(b: int) -> list[dict]:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run(
         [sys.executable, "-m", "moebius_arith.cli", "sweep", str(b),
-         "--amax", str(min(13, 2 * b - 1)), "--json"],
+         "--amax", str(min(20, 2 * b - 1)), "--json"],
         env=env, capture_output=True, text=True, check=True)
     return [{"a": cert["spec"]["a"], "b": cert["spec"]["b"],
              "status": cert["status"], "reason": cert["reason"],

@@ -725,6 +725,8 @@ class TestRelatorSearch:
     @pytest.mark.parametrize("a, b, found", [(1, 2, 426), (4, 11, 0)],
                              ids=["1/2", "4/11"])
     def test_equal_evaluations_match_reference(self, a, b, found):
+        # 1/2's 426 records outgrow the kernel's first room for 64 three
+        # times
         ball, ref, _, _ = self.both(Fraction(a, b), 300)
         got = ball.equal_evaluations()
         assert got == ref.equal_evaluations() and len(got) == found
@@ -749,20 +751,28 @@ class TestRelatorSearch:
         if pair_cap == 0:
             assert got == []
 
-    def test_collisions_past_the_room_run_again(self, monkeypatch):
-        # tc_collide counts every equal evaluation but writes only those
-        # it has room for; with room for one, 1/2's 426 need a second run
-        runs = []
-        collide = _fast.kernel().tc_collide
+    def test_records_freed_once(self):
+        # the records come back in a buffer tc_ball allocates; Ball copies
+        # them and releases it
+        lib, freed = _fast.kernel(), []
 
-        def counting(*args):
-            runs.append(args[2])
-            return collide(*args)
-        ball, ref, _, _ = self.both(Fraction(1, 2), 40)
-        monkeypatch.setattr(_fast, "_FIRST_ROOM", 1)
-        monkeypatch.setattr(ball, "lib", SimpleNamespace(tc_collide=counting))
-        got = ball.equal_evaluations()
-        assert runs == [1, 426] and got == ref.equal_evaluations()
+        def free(buffer):
+            freed.append(buffer)
+            lib.tc_free(buffer)
+        ball = _fast.Ball(SimpleNamespace(tc_ball=lib.tc_ball, tc_free=free),
+                          Fraction(1, 2), _SYLLABLE_DEPTH, 12,
+                          coset_enum._BALL_CAP)
+        assert len(freed) == 1 and len(ball.equal_evaluations()) == 426
+
+    def test_allocation_failure_raises_memory_error(self):
+        # tc_ball then hands nothing over, so there is nothing to free
+        freed = []
+        lib = SimpleNamespace(tc_ball=lambda *args: _fast._NO_MEMORY,
+                              tc_free=freed.append)
+        with pytest.raises(MemoryError):
+            _fast.Ball(lib, Fraction(1, 2), _SYLLABLE_DEPTH, 12,
+                       coset_enum._BALL_CAP)
+        assert freed == []
 
     def test_no_kernel_path_gives_reference(self, monkeypatch):
         seen = self.record_searches(monkeypatch)

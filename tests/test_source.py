@@ -91,18 +91,23 @@ def test_kernel_table_check_shares_no_code_with_enumerator():
     assert called - _defined_functions(code) - keywords <= {"malloc", "free"}
 
 
-# C parameter types and the kind of value each passes
-C_KINDS = {"int": "int32", "int64_t": "int64", "double": "double"}
+# C types and the kind of value each passes
+C_KINDS = {"int": "int32", "int64_t": "int64", "double": "double",
+           "void": "void"}
+KERNEL_CODE = re.sub(r"/\*.*?\*/", " ",
+                     (SOURCES[0].parent / "_tc.c").read_text(), flags=re.S)
+# the kernel's exports: its definitions that are neither static nor typedefs
+KERNEL_EXPORTS = re.findall(r"^(?:int|void) (\w+)\(", KERNEL_CODE, flags=re.M)
 
 
-def _c_parameter_kinds(source, function):
-    """The kind of each parameter of `function` in `source`: int32, int64,
-    double, or pointer for a pointer or a function-pointer typedef."""
-    code = re.sub(r"/\*.*?\*/", " ", source, flags=re.S)
+def _c_signature(code, function):
+    """The kind `function` in C `code` returns and the kind of each of its
+    parameters: int32, int64, double, void, or pointer for a pointer or a
+    function-pointer typedef."""
     callbacks = set(re.findall(r"typedef\s+\w+\s*\(\s*\*\s*(\w+)\s*\)",
                                code))
-    params = re.search(rf"^int {function}\((.*?)\)\s*\{{", code,
-                       flags=re.M | re.S).group(1)
+    returns, params = re.search(rf"^(int|void) {function}\((.*?)\)\s*\{{",
+                                code, flags=re.M | re.S).groups()
     kinds = []
     for param in params.split(","):
         ctype = param.replace("const ", "").split()[0]
@@ -110,12 +115,14 @@ def _c_parameter_kinds(source, function):
             kinds.append("pointer")
         else:
             kinds.append(C_KINDS[ctype])
-    return kinds
+    return C_KINDS[returns], kinds
 
 
 def _ctypes_kind(t):
     import ctypes
 
+    if t is None:
+        return "void"
     if t is ctypes.c_double:
         return "double"
     if t in (ctypes.c_int, ctypes.c_int64):
@@ -126,19 +133,20 @@ def _ctypes_kind(t):
     return repr(t)
 
 
-@pytest.mark.parametrize("function", ["tc_enumerate", "tc_verify", "tc_ball",
-                                      "tc_collide"])
+@pytest.mark.parametrize("function", KERNEL_EXPORTS)
 def test_kernel_argtypes_match_source(function):
-    # ctypes passes arguments as `argtypes` says; one that disagrees with
-    # the C parameter list corrupts memory without any error
+    # ctypes passes arguments and reads the result as `argtypes` and
+    # `restype` say; one that disagrees with the C definition corrupts
+    # memory without any error
     from moebius_arith import _fast
 
     lib = _fast.kernel()
     if lib is None:
         pytest.skip("the C kernel could not be built")
-    source = Path(_fast.SOURCE).read_text()
-    declared = [_ctypes_kind(t) for t in getattr(lib, function).argtypes]
-    assert declared == _c_parameter_kinds(source, function)
+    declared = getattr(lib, function)
+    returns, params = _c_signature(KERNEL_CODE, function)
+    assert _ctypes_kind(declared.restype) == returns
+    assert [_ctypes_kind(t) for t in declared.argtypes] == params
 
 
 def _c_constants(source):
@@ -171,6 +179,7 @@ def test_kernel_constants_match_python():
         "TC_FELSCH": _fast._STRATEGIES["felsch"],
         "RS_COMPLETE": _fast._OK, "RS_CAPPED": _fast._CAPPED,
         "RS_DETERMINANT": _fast._DETERMINANT,
+        "RS_NO_MEMORY": _fast._NO_MEMORY,
         "TV_OK": _fast._OK,
         "TV_SUBGROUP_MOVED": len(coset_enum._VERIFY_MESSAGES),
         "TV_BAD_ARGUMENT": _fast._BAD_ARGUMENT,
