@@ -28,7 +28,7 @@ from .certifier import (
 )
 from .coset_enum import (DEFAULT_MAX_COSETS, DEFAULT_WITNESS_BOUND,
                          EnumerationLimits)
-from .exact import check_count, parse_matrix, parse_word, prime_factors
+from .exact import check_count, parse_matrix, parse_word
 from .presentation import (
     build_presentation,
     presentation_to_json,
@@ -49,13 +49,6 @@ INDEX_NOT_REPROVED = (
 # `certify --witness` prints this on stderr when the search finds none
 WITNESS_NOT_FOUND = ("note: no relator witness found within total exponent "
                      "{}; this is not evidence of freeness")
-
-# `present`, `certify` and `sweep` print this on stderr when b has two or
-# more distinct primes
-PUSHOUT_NOTE = (
-    "note: b has two or more distinct primes: these relators present the "
-    "pushout of the SL(2,Z[1/p]) over SL(2,Z), which only surjects onto "
-    "SL(2,Z[1/b])")
 
 
 class _UsageError(Exception):
@@ -142,11 +135,6 @@ def _print_certificate(cert: Certificate, as_json: bool) -> None:
         print("  verdict: inconclusive (no claim about thinness or freeness)")
 
 
-def _note_pushout(b: int) -> None:
-    if len(prime_factors(b)) > 1:
-        print(PUSHOUT_NOTE, file=sys.stderr)
-
-
 def _sweep_summary(b: int, certs) -> str:
     """One line of counts by status and reason, e.g. `sweep b=3:
     2 Arithmetic, 1 Inconclusive (max_cosets), 1 Inconclusive (error:
@@ -227,7 +215,6 @@ def run(argv) -> int:
 def _dispatch(args) -> int:
     if args.command == "present":
         pres = build_presentation(args.b)
-        _note_pushout(args.b)
         text = presentation_to_json(pres) if args.json \
             else presentation_to_text(pres)
         if args.out:
@@ -240,7 +227,6 @@ def _dispatch(args) -> int:
     if args.command == "certify":
         spec = _parse_rational(args.rational)
         limits = _limits(args)
-        _note_pushout(spec.b)
         cert = certify(spec, limits, witness_bound=args.witness)
         if args.out:
             with open(args.out, "w") as fh:
@@ -285,7 +271,6 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         a_values = [a for a in range(1, args.amax + 1) if gcd(a, args.b) == 1]
         limits = _limits(args)
-        _note_pushout(args.b)
         certs = table_sweep(args.b, a_values, limits, workers=args.jobs)
         if args.json:
             print(json.dumps([c.to_json_dict() for c in certs], indent=2))

@@ -12,15 +12,15 @@ relators g^4 and (gh)^3 g^-2.  The amalgam is glued by matching relators
 w(x_p, y_p) * w'(s, t)^-1 where the w range over Schreier generators of
 Gamma_0(p) and w' rewrites the same integer matrix over {s, t}.
 
+When b has two or more distinct primes, every pair p < q adds three
+relators in d_p = x_p s^-1 = diag(1/p, p): the commutator of d_p and d_q,
+and d_p^-1 y_q d_p y_q^-(p^2) with its mirror, since conjugating by d_p
+multiplies the upper-right entry by p^2.  For prime-power b the amalgam
+presents SL(2, Z[1/b]) exactly; for other b the presentation may be a
+proper cover, which `certifier` explains is enough.
+
 Every relator evaluates to the identity under the matrix assignment; that
 soundness invariant is checked at construction time.
-
-For prime-power b this presents SL(2, Z[1/b]).  When b has two or more
-distinct primes the relators are still sound, but gluing every amalgam onto
-the same {s, t} copy presents the pushout SL(2,Z[1/p]) *_{SL(2,Z)}
-SL(2,Z[1/q]) (over all primes of b), which only surjects onto
-SL(2, Z[1/b]): diag(2,1/2) and diag(3,1/3) commute as matrices but not in
-the pushout.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -155,12 +156,23 @@ def _power_braid_relators(g: str, h: str) -> list[GroupWord]:
     ]
 
 
+def _prime_pair_relators(p: int, q: int) -> list[GroupWord]:
+    """d_p d_q d_p^-1 d_q^-1, d_p^-1 y_q d_p y_q^-(p^2) and
+    d_q^-1 y_p d_q y_p^-(q^2), with d_r = x_r s^-1 = diag(1/r, r)."""
+    dp, dq = (word([(f"x{r}", 1), ("s", -1)]) for r in (p, q))
+    yp, yq = (word([(f"y{r}", 1)]) for r in (p, q))
+    return [dp * dq * dp.inv() * dq.inv(),
+            dp.inv() * yq * dp * yq ** (-p * p),
+            dq.inv() * yp * dq * yp ** (-q * q)]
+
+
 def build_presentation(b: int) -> Presentation:
-    """Presentation of SL(2, Z[1/b]) for prime-power b; depends on b only
-    through its primes.  With two or more distinct primes the relators are
-    sound but present the pushout SL(2,Z[1/p]) *_{SL(2,Z)} SL(2,Z[1/q]),
-    which only surjects onto SL(2, Z[1/b]) (see the module docstring).
-    The assignment is a read-only mapping, so one build can be shared."""
+    """Sound presentation on generators of SL(2, Z[1/b]): the amalgam over
+    each prime of b, then three relators per pair of distinct primes (see
+    the module docstring).  It depends on b only through its primes.  For
+    prime-power b it presents SL(2, Z[1/b]); for other b it may present a
+    cover.  The assignment is a read-only mapping, so one build can be
+    shared."""
     check_count("base", b, least=2)
     primes = prime_factors(b)
     generators = ["s", "t"]
@@ -174,6 +186,8 @@ def build_presentation(b: int) -> Presentation:
         relators += _power_braid_relators(xsym, ysym)
         for gen_word, value in _schreier_pairs(p):
             relators.append(gen_word * decompose_st(value).inv())
+    for p, q in combinations(primes, 2):
+        relators += _prime_pair_relators(p, q)
     pres = Presentation(
         generators=tuple(generators),
         relators=tuple(relators),

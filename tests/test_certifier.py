@@ -1,7 +1,9 @@
 """Certification pipeline, membership verdicts, offline verification."""
 
+import dataclasses
 import json
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -39,6 +41,18 @@ from moebius_arith.presentation import build_presentation
 @pytest.fixture(scope="module")
 def cert_table_32():
     return certify_with_table(MoebiusSpec(3, 2))
+
+
+def scale_enumerated_index(monkeypatch, factor):
+    """Make every enumeration that `certify` runs report `factor` times
+    the index it completed with."""
+    import moebius_arith.certifier as certifier
+    real = certifier.todd_coxeter
+
+    def scaled(*args, **kw):
+        out = real(*args, **kw)
+        return dataclasses.replace(out, index=int(out.index * factor))
+    monkeypatch.setattr(certifier, "todd_coxeter", scaled)
 
 
 def forged_certificates(cert_32):
@@ -169,16 +183,19 @@ class TestCertify:
         assert certify(MoebiusSpec(5, 4)).status == "Arithmetic"
         assert builds == [2]
 
-    def test_multi_prime_certificate_names_the_pushout(self):
-        # 1/6 is enumerated against the pushout over 2 and 3, which only
-        # surjects onto SL(2, Z[1/6]); a prime power keeps its resources
-        cert = certify(MoebiusSpec(1, 6), EnumerationLimits(max_cosets=1000))
-        assert cert.resources["presentation"] == "pushout"
-        round_trip = Certificate.from_json_dict(cert.to_json_dict())
-        assert round_trip.resources["presentation"] == "pushout"
-        cert = certify(MoebiusSpec(5, 4))
-        assert cert.status == "Arithmetic"
-        assert "presentation" not in cert.resources
+    def test_multi_prime_certificate(self):
+        # the presentation over 2 and 3 may be a cover of SL(2, Z[1/12]),
+        # but a completed index equal to the formula proves that index
+        cert = certify(MoebiusSpec(5, 12))
+        assert (cert.status, cert.index) == ("Arithmetic", 600)
+        payload = json.loads(json.dumps(cert.to_json_dict()))
+        assert "presentation" not in payload["resources"]
+        assert Certificate.from_json_dict(payload) == cert
+        assert verify_certificate(payload) == (True, [])
+        payload["index"] = 1200
+        ok, problems = verify_certificate(payload)
+        assert not ok
+        assert problems[0].startswith("malformed certificate: ")
 
     def test_overflow_is_inconclusive(self):
         cert = certify(MoebiusSpec(5, 2),
@@ -270,6 +287,25 @@ class TestCertify:
         with pytest.raises(IndexMismatchError,
                            match=r"index 71, .* gives 72;"):
             certify_with_table(MoebiusSpec(3, 2))
+
+    def test_index_above_formula(self, monkeypatch):
+        # above the formula is Inconclusive where the presentation may be
+        # a cover (5/12), and a bug where it is exact (5/4)
+        scale_enumerated_index(monkeypatch, 2)
+        cert, table = certify_with_table(MoebiusSpec(5, 12))
+        assert (cert.status, cert.index, table) == ("Inconclusive", None,
+                                                     None)
+        assert cert.reason == "index_above_formula: 1200 > 600"
+        with pytest.raises(IndexMismatchError,
+                           match=r"index 1200, .* gives 600;"):
+            certify(MoebiusSpec(5, 4))
+
+    @pytest.mark.parametrize("b", [4, 12])
+    def test_index_below_formula_raises(self, monkeypatch, b):
+        scale_enumerated_index(monkeypatch, Fraction(1, 2))
+        with pytest.raises(IndexMismatchError,
+                           match=r"index 300, .* gives 600;"):
+            certify(MoebiusSpec(5, b))
 
     def test_progress_reported(self):
         # 7/4 makes 276,938 definitions, so `progress` hears of every

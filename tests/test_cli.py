@@ -11,14 +11,13 @@ from moebius_arith.cli import (
     EXIT_OK,
     EXIT_USAGE,
     INDEX_NOT_REPROVED,
-    PUSHOUT_NOTE,
     WITNESS_NOT_FOUND,
     run,
 )
 from moebius_arith.certifier import Certificate
 from moebius_arith.coset_enum import DEFAULT_MAX_COSETS, DEFAULT_WITNESS_BOUND
 from moebius_arith.exact import evaluate_word, make_moebius_generators, parse_word
-from test_certifier import forged_certificates
+from test_certifier import forged_certificates, scale_enumerated_index
 
 FAST = ["--max-cosets", "200000", "--time-limit", "60"]
 
@@ -42,14 +41,17 @@ class TestPresent:
         assert run(["present", "5", "--out", str(path)]) == EXIT_OK
         assert path.read_text().startswith("gen: s t x5 y5")
 
-    def test_multi_prime_note_on_stderr_only(self, capsys):
-        assert run(["present", "5"]) == EXIT_OK
-        assert capsys.readouterr().err == ""
+    def test_multi_prime_pair_relators(self, capsys):
+        # the amalgams over 2 and 3 end with the three relators of that
+        # pair, in d_p = x_p s^-1, and nothing goes to stderr
         assert run(["present", "6"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == PUSHOUT_NOTE + "\n"
-        assert captured.out.startswith("gen: s t x2 y2 x3 y3")
-        assert PUSHOUT_NOTE not in captured.out
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == "gen: s t x2 y2 x3 y3"
+        assert lines[-3:] == ["rel: x2 s^-1 x3 x2^-1 s x3^-1",
+                              "rel: s x2^-1 y3 x2 s^-1 y3^-4",
+                              "rel: s x3^-1 y2 x3 s^-1 y2^-9"]
 
     def test_bad_base(self, capsys):
         assert run(["present", "1"]) == EXIT_USAGE
@@ -115,18 +117,18 @@ class TestCertify:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]],
                              ids=["text", "json"])
-    def test_multi_prime_note_on_stderr_only(self, capsys, json_flag):
-        # the budget is far too small for 1/6, so the run ends Inconclusive
-        args = ["certify", "1/6", "--max-cosets", "2000", "--time-limit",
-                "60"] + json_flag
-        assert run(args) == EXIT_INCONCLUSIVE
+    def test_multi_prime_certifies(self, capsys, json_flag):
+        # 5/12 defines 32,241 cosets and completes with the formula index,
+        # which proves that index; nothing goes to stderr
+        assert run(["certify", "5/12"] + FAST + json_flag) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err == PUSHOUT_NOTE + "\n"
-        assert PUSHOUT_NOTE not in captured.out
+        assert captured.err == ""
         if json_flag:
-            assert json.loads(captured.out)["status"] == "Inconclusive"
-        assert run(["certify", "3/2"] + FAST) == EXIT_OK
-        assert capsys.readouterr().err == ""
+            payload = json.loads(captured.out)
+            assert (payload["status"], payload["index"]) == ("Arithmetic", 600)
+        else:
+            assert "status=Arithmetic" in captured.out
+            assert "  index           600\n" in captured.out
 
 
 class TestMember:
@@ -210,14 +212,25 @@ class TestSweep:
         assert captured.err.strip() == "sweep b=3: 2 Arithmetic"
         assert "sweep" not in captured.out
 
-    def test_multi_prime_note_on_stderr(self, capsys):
-        # the note comes first, then the summary; stdout is unchanged
-        assert run(["sweep", "6", "--amax", "1", "--max-cosets", "2000",
-                    "--time-limit", "60"]) == EXIT_OK
+    def test_multi_prime_row(self, capsys):
+        # 1/6, 5/6 and 7/6, and the summary is the only line on stderr
+        assert run(["sweep", "6", "--amax", "7"] + FAST) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            PUSHOUT_NOTE, "sweep b=6: 1 Inconclusive (max_cosets)"]
-        assert captured.out.startswith("a=   1  Inconclusive")
+        assert captured.err == "sweep b=6: 3 Arithmetic\n"
+        assert captured.out.count("Arithmetic") == 3
+
+    @pytest.mark.parametrize("b, code, summary", [
+        (12, EXIT_OK, "2 Inconclusive (index_above_formula)"),
+        (4, EXIT_ERROR, "3 Inconclusive (error: IndexMismatchError)"),
+    ], ids=["b=12", "b=4"])
+    def test_index_above_formula(self, capsys, monkeypatch, b, code,
+                                 summary):
+        # twice the formula: b = 12 may be presented by a cover, so the
+        # run is Inconclusive; the presentation for b = 4 is exact, so it
+        # is a bug
+        scale_enumerated_index(monkeypatch, 2)
+        assert run(["sweep", str(b), "--amax", "5"] + FAST) == code
+        assert capsys.readouterr().err == f"sweep b={b}: {summary}\n"
 
     def test_errored_entry_exits_with_error(self, capsys, monkeypatch):
         import moebius_arith.certifier as certifier

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -28,7 +29,7 @@ from moebius_arith.presentation import (
 
 IDENT = UniModularMatrix.identity()
 
-ALL_BASES = [2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 35, 49]
+ALL_BASES = [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 25, 30, 35, 49, 210]
 
 
 def same_subgroup_mod(mats_s, mats_t, q):
@@ -100,10 +101,13 @@ class TestSchreierGenerators:
 class TestBuildPresentation:
     @pytest.mark.parametrize("b", ALL_BASES)
     def test_soundness_and_counts(self, b):
+        # the amalgam over each prime, then three relators per prime pair
         pres = build_presentation(b)
         assert verify_presentation_soundness(pres)
         primes = prime_factors(b)
         assert len(pres.generators) == 2 + 2 * len(primes)
+        blocks = 2 + sum(2 + len(_schreier_pairs(p)) for p in primes)
+        assert len(pres.relators) == blocks + 3 * comb(len(primes), 2)
 
     def test_generators_depend_on_prime_support_only(self):
         assert build_presentation(4).generators == \
